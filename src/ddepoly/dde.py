@@ -310,9 +310,9 @@ def sample_xy(Pn, Pn1, width):
         raise NonSimpleZerosError("P_n has a repeated root")
     if rs.count == 0:
         return []
-    dPn = Pn.derivative()
     out = []
     with mpmath.workprec(prec + 32):
+        dPn = Pn.derivative()
         dscale = max(abs(to_mpf(c, prec)) for c in dPn.coeffs)
         for x in rs.midpoints(prec):
             d = to_mpf(dPn(x), prec)

@@ -26,7 +26,7 @@ import mpmath
 
 from .dde import CoefficientPair, CoefficientTable
 from .families import FamilySpec
-from .poly import Poly, _Infinity
+from .poly import Poly, _Infinity, format_scalar
 from .roots import Interval
 
 
@@ -147,18 +147,6 @@ class InputDocument:
         return cls.from_dict(doc)
 
 
-def scalar_str(x, dps=30):
-    if isinstance(x, _Infinity):
-        return repr(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, dps)
-    return mpmath.nstr(mpmath.mpf(x), dps)
-
-
 def jsonable(obj, dps=30):
     """Recursively convert report objects to JSON-serializable structures."""
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -166,12 +154,12 @@ def jsonable(obj, dps=30):
     if isinstance(obj, float):
         return obj
     if isinstance(obj, (Fraction, _Infinity, mpmath.mpf)):
-        return scalar_str(obj, dps)
+        return format_scalar(obj, dps)
     if isinstance(obj, Poly):
-        return [scalar_str(c, dps) for c in obj.coeffs]
+        return [format_scalar(c, dps) for c in obj.coeffs]
     if isinstance(obj, Interval):
         return {
-            "lo": scalar_str(obj.lo, dps), "hi": scalar_str(obj.hi, dps),
+            "lo": format_scalar(obj.lo, dps), "hi": format_scalar(obj.hi, dps),
             "lo_open": obj.lo_open, "hi_open": obj.hi_open,
         }
     if isinstance(obj, CoefficientPair):

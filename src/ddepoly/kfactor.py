@@ -44,22 +44,6 @@ ZERO = "zero"
 FINITE = "finite"
 INF = "inf"
 
-CASE_TAGS = (
-    "distinct-roots-constant-B",
-    "equal-roots-constant-B",
-    "distinct-roots-linear-B",
-    "equal-roots-linear-B",
-    "B-root-matches-A-root",
-    "linear-A-distinct",
-    "linear-A-equal",
-    "constant-A",
-    # extensions beyond the core taxonomy
-    "B-zero",
-    "linear-A-constant-B",
-    "constant-A-constant-B",
-    "irreducible-quadratic-A",
-)
-
 EXTENSION_TAGS = {"B-zero", "linear-A-constant-B", "constant-A-constant-B", "irreducible-quadratic-A"}
 
 

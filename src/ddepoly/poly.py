@@ -95,7 +95,8 @@ def mpf_to_fraction(x):
     return -v if sign else v
 
 
-def _as_exact(x):
+def as_exact(x):
+    """Exact Fraction for an int, Fraction or finite mpf (compared as dyadic)."""
     return mpf_to_fraction(x) if isinstance(x, mpf) else Fraction(x)
 
 
@@ -105,7 +106,7 @@ def ext_lt(a, b):
         return a < b
     if isinstance(b, _Infinity):
         return b > a
-    return _as_exact(a) < _as_exact(b)
+    return as_exact(a) < as_exact(b)
 
 
 def ext_le(a, b):
@@ -115,7 +116,7 @@ def ext_le(a, b):
 def ext_eq(a, b):
     if isinstance(a, _Infinity) or isinstance(b, _Infinity):
         return a == b
-    return _as_exact(a) == _as_exact(b)
+    return as_exact(a) == as_exact(b)
 
 
 def as_fraction(x):
@@ -369,12 +370,6 @@ class Poly:
         if self.degree <= 1:
             return not self.is_zero
         return self.gcd(self.derivative()).degree == 0
-
-    def squarefree_part(self):
-        g = self.gcd(self.derivative()) if self.degree >= 1 else Poly.one()
-        if g.degree == 0:
-            return self.monic()
-        return self.exact_div(g).monic()
 
     def primitive_int_coeffs(self):
         """Integer coefficient vector with content 1, same sign pattern.

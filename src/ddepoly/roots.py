@@ -12,7 +12,8 @@ checks at the endpoints themselves.
 
 Float mode seeds roots from the companion matrix (LAPACK eigenvalues,
 which balance internally) and polishes with Newton iterations at the
-polynomial's working precision.
+polynomial's working precision.  It refuses (IllConditionedError) rather
+than merge two seeds that polish onto one root.
 """
 
 from __future__ import annotations
@@ -147,7 +148,12 @@ def _variations(signs):
 
 
 class _Isolator:
-    """Sturm-chain root isolation for one squarefree rational polynomial."""
+    """Sturm-chain root isolation for one rational polynomial.
+
+    The chain of (f, f') is Euclid's remainder sequence, so its last entry
+    is gcd(f, f') up to a scalar.  Counting and isolation need f squarefree,
+    which is `gcd_degree == 0`.
+    """
 
     def __init__(self, f):
         if f.kind != RATIONAL:
@@ -179,6 +185,10 @@ class _Isolator:
         lead = abs(c[-1])
         biggest = max((abs(v) for v in c[:-1]), default=0)
         return Fraction(biggest, lead) + 2
+
+    @property
+    def gcd_degree(self):
+        return len(self.chain[-1]) - 1
 
     def sign(self, x):
         return _sign_int_poly(self.chain[0], x.numerator, x.denominator)
@@ -253,11 +263,6 @@ class _Isolator:
                 a = m
         return Interval(a, b)
 
-    def refine_once(self, iv):
-        if iv.is_point:
-            return iv
-        return self.refine(iv, iv.width() * Fraction(3, 4))
-
 
 class _LocatedRoot:
     """One real algebraic number: an isolator plus a shrinking interval."""
@@ -278,7 +283,7 @@ class _LocatedRoot:
 
     def refine_once(self):
         if self.iso is not None:
-            self.iv = self.iso.refine_once(self.iv)
+            self.iv = self.iso.refine(self.iv, self.iv.width() * Fraction(3, 4))
 
     def refine_to(self, width):
         if self.iso is not None:
@@ -333,9 +338,9 @@ def sturm_count(p, iv):
         raise ValueError("zero polynomial")
     if p.kind != RATIONAL:
         raise KindMismatchError("sturm_count requires rational coefficients")
-    if not p.is_squarefree():
-        raise ValueError("sturm_count requires a squarefree polynomial; deflate via gcd(p, p') first")
     iso = _Isolator(p)
+    if iso.gcd_degree > 0:
+        raise ValueError("sturm_count requires a squarefree polynomial; deflate via gcd(p, p') first")
     n = iso.count_half_open(iv.lo, iv.hi)
     if is_finite(iv.hi) and iv.hi_open and iso.sign(iv.hi) == 0:
         n -= 1
@@ -377,22 +382,9 @@ def _isolate_float(p, width):
     prec = p.prec or 256
     with mpmath.workprec(prec + 64):
         scale = max(abs(c) for c in p.coeffs)
-        cs = [c / scale for c in p.coeffs]
-        seeds = np.roots([float(c) for c in reversed(cs)])
-        fp = [c * i for i, c in enumerate(cs)][1:]
-
-        def f(x):
-            acc = mpmath.mpf(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return acc
-
-        def fprime(x):
-            acc = mpmath.mpf(0)
-            for c in reversed(fp):
-                acc = acc * x + c
-            return acc
-
+        f = Poly.floating([c / scale for c in p.coeffs], prec + 64)
+        fprime = f.derivative()
+        seeds = np.roots([float(c) for c in reversed(f.coeffs)])
         tol = mpmath.mpf(2) ** (-prec + 8)
         roots = []
         for z in seeds:
@@ -412,19 +404,18 @@ def _isolate_float(p, width):
             roots.append(x)
         roots.sort()
         w = to_mpf(width, prec) if isinstance(width, Fraction) else mpmath.mpf(width)
-        deduped = []
-        for r in roots:
-            if deduped and abs(r - deduped[-1]) <= tol * (1 + abs(r)):
-                continue
-            deduped.append(r)
-        for a, b in zip(deduped, deduped[1:]):
+        for a, b in zip(roots, roots[1:]):
+            if b - a <= tol * (1 + abs(b)):
+                raise IllConditionedError(
+                    f"two seeds polished to the same root near {float(a)}; another root may be lost"
+                )
             if b - a < w:
                 raise IllConditionedError(
                     f"roots near {float(a)} and {float(b)} are closer than the requested width"
                 )
         half = w / 2
         ivs = tuple(
-            RootInterval(Interval(r - half, r + half, False, False), 1) for r in deduped
+            RootInterval(Interval(r - half, r + half, False, False), 1) for r in roots
         )
         return RootSet(roots=ivs, count=len(ivs), squarefree=True)
 
@@ -446,10 +437,10 @@ def is_real_simple(p):
         raise KindMismatchError("is_real_simple requires rational coefficients")
     if p.degree == 0:
         return RealSimpleCheck(True)
-    g = p.gcd(p.derivative()) if p.degree >= 1 else Poly.one()
-    if g.degree > 0:
-        return RealSimpleCheck(False, f"repeated factor of degree {g.degree}: gcd(p, p') is not constant")
-    n = sturm_count(p, Interval(NEG_INF, POS_INF))
+    iso = _Isolator(p)
+    if iso.gcd_degree > 0:
+        return RealSimpleCheck(False, f"repeated factor of degree {iso.gcd_degree}: gcd(p, p') is not constant")
+    n = iso.count_half_open(NEG_INF, POS_INF)
     if n != p.degree:
         return RealSimpleCheck(False, f"only {n} of {p.degree} roots are real")
     return RealSimpleCheck(True)

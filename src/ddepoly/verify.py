@@ -21,16 +21,16 @@ from .families import FamilySpec, coefficient_source
 from .kfactor import SingularPointError, boundary_zeros, classify, decide_case, log_k_eval
 from .poly import (
     FLOAT,
+    NEG_INF,
+    POS_INF,
     RATIONAL,
     Poly,
-    ext_eq,
-    ext_le,
-    ext_lt,
+    as_exact,
     format_scalar,
     is_finite,
     to_mpf,
 )
-from .roots import _LocatedRoot, interlaces, is_real_simple, locate_real_roots
+from .roots import Interval, interlaces, is_real_simple, isolate_roots, sturm_count
 
 
 @dataclass(frozen=True)
@@ -61,64 +61,21 @@ class VerificationReport:
     truncated_at: int | None = None
 
 
-def _pin_endpoint(located, poly, pt):
-    """If poly(pt) == 0 exactly, replace the located root equal to pt by an
-    exact point so open/closed endpoint decisions terminate."""
-    if not is_finite(pt) or not isinstance(pt, Fraction):
-        return
-    if poly(pt) != 0:
-        return
-    for i, r in enumerate(located):
-        if not r.is_exact and r.iv.contains(pt):
-            located[i] = _LocatedRoot.exact(pt)
-            return
-
-
-def _below(r, beta, closed):
-    if not is_finite(beta):
-        return True
-    if r.is_exact:
-        v = r.iv.lo
-        return ext_lt(v, beta) or (closed and ext_eq(v, beta))
-    if ext_le(r.iv.hi, beta):  # endpoint pinning guarantees root != beta here
-        return True
-    if ext_le(beta, r.iv.lo):
-        return False
-    return None
-
-
-def _above(r, alpha, closed):
-    if not is_finite(alpha):
-        return True
-    if r.is_exact:
-        v = r.iv.lo
-        return ext_lt(alpha, v) or (closed and ext_eq(v, alpha))
-    if ext_le(alpha, r.iv.lo):
-        return True
-    if ext_le(r.iv.hi, alpha):
-        return False
-    return None
-
-
-def _check_containment(poly, located, bounds):
+def _check_containment(p, bounds):
+    """Witness for zeros of the real-simple p outside the claimed interval,
+    or None.  Counts the zeros beyond each finite endpoint exactly; an mpf
+    endpoint (an irrational root of A) is compared as the dyadic it holds."""
     alpha, beta, lo_closed, hi_closed = bounds
-    _pin_endpoint(located, poly, alpha)
-    _pin_endpoint(located, poly, beta)
-    for r in located:
-        verdict = _below(r, beta, hi_closed)
-        while verdict is None:
-            r.refine_once()
-            verdict = _below(r, beta, hi_closed)
-        if not verdict:
+    if is_finite(beta):
+        n = sturm_count(p, Interval(as_exact(beta), POS_INF, lo_open=hi_closed))
+        if n:
             end = "]" if hi_closed else ")"
-            return f"zero near {format_scalar(r.approx())} beyond right endpoint {format_scalar(beta)}{end}"
-        verdict = _above(r, alpha, lo_closed)
-        while verdict is None:
-            r.refine_once()
-            verdict = _above(r, alpha, lo_closed)
-        if not verdict:
+            return f"{n} zero(s) beyond right endpoint {format_scalar(beta)}{end}"
+    if is_finite(alpha):
+        n = sturm_count(p, Interval(NEG_INF, as_exact(alpha), hi_open=lo_closed))
+        if n:
             end = "[" if lo_closed else "("
-            return f"zero near {format_scalar(r.approx())} below left endpoint {end}{format_scalar(alpha)}"
+            return f"{n} zero(s) below left endpoint {end}{format_scalar(alpha)}"
     return None
 
 
@@ -209,15 +166,12 @@ def _empirical_record(seq, n, usable, bounds, width):
     interlace = None
     interlace_witness = None
     if chk.ok:
-        located = locate_real_roots(p.squarefree_part())
         if bounds is not None:
-            containment_witness = _check_containment(p, located, bounds)
+            containment_witness = _check_containment(p, bounds)
             containment = "fail" if containment_witness else "ok"
         else:
             containment = "not-claimed"
-        for r in located:
-            r.refine_to(width if isinstance(width, Fraction) else Fraction(width))
-        zeros = tuple(r.iv for r in located)
+        zeros = tuple(r.interval for r in isolate_roots(p, width).roots)
         if n < usable:
             try:
                 rep = interlaces(p, seq[n + 1])

@@ -156,6 +156,22 @@ def test_zeros_accepts_sequence_document(capsys, tmp_path):
     assert abs(mids[1] - 0.7071067811865476) < 1e-8
 
 
+def test_zeros_refuses_close_float_roots(capsys, tmp_path):
+    # the float quintic (x-1)(x-1-1e-14)(x-2)(x+3)x has five real roots;
+    # float isolation cannot separate two of them and must not drop one
+    import mpmath
+
+    with mpmath.workprec(256):
+        coeffs = [mpmath.mpf(1)]
+        for r in (1, 1 + mpmath.mpf("1e-14"), 2, -3, 0):
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        doc = {"sequence": [[mpmath.nstr(c, 80) for c in coeffs]], "precision": 256}
+    path = tmp_path / "quintic.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(capsys, "zeros", "--input", str(path))
+    assert code == 3
+
+
 def test_strict_extension_flag(capsys, tmp_path):
     # rootless quadratic A with strong algebraic damping: K = (x^2+3)^-4
     doc = {

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ddepoly.dde import (
@@ -193,3 +194,17 @@ def test_residual_identity_every_step():
         c = src.pair(n)
         resid = seq[n + 1] - (c.A * seq[n].derivative() + c.B * seq[n])
         assert resid.is_zero
+
+
+def test_sample_xy_keeps_working_precision():
+    # P_n' has the coefficient -1/3, which 53-bit arithmetic would round
+    prec = 256
+    Pn = Poly.floating([0, Fraction(-1, 3), 0, 1], prec)
+    Pn1 = Poly.floating([Fraction(1, 7), 0, Fraction(-2, 3), 0, 1], prec)
+    pairs = sample_xy(Pn, Pn1, mpmath.mpf(2) ** -100)
+    assert len(pairs) == 3
+    with mpmath.workprec(4 * prec):
+        dPn = Pn.derivative()
+        for x, y in pairs:
+            ref = Pn1(x) / dPn(x)
+            assert abs(y - ref) <= abs(ref) * mpmath.mpf(2) ** -200

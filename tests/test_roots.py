@@ -184,3 +184,20 @@ def test_float_isolation_reports_ill_conditioning():
     p = Poly.floating([1, -2, 1], prec=192)  # (x-1)^2: Newton stalls at linear rate
     with pytest.raises(IllConditionedError):
         isolate_roots(p, mpmath.mpf(1e-20))
+
+
+def close_root_quintic(prec=256):
+    """(x-1)(x-1-1e-14)(x-2)(x+3)x: five real roots, two of them 1e-14 apart."""
+    with mpmath.workprec(prec):
+        p = Poly.floating([1], prec)
+        for r in (1, 1 + mpmath.mpf("1e-14"), 2, -3, 0):
+            p = p * Poly.floating([-r, 1], prec)
+    return p
+
+
+@pytest.mark.parametrize("width", ["1e-9", "1e-30"])
+def test_float_isolation_refuses_to_merge_close_roots(width):
+    from ddepoly.roots import IllConditionedError
+
+    with pytest.raises(IllConditionedError):
+        isolate_roots(close_root_quintic(), mpmath.mpf(width))

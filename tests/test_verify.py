@@ -5,7 +5,7 @@ import pytest
 from ddepoly.dde import CoefficientPair, CoefficientRule
 from ddepoly.families import FamilySpec
 from ddepoly.kfactor import classify
-from ddepoly.poly import NEG_INF, Poly
+from ddepoly.poly import NEG_INF, POS_INF, Poly
 from ddepoly.verify import check_k_identity, verify_sequence
 
 P = Poly.rational
@@ -34,19 +34,30 @@ def test_bell_family_case_c_closed_endpoint():
 
 
 def test_case_c_rejects_zero_beyond_closed_endpoint():
-    # shift the growth family so one member pokes past the predicted endpoint:
-    # mimic by checking containment machinery directly via a doctored table
+    # containment is decided by counting the zeros beyond each claimed end:
+    # bounds are (alpha, beta, lo_closed, hi_closed)
+    import mpmath
+
     from ddepoly.verify import _check_containment
-    from ddepoly.roots import locate_real_roots
 
     p = P([0, 1]) * P([-1, 1])  # roots 0 and 1
-    located = locate_real_roots(p)
-    witness = _check_containment(p, located, (NEG_INF, Fraction(0), False, True))
-    assert witness is not None and "beyond" in witness
-    located = locate_real_roots(p)
-    assert _check_containment(p, located, (NEG_INF, Fraction(1), False, True)) is None
-    located = locate_real_roots(p)
-    assert _check_containment(p, located, (NEG_INF, Fraction(1), False, False)) is not None
+    assert _check_containment(p, (NEG_INF, Fraction(0), False, True)) == "1 zero(s) beyond right endpoint 0]"
+    assert _check_containment(p, (NEG_INF, Fraction(1), False, True)) is None
+    assert _check_containment(p, (NEG_INF, Fraction(1), False, False)) == "1 zero(s) beyond right endpoint 1)"
+    assert _check_containment(p, (NEG_INF, Fraction(-1), False, True)) == "2 zero(s) beyond right endpoint -1]"
+    # a zero below an open left end
+    assert _check_containment(p, (Fraction(1, 2), POS_INF, False, False)) == "1 zero(s) below left endpoint (1/2"
+    # a zero exactly on the left end: fine when closed, outside when open
+    assert _check_containment(p, (Fraction(0), Fraction(1), True, True)) is None
+    assert _check_containment(p, (Fraction(0), POS_INF, False, False)) == "1 zero(s) below left endpoint (0"
+    # mpf endpoints (irrational roots of A) are compared as the dyadics they hold
+    with mpmath.workprec(256):
+        half, one = mpmath.mpf("0.5"), mpmath.mpf(1)
+        above_one = one + mpmath.mpf(2) ** -200
+    assert _check_containment(p, (NEG_INF, half, False, False)) == "1 zero(s) beyond right endpoint 0.5)"
+    assert _check_containment(p, (NEG_INF, one, False, True)) is None
+    assert _check_containment(p, (NEG_INF, one, False, False)) == "1 zero(s) beyond right endpoint 1.0)"
+    assert _check_containment(p, (-half, above_one, False, False)) is None
 
 
 def test_hypergeometric_family_case_a_unit_interval():
