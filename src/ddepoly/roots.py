@@ -1,19 +1,21 @@
 """Real-root location: Sturm counting, isolating intervals, interlacing.
 
-Rational mode is exact.  A Sturm chain is kept as primitive integer
-coefficient vectors (positive rescaling preserves sign variations), and
-signs at rational points p/q are taken from the homogenized integer value
-sum c_i p^i q^(d-i), so no Fraction arithmetic happens in the inner loop.
+Rational mode is exact and counts on signed remainder sequences kept as
+primitive integer coefficient vectors (positive rescaling preserves sign
+variations).  Signs at rational points p/q are taken from the homogenized
+integer value sum c_i p^i q^(d-i), so no Fraction arithmetic happens in the
+inner loop.  Interlacing is a Cauchy index read off such a sequence.
 
 Counting convention: for a squarefree polynomial the variation difference
 V(a) - V(b) equals the number of distinct real roots in the half-open
 interval (a, b].  Open/closed endpoints are then settled by exact sign
 checks at the endpoints themselves.
 
-Float mode seeds roots from the companion matrix (LAPACK eigenvalues,
-which balance internally) and polishes with Newton iterations at the
-polynomial's working precision.  It refuses (IllConditionedError) rather
-than merge two seeds that polish onto one root.
+Float root isolation seeds roots from the companion matrix (LAPACK
+eigenvalues, which balance internally) and polishes with Newton iterations
+at the working precision, refusing (IllConditionedError) rather than merge
+two seeds that polish onto one root.  Float interlacing is decided exactly
+on the dyadic rationals the coefficients hold.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .poly import (
     KindMismatchError,
     Poly,
     _Infinity,
+    as_exact,
     format_scalar,
     is_finite,
     squarefree_decomposition,
@@ -147,38 +150,53 @@ def _variations(signs):
     return changes
 
 
+def _remainders(f, g):
+    """Signed remainder sequence f, g, -rem(f, g), ... as primitive integer
+    vectors; its last entry is gcd(f, g) up to a nonzero scalar."""
+    chain = [f.primitive_int_coeffs()]
+    if g.is_zero:
+        return chain
+    chain.append(g.primitive_int_coeffs())
+    a, b = f, g
+    while b.degree > 0:
+        r = -(a % b)
+        if r.is_zero:
+            break
+        chain.append(r.primitive_int_coeffs())
+        a, b = b, Poly.rational(chain[-1])
+    return chain
+
+
+def _variations_inf(chain, sgn):
+    """Sign variations of a chain at sgn * infinity, read off the leads."""
+    signs = []
+    for c in chain:
+        s = (c[-1] > 0) - (c[-1] < 0)
+        if sgn < 0 and (len(c) - 1) % 2 == 1:
+            s = -s
+        signs.append(s)
+    return _variations(signs)
+
+
+def _cauchy_index(chain):
+    """Cauchy index over R of g/f for the chain of (f, g) (Sturm's theorem)."""
+    return _variations_inf(chain, -1) - _variations_inf(chain, 1)
+
+
 class _Isolator:
     """Sturm-chain root isolation for one rational polynomial.
 
-    The chain of (f, f') is Euclid's remainder sequence, so its last entry
-    is gcd(f, f') up to a scalar.  Counting and isolation need f squarefree,
-    which is `gcd_degree == 0`.
+    The chain is the signed remainder sequence of (f, f'), so its last
+    entry is gcd(f, f') up to a scalar.  Counting and isolation need f
+    squarefree, which is `gcd_degree == 0`.
     """
 
     def __init__(self, f):
         if f.kind != RATIONAL:
             raise KindMismatchError("Sturm isolation requires rational coefficients")
         self.poly = f
-        self.chain = self._build_chain(f)
+        self.chain = _remainders(f, f.derivative())
         self.bound = self._cauchy_bound()
-
-    @staticmethod
-    def _build_chain(f):
-        chain = [f.primitive_int_coeffs()]
-        d = f.derivative()
-        if d.is_zero:
-            return chain
-        chain.append(d.primitive_int_coeffs())
-        a, b = f, d
-        while True:
-            r = -(a % b)
-            if r.is_zero:
-                break
-            chain.append(r.primitive_int_coeffs())
-            a, b = b, Poly.rational(chain[-1])
-            if b.degree == 0:
-                break
-        return chain
 
     def _cauchy_bound(self):
         c = self.chain[0]
@@ -195,19 +213,9 @@ class _Isolator:
 
     def variations(self, x):
         if isinstance(x, _Infinity):
-            return self._variations_inf(x.sign)
+            return _variations_inf(self.chain, x.sign)
         num, den = x.numerator, x.denominator
         return _variations([_sign_int_poly(c, num, den) for c in self.chain])
-
-    def _variations_inf(self, sgn):
-        signs = []
-        for c in self.chain:
-            d = len(c) - 1
-            s = (c[-1] > 0) - (c[-1] < 0)
-            if sgn < 0 and d % 2 == 1:
-                s = -s
-            signs.append(s)
-        return _variations(signs)
 
     def count_half_open(self, lo, hi):
         """Distinct roots in (lo, hi]; lo/hi are Fractions or infinity tags."""
@@ -288,13 +296,6 @@ class _LocatedRoot:
     def refine_to(self, width):
         if self.iso is not None:
             self.iv = self.iso.refine(self.iv, width)
-
-    def approx(self):
-        m = self.iv.lo if self.iv.is_point else self.iv.midpoint()
-        return m
-
-    def __repr__(self):
-        return f"root~{format_scalar(self.approx())}"
 
 
 def separate(roots):
@@ -450,110 +451,48 @@ def is_real_simple(p):
 class InterlaceReport:
     verdict: str  # "strict" | "weak-shared-endpoint" | "fail"
     witness: str | None
-    resolution: object
     numeric: bool = False
-
-
-def _cmp_roots(a, b):
-    """-1/0/+1 ordering of two located roots; 0 only for the same object."""
-    if a is b:
-        return 0
-    while not a.iv.disjoint(b.iv):
-        a.refine_once()
-        b.refine_once()
-    return -1 if a.iv.strictly_left_of(b.iv) else 1
 
 
 def interlaces(p, q):
     """Decide whether the real roots of p and q (deg q = deg p + 1) alternate.
 
     Verdict "strict": between consecutive roots of q lies exactly one root
-    of p, no coincidences.  Shared roots are detected exactly via gcd and
+    of p, no coincidences.  Shared roots, the roots of g = gcd(p, q), are
     tolerated only at the extreme positions ("weak-shared-endpoint").
-    Rational mode is exact; float mode compares at a relative tolerance of
-    1e-9 and tags the report numeric.
+    Every verdict is a count on signed remainder sequences, and no root is
+    located (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, 2.2):
+    the unshared roots interlace iff the Cauchy index of p/q is +-deg(q/g),
+    and the shared ones sit at the ends iff deg g <= 2 and g has one sign at
+    all roots of q/g, that of -lead(g) when deg g = 2.  Float input is
+    decided exactly on the dyadic rationals it holds; the report is numeric.
     """
     if q.degree != p.degree + 1:
         raise ValueError(f"degree mismatch: deg q = {q.degree}, expected deg p + 1 = {p.degree + 1}")
-    if p.kind == FLOAT or q.kind == FLOAT:
-        return _interlaces_float(p, q)
+    numeric = p.kind == FLOAT or q.kind == FLOAT
+    if numeric:
+        p, q = (Poly.rational([as_exact(c) for c in f.coeffs]) for f in (p, q))
+    chain = _remainders(q, p)
+    index = _cauchy_index(chain)
+    shared = len(chain[-1]) - 1  # deg gcd(p, q)
+    # deg q = 0 only for a zero p, which the precondition below rejects
+    if not shared and abs(index) == q.degree > 0:
+        return InterlaceReport("strict", None, numeric)
     for name, poly in (("p", p), ("q", q)):
         chk = is_real_simple(poly)
         if not chk:
             raise ValueError(f"{name} is not real-simple: {chk.witness}")
-    g = p.gcd(q)
-    shared = locate_real_roots(g) if g.degree >= 1 else []
-    pt = p.exact_div(g) if g.degree >= 1 else p
-    qt = q.exact_div(g) if g.degree >= 1 else q
-    p_only = locate_real_roots(pt.monic()) if pt.degree >= 1 else []
-    q_only = locate_real_roots(qt.monic()) if qt.degree >= 1 else []
-    everything = shared + p_only + q_only
-    separate(everything)
-
-    def key(r):
-        return (r.iv.lo, r.iv.hi)
-
-    ps = sorted(shared + p_only, key=key)
-    qs = sorted(shared + q_only, key=key)
-    n = len(ps)
-
-    def fmt(r):
-        if not r.is_exact:
-            r.refine_to(Fraction(1, 10**9))
-        v = r.approx()
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return str(v.numerator)
-        return "%.8g" % float(v)
-
-    resolution = max((r.iv.width() for r in everything), default=Fraction(0))
-    witness = None
-    for r in shared:
-        i = next(k for k, v in enumerate(ps) if v is r)
-        j = next(k for k, v in enumerate(qs) if v is r)
-        at_low = i == 0 and j == 0
-        at_high = i == n - 1 and j == n
-        if not (at_low or at_high):
-            witness = f"shared root {fmt(r)} sits at an interior position"
-            return InterlaceReport("fail", witness, resolution)
-    for i in range(n):
-        c1 = _cmp_roots(qs[i], ps[i])
-        if not (c1 < 0 or (c1 == 0 and i == 0)):
-            witness = f"{fmt(ps[i])} <= {fmt(qs[i])}"
-            return InterlaceReport("fail", witness, resolution)
-        c2 = _cmp_roots(ps[i], qs[i + 1])
-        if not (c2 < 0 or (c2 == 0 and i == n - 1)):
-            witness = f"{fmt(ps[i])} > {fmt(qs[i + 1])}" if c2 > 0 else f"{fmt(ps[i])} = {fmt(qs[i + 1])}"
-            return InterlaceReport("fail", witness, resolution)
-    verdict = "weak-shared-endpoint" if shared else "strict"
-    resolution = max((r.iv.width() for r in everything), default=Fraction(0))
-    return InterlaceReport(verdict, None, resolution)
-
-
-def _interlaces_float(p, q, rel_tol=1e-9):
-    prec = max(p.prec or 256, q.prec or 256)
-    pf, qf = p.to_float(prec), q.to_float(prec)
-    w = mpmath.mpf(2) ** (-prec // 2)
-    ps = _isolate_float(pf, w).midpoints()
-    qs = _isolate_float(qf, w).midpoints()
-    if len(ps) != pf.degree or len(qs) != qf.degree:
-        raise ValueError("float interlacing requires all roots real")
-    tol = mpmath.mpf(rel_tol)
-
-    def close(a, b):
-        return abs(a - b) <= tol * (1 + max(abs(a), abs(b)))
-
-    n = len(ps)
-    shared = False
-    for i in range(n):
-        lo_ok = qs[i] < ps[i] or (i == 0 and close(qs[i], ps[i]))
-        hi_ok = ps[i] < qs[i + 1] or (i == n - 1 and close(ps[i], qs[i + 1]))
-        if close(qs[i], ps[i]) and i == 0:
-            shared = True
-        if close(ps[i], qs[i + 1]) and i == n - 1:
-            shared = True
-        if not (lo_ok and hi_ok):
-            return InterlaceReport(
-                "fail", f"{mpmath.nstr(ps[i], 8)} not between {mpmath.nstr(qs[i], 8)} and {mpmath.nstr(qs[i+1], 8)}",
-                float(w), numeric=True,
-            )
-    return InterlaceReport("weak-shared-endpoint" if shared else "strict", None, float(w), numeric=True)
+    g = Poly.rational(chain[-1])
+    qt = q.exact_div(g)
+    if shared:
+        taq = _cauchy_index(_remainders(qt, qt.derivative() * g))  # sum of sign g at roots of qt
+        if not (shared <= 2 and abs(taq) == qt.degree and (shared == 1 or taq * g.lead < 0)):
+            if shared > 1:
+                return InterlaceReport("fail", f"{shared} shared roots, not all at the extreme positions", numeric)
+            s = -g.coeffs[0] / g.coeffs[1]
+            x = str(s.numerator) if s.denominator == 1 else "%.8g" % float(s)
+            return InterlaceReport("fail", f"shared root {x} sits at an interior position", numeric)
+    if abs(index) != qt.degree:
+        witness = f"Cauchy index of p/q is {index}, interlacing needs +-{qt.degree}"
+        return InterlaceReport("fail", witness, numeric)
+    return InterlaceReport("weak-shared-endpoint", None, numeric)  # coprime pairs returned above

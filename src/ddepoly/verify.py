@@ -92,9 +92,10 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     """Generate, predict, and empirically verify a sequence up to degree N.
 
     `spec` is a FamilySpec or any coefficient source exposing pair(n).
-    Exact arithmetic throughout for rational input; the report carries a
-    numeric flag when big-float data or irrational roots forced tolerance
-    comparisons (relative 1e-9).
+    Exact arithmetic throughout for rational input.  The report carries a
+    numeric flag when the data are approximate: big-float coefficients, or
+    irrational endpoints held as big floats.  Those are compared exactly as
+    the dyadic rationals they hold.
     """
     if N < 2:
         raise ValueError("N must be >= 2")

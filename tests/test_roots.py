@@ -98,7 +98,7 @@ def test_interlaces_examples():
     assert interlaces(P([0, 1]), P([-1, 0, 1])).verdict == "strict"
     rep = interlaces(P([-2, 1]), P([-1, 0, 1]))
     assert rep.verdict == "fail"
-    assert rep.witness == "2 > 1"
+    assert rep.witness == "Cauchy index of p/q is 0, interlacing needs +-2"
 
 
 def test_interlaces_weak_shared_endpoint():
@@ -126,20 +126,45 @@ def test_interlaces_rejects_complex_roots():
         interlaces(P([1, 0, 1]), P([0, 1, 0, 1]))
 
 
-@settings(max_examples=60, deadline=None)
+def planted_verdict(proots, qroots):
+    """Interlacing verdict read off the merged sorted planted roots: equal
+    neighbours are allowed only in the first and the last position."""
+    ps, qs = sorted(proots), sorted(qroots)
+    merged = [qs[0]]
+    for a, b in zip(ps, qs[1:]):
+        merged += [a, b]
+    steps = list(zip(merged, merged[1:]))
+    if any(a > b for a, b in steps) or any(a == b for a, b in steps[1:-1]):
+        return "fail"
+    shared = steps[0][0] == steps[0][1] or steps[-1][0] == steps[-1][1]
+    return "weak-shared-endpoint" if shared else "strict"
+
+
+# roots of q that p takes over: none, the low end, the high end, both ends,
+# an interior one, two at the low end, two low and the high end
+SHARED = {"none": (), "low": (0,), "high": (-1,), "both": (0, -1), "interior": (1,),
+          "two-low": (0, 1), "three": (0, 1, -1)}
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(min_value=-12, max_value=12), min_size=2, max_size=6, unique=True),
     st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(-11, 3)]),
     st.integers(min_value=-2, max_value=2),
+    st.sampled_from(sorted(SHARED)),
 )
-def test_interlace_scaling_invariance(qroots_ints, scale, shift):
+def test_interlace_scaling_invariance(qroots_ints, scale, shift, share):
     qroots = sorted(Fraction(v) for v in qroots_ints)
     q = poly_from_roots(qroots)
-    # p roots sit near (not on) the gaps of q; the verdict, whatever it is,
-    # must not change under nonzero constant scaling of either side
+    # p roots sit near (not on) the gaps of q, and some move onto a root of
+    # q; the verdict must match the planted roots and must not change under
+    # nonzero constant scaling of either side
     proots = [(a + b) / 2 + Fraction(shift, 3) for a, b in zip(qroots, qroots[1:])]
+    for j in SHARED[share]:
+        proots[min(j, len(proots) - 1)] = qroots[j]
     p = poly_from_roots(proots)
     base = interlaces(p, q).verdict
+    assert base == planted_verdict(proots, qroots)
     assert interlaces(p.scale(scale), q).verdict == base
     assert interlaces(p, q.scale(scale)).verdict == base
 
@@ -201,3 +226,24 @@ def test_float_isolation_refuses_to_merge_close_roots(width):
 
     with pytest.raises(IllConditionedError):
         isolate_roots(close_root_quintic(), mpmath.mpf(width))
+
+
+def test_float_interlacing_is_exact_on_the_held_dyadics():
+    # q = x(x-1)(x-2), p = (x-1/2)(x-r): a 1e-12 gap from the root 2 of q
+    # decides the verdict; nothing is treated as shared by a tolerance
+    def held(roots):
+        with mpmath.workprec(256):
+            f = Poly.floating([1], 256)
+            for r in roots:
+                f = f * Poly.floating([-r, 1], 256)
+        return f
+
+    q = held([0, 1, 2])
+    with mpmath.workprec(256):
+        gap = mpmath.mpf("1e-12")
+        tiny = mpmath.mpf("1e-30")  # lost if the coefficients were rounded to doubles
+        cases = ((2 + gap, "fail"), (2 - gap, "strict"), (mpmath.mpf(2), "weak-shared-endpoint"),
+                 (2 + tiny, "fail"), (2 - tiny, "strict"))
+    for r, verdict in cases:
+        rep = interlaces(held([mpmath.mpf(1) / 2, r]), q)
+        assert rep.verdict == verdict and rep.numeric

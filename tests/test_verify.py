@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from ddepoly.dde import CoefficientPair, CoefficientRule
+from ddepoly.documents import dump_report
 from ddepoly.families import FamilySpec
 from ddepoly.kfactor import classify
 from ddepoly.poly import NEG_INF, POS_INF, Poly
@@ -178,3 +180,30 @@ def test_check_k_identity_matches_precomputed_classification():
 def test_verify_rejects_small_n():
     with pytest.raises(ValueError):
         verify_sequence(FamilySpec("bell"), 1)
+
+
+# sha256 of each --no-timestamp verify report; a change that moves a byte of
+# one must say which field changed and why
+GOLDEN_REPORTS = [
+    ("bell", {}, 12, "c3ca343ad552c1c2e0427f02386691c8e6283e8bd30f340d4f9454af720c6503"),
+    ("hermite", {}, 12, "a65a9b4edec60b7e6eb09e8a6e3fa59495289fc47d792d84cd3a4b6847f03b8b"),
+    ("jacobi", {"alpha": "1/2", "beta": "1/2"}, 12,
+     "923cea1a75b19bf66f0465dccbadf7de8a01253794a4a42f9a2b76e17f4b98ac"),
+    ("euler_frobenius", {"kappa": "1", "r": "n+1"}, 12,
+     "6080e80caeb6fe868d5a8a37891b999e7f1eca1681b6ed4843b4e1e7e828b7ce"),
+    ("laguerre", {"alpha": "1/2"}, 12, "07646a748a1882a32356466d166b14e86cc86a04bddcb21f0562164fa9452016"),
+    ("hyp2f1", {"b": "40", "c": "1"}, 12, "2c8d2c34f5ca20911a09d0a3b4864515dfbe48bd2555d27e62cd2c1616e65510"),
+    ("vertgeim", {"a": "1", "b": "2", "alpha": "1"}, 12,
+     "fc9b5d281a92dd3b0ae6efeb2d5dc6fbe61a09f01592bdbd431d7da3697b2958"),
+    ("hermite_like", {"kappa": "2"}, 12, "5e2adc9cbe120c92cd55398a49d8ed24e85bbb94889bae28843fd0fbe136fcb5"),
+    ("bell", {}, 22, "6f6df4b04ab4727bf84b8cf3167aca0713a2c71b3d11367c31026c8e19787691"),
+    ("hermite", {}, 22, "244707431c1e3a9f4c39d4301f38faa006d3665aab042aeca4c68c0dc8ebc9a9"),
+]
+
+
+@pytest.mark.parametrize("kind, params, N, digest", GOLDEN_REPORTS,
+                         ids=[f"{k}-{n}" for k, _, n, _ in GOLDEN_REPORTS])
+def test_verify_reports_byte_stable(kind, params, N, digest):
+    report = verify_sequence(FamilySpec(kind, dict(params)), N)
+    text = dump_report({"command": "verify", "report": report}, timestamp=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
