@@ -37,6 +37,7 @@ from .poly import NEG_INF, POS_INF, KindMismatchError, Poly, format_poly, square
 from .roots import (
     IllConditionedError,
     InterlaceReport,
+    InternalError,
     Interval,
     RealSimpleCheck,
     RootInterval,
@@ -60,6 +61,7 @@ __all__ = [
     "FreudData",
     "IllConditionedError",
     "InterlaceReport",
+    "InternalError",
     "Interval",
     "KClassification",
     "KindMismatchError",

@@ -3,7 +3,7 @@
 Commands: generate, classify, verify, admits, freud-demo, zeros.
 Exit codes: 0 success; 1 verification disagreement or hypothesis failure;
 2 input/schema error; 3 numeric abort (precision exhausted, quadrature or
-polishing failure).
+polishing failure); 4 internal error (an exact-kernel invariant failed).
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from .families import FAMILY_KINDS, FamilySpec, coefficient_source
 from .freud import PrecisionError, QuadratureError, freud_recurrence_coeffs, freud_sequence, p5_invariants
 from .kfactor import boundary_zeros, classify, decide_case
 from .poly import format_poly
-from .roots import IllConditionedError, isolate_roots
+from .roots import IllConditionedError, InternalError, isolate_roots
 from .verify import verify_sequence
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 _FAMILY_OPTS = ("alpha", "beta", "b", "c", "kappa", "r", "a", "t")
 
@@ -317,6 +318,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from .poly import DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, format_poly, to_mpf
-from .roots import isolate_roots
+from .roots import _Isolator, is_real_simple, isolate_roots
 
 
 class NonSimpleZerosError(ValueError):
@@ -297,17 +297,15 @@ def sample_xy(Pn, Pn1, width):
     to `width` and returned in increasing order as big floats.
     """
     prec = Pn.prec or DEFAULT_FLOAT_PREC
+    iso = None
     if Pn.kind == RATIONAL:
-        from .roots import is_real_simple
-
-        chk = is_real_simple(Pn)
+        iso = _Isolator(Pn)
+        chk = is_real_simple(Pn, iso=iso)
         if not chk:
             raise NonSimpleZerosError(f"P_n must have real simple zeros: {chk.witness}")
-    rs = isolate_roots(Pn, width)
+    rs = isolate_roots(Pn, width, iso=iso)
     if Pn.kind == FLOAT and rs.count != Pn.degree:
         raise NonSimpleZerosError(f"only {rs.count} of {Pn.degree} zeros are real")
-    if any(r.multiplicity > 1 for r in rs.roots):
-        raise NonSimpleZerosError("P_n has a repeated root")
     if rs.count == 0:
         return []
     out = []

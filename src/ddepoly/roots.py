@@ -1,10 +1,13 @@
 """Real-root location: Sturm counting, isolating intervals, interlacing.
 
-Rational mode is exact and counts on signed remainder sequences kept as
-primitive integer coefficient vectors (positive rescaling preserves sign
-variations).  Signs at rational points p/q are taken from the homogenized
-integer value sum c_i p^i q^(d-i), so no Fraction arithmetic happens in the
-inner loop.  Interlacing is a Cauchy index read off such a sequence.
+Rational mode is exact and runs on Python ints.  Signed remainder
+sequences are primitive pseudo-remainder sequences (Brown & Traub, JACM
+1971): each entry is the primitive part of -|lc b|^(deg a - deg b + 1)
+(a mod b), a positive multiple of -rem(a, b).  Signs at p/q come from the
+homogenized integer value sum c_i p^i q^(d-i).  Refinement in an isolating
+interval of a squarefree f compares sign f(midpoint) with sign f(left end)
+alone, on integer endpoints over one common denominator.  Interlacing is a
+Cauchy index read off a remainder sequence.
 
 Counting convention: for a squarefree polynomial the variation difference
 V(a) - V(b) equals the number of distinct real roots in the half-open
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath
 import numpy as np
@@ -44,6 +48,10 @@ from .poly import (
 
 class IllConditionedError(ArithmeticError):
     """Float-mode root polishing failed to converge or roots are unresolvable."""
+
+
+class InternalError(RuntimeError):
+    """An invariant of the exact kernel failed: a bug, never an input error."""
 
 
 @dataclass(frozen=True)
@@ -131,10 +139,11 @@ class RootSet:
 
 def _sign_int_poly(coeffs, num, den):
     """Sign of sum_i c_i num^i den^(d-i)."""
-    d = len(coeffs) - 1
-    acc = coeffs[d]
-    for i in range(d - 1, -1, -1):
-        acc = acc * num + coeffs[i] * den ** (d - i)
+    acc = coeffs[-1]
+    power = 1
+    for i in range(len(coeffs) - 2, -1, -1):
+        power *= den
+        acc = acc * num + coeffs[i] * power
     return (acc > 0) - (acc < 0)
 
 
@@ -157,13 +166,21 @@ def _remainders(f, g):
     if g.is_zero:
         return chain
     chain.append(g.primitive_int_coeffs())
-    a, b = f, g
-    while b.degree > 0:
-        r = -(a % b)
-        if r.is_zero:
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lc, b = (b[-1], b) if b[-1] > 0 else (-b[-1], [-v for v in b])
+        r, n = list(a), len(b) - 1
+        for k in range(len(a) - 1, n - 1, -1):  # r <- lc r - r_k x^(k-n) b
+            q = r.pop()
+            r = [lc * v for v in r]
+            for i in range(n):
+                r[k - n + i] -= q * b[i]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             break
-        chain.append(r.primitive_int_coeffs())
-        a, b = b, Poly.rational(chain[-1])
+        c = -gcd(*r)
+        chain.append(tuple(v // c for v in r))
     return chain
 
 
@@ -192,8 +209,10 @@ class _Isolator:
     """
 
     def __init__(self, f):
+        if f.is_zero:
+            raise ValueError("zero polynomial")
         if f.kind != RATIONAL:
-            raise KindMismatchError("Sturm isolation requires rational coefficients")
+            raise KindMismatchError("exact root isolation requires rational coefficients")
         self.poly = f
         self.chain = _remainders(f, f.derivative())
         self.bound = self._cauchy_bound()
@@ -224,20 +243,15 @@ class _Isolator:
     def isolate(self):
         """Isolating intervals for all real roots.
 
-        Returns (points, intervals): exact rational roots found during
-        bisection come back in `points`; the rest are half-open (a, b]
-        intervals each holding one root.  A rational root hit mid-bisection
-        is deflated by the caller, so this routine reports it and stops.
+        Returns (intervals, hit): half-open (a, b] intervals each holding
+        one root, or a rational root `hit` (the root of a linear f, or one
+        met mid-bisection), which the caller deflates before asking again.
         """
         f = self.poly
         if f.degree == 1:
-            return [-f.coeffs[0] / f.coeffs[1]], [], None
+            return [], -f.coeffs[0] / f.coeffs[1]
         M = self.bound
-        lo, hi = -M, M
-        total = self.count_half_open(NEG_INF, POS_INF)
-        if total == 0:
-            return [], [], None
-        stack = [(lo, hi, self.variations(lo), self.variations(hi))]
+        stack = [(-M, M, self.variations(-M), self.variations(M))]
         singles = []
         while stack:
             a, b, va, vb = stack.pop()
@@ -249,27 +263,31 @@ class _Isolator:
                 continue
             m = (a + b) / 2
             if self.sign(m) == 0:
-                return [], [], m
+                return [], m
             vm = self.variations(m)
             stack.append((a, m, va, vm))
             stack.append((m, b, vm, vb))
         singles.sort(key=lambda iv: iv.lo)
-        return [], singles, None
+        return singles, None
 
     def refine(self, iv, width):
-        """Shrink an isolating interval below `width` by Sturm bisection."""
+        """Shrink an isolating interval below `width` by bisection on the
+        sign of f alone; endpoints are ints over one common denominator."""
         if iv.is_point:
             return iv
-        a, b = iv.lo, iv.hi
-        while b - a > width:
-            m = (a + b) / 2
-            if self.sign(m) == 0:
+        f, a, b = self.chain[0], iv.lo, iv.hi
+        den = lcm(a.denominator, b.denominator)
+        lo, hi = a.numerator * den // a.denominator, b.numerator * den // b.denominator
+        s_lo = _sign_int_poly(f, lo, den)
+        if s_lo == 0:
+            raise InternalError(f"isolating interval {iv!r} has a root at its open end")
+        while (hi - lo) * width.denominator > width.numerator * den:
+            s = _sign_int_poly(f, lo + hi, 2 * den)
+            if s == 0:
+                m = Fraction(lo + hi, 2 * den)
                 return Interval(m, m, False, False)
-            if self.variations(a) - self.variations(m) == 1:
-                b = m
-            else:
-                a = m
-        return Interval(a, b)
+            lo, hi, den = (lo + hi, 2 * hi, 2 * den) if s == s_lo else (2 * lo, lo + hi, 2 * den)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 class _LocatedRoot:
@@ -280,14 +298,6 @@ class _LocatedRoot:
     def __init__(self, iso, iv):
         self.iso = iso
         self.iv = iv
-
-    @classmethod
-    def exact(cls, value):
-        return cls(None, Interval(value, value, False, False))
-
-    @property
-    def is_exact(self):
-        return self.iv.is_point
 
     def refine_once(self):
         if self.iso is not None:
@@ -306,7 +316,7 @@ def separate(roots):
         ordered = sorted(roots, key=lambda r: (r.iv.lo, r.iv.hi))
         for a, b in zip(ordered, ordered[1:]):
             if not a.iv.disjoint(b.iv):
-                if a.is_exact and b.is_exact:
+                if a.iv.is_point and b.iv.is_point:
                     raise ValueError(f"coincident roots at {format_scalar(a.iv.lo)}")
                 a.refine_once()
                 b.refine_once()
@@ -315,31 +325,26 @@ def separate(roots):
             return sorted(roots, key=lambda r: (r.iv.lo, r.iv.hi))
 
 
-def locate_real_roots(f):
-    """All real roots of a squarefree rational polynomial as _LocatedRoots."""
-    points = []
-    work = f
+def locate_real_roots(f, iso=None):
+    """All real roots of a squarefree rational polynomial as _LocatedRoots;
+    `iso` is an isolator already built for f."""
+    points, located, work = [], [], f
     while work.degree >= 1:
-        iso = _Isolator(work)
-        exact, ivs, hit = iso.isolate()
-        if hit is not None:
-            points.append(hit)
-            work = work.exact_div(Poly.rational([-hit, 1]))
-            continue
-        points.extend(exact)
-        located = [_LocatedRoot(iso, iv) for iv in ivs]
-        return separate([_LocatedRoot.exact(p) for p in points] + located)
-    return separate([_LocatedRoot.exact(p) for p in points])
+        iso = iso or _Isolator(work)
+        ivs, hit = iso.isolate()
+        if hit is None:
+            located = [_LocatedRoot(iso, iv) for iv in ivs]
+            break
+        points.append(hit)
+        work, iso = work.exact_div(Poly.rational([-hit, 1])), None
+    return separate([_LocatedRoot(None, Interval(p, p, False, False)) for p in points] + located)
 
 
-def sturm_count(p, iv):
+def sturm_count(p, iv, iso=None):
     """Exact number of distinct real roots of a squarefree rational
-    polynomial inside `iv`, honoring the interval's openness flags."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.kind != RATIONAL:
-        raise KindMismatchError("sturm_count requires rational coefficients")
-    iso = _Isolator(p)
+    polynomial inside `iv`, honoring the interval's openness flags.
+    `iso` is an isolator already built for p."""
+    iso = iso or _Isolator(p)
     if iso.gcd_degree > 0:
         raise ValueError("sturm_count requires a squarefree polynomial; deflate via gcd(p, p') first")
     n = iso.count_half_open(iv.lo, iv.hi)
@@ -350,11 +355,13 @@ def sturm_count(p, iv):
     return n
 
 
-def isolate_roots(p, width):
+def isolate_roots(p, width, iso=None):
     """Disjoint sorted isolating intervals for the real roots of p.
 
     Rational mode: Sturm bisection, multiplicities from the squarefree
-    (Yun) decomposition, intervals refined to <= width.  Float mode:
+    (Yun) decomposition, intervals refined to <= width.  `iso`, an
+    isolator already built for p, is reused; when it shows p squarefree
+    (gcd(p, p') constant) the Yun decomposition is skipped.  Float mode:
     companion-matrix seeds polished by Newton at the working precision;
     the input is assumed squarefree.
     """
@@ -365,11 +372,14 @@ def isolate_roots(p, width):
     if p.kind == FLOAT:
         return _isolate_float(p, width)
     width = Fraction(width) if not isinstance(width, Fraction) else width
-    decomp = squarefree_decomposition(p)
+    if iso is not None and iso.gcd_degree == 0:
+        decomp = [(p, 1)]
+    else:
+        decomp, iso = squarefree_decomposition(p), None
     squarefree = all(m == 1 for _, m in decomp)
     entries = []
     for f, mult in decomp:
-        for root in locate_real_roots(f):
+        for root in locate_real_roots(f, iso):
             entries.append((root, mult))
     separate([r for r, _ in entries])
     for root, _ in entries:
@@ -430,15 +440,10 @@ class RealSimpleCheck:
         return self.ok
 
 
-def is_real_simple(p):
-    """True iff p is squarefree with as many real roots as its degree."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.kind != RATIONAL:
-        raise KindMismatchError("is_real_simple requires rational coefficients")
-    if p.degree == 0:
-        return RealSimpleCheck(True)
-    iso = _Isolator(p)
+def is_real_simple(p, iso=None):
+    """True iff p is squarefree with as many real roots as its degree.
+    `iso` is an isolator already built for p."""
+    iso = iso or _Isolator(p)
     if iso.gcd_degree > 0:
         return RealSimpleCheck(False, f"repeated factor of degree {iso.gcd_degree}: gcd(p, p') is not constant")
     n = iso.count_half_open(NEG_INF, POS_INF)
@@ -454,7 +459,7 @@ class InterlaceReport:
     numeric: bool = False
 
 
-def interlaces(p, q):
+def interlaces(p, q, p_iso=None, q_iso=None):
     """Decide whether the real roots of p and q (deg q = deg p + 1) alternate.
 
     Verdict "strict": between consecutive roots of q lies exactly one root
@@ -466,6 +471,8 @@ def interlaces(p, q):
     and the shared ones sit at the ends iff deg g <= 2 and g has one sign at
     all roots of q/g, that of -lead(g) when deg g = 2.  Float input is
     decided exactly on the dyadic rationals it holds; the report is numeric.
+    `p_iso` and `q_iso`, isolators already built for rational p and q,
+    serve the real-simple precondition.
     """
     if q.degree != p.degree + 1:
         raise ValueError(f"degree mismatch: deg q = {q.degree}, expected deg p + 1 = {p.degree + 1}")
@@ -478,8 +485,8 @@ def interlaces(p, q):
     # deg q = 0 only for a zero p, which the precondition below rejects
     if not shared and abs(index) == q.degree > 0:
         return InterlaceReport("strict", None, numeric)
-    for name, poly in (("p", p), ("q", q)):
-        chk = is_real_simple(poly)
+    for name, poly, iso in (("p", p, p_iso), ("q", q, q_iso)):
+        chk = is_real_simple(poly, iso=iso)
         if not chk:
             raise ValueError(f"{name} is not real-simple: {chk.witness}")
     g = Poly.rational(chain[-1])

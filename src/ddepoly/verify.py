@@ -30,7 +30,7 @@ from .poly import (
     is_finite,
     to_mpf,
 )
-from .roots import Interval, interlaces, is_real_simple, isolate_roots, sturm_count
+from .roots import Interval, _Isolator, interlaces, is_real_simple, isolate_roots, sturm_count
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,19 @@ class VerificationReport:
     truncated_at: int | None = None
 
 
-def _check_containment(p, bounds):
+def _check_containment(p, bounds, iso=None):
     """Witness for zeros of the real-simple p outside the claimed interval,
     or None.  Counts the zeros beyond each finite endpoint exactly; an mpf
-    endpoint (an irrational root of A) is compared as the dyadic it holds."""
+    endpoint (an irrational root of A) is compared as the dyadic it holds.
+    `iso` is an isolator already built for p."""
     alpha, beta, lo_closed, hi_closed = bounds
     if is_finite(beta):
-        n = sturm_count(p, Interval(as_exact(beta), POS_INF, lo_open=hi_closed))
+        n = sturm_count(p, Interval(as_exact(beta), POS_INF, lo_open=hi_closed), iso=iso)
         if n:
             end = "]" if hi_closed else ")"
             return f"{n} zero(s) beyond right endpoint {format_scalar(beta)}{end}"
     if is_finite(alpha):
-        n = sturm_count(p, Interval(NEG_INF, as_exact(alpha), hi_open=lo_closed))
+        n = sturm_count(p, Interval(NEG_INF, as_exact(alpha), hi_open=lo_closed), iso=iso)
         if n:
             end = "[" if lo_closed else "("
             return f"{n} zero(s) below left endpoint {end}{format_scalar(alpha)}"
@@ -132,11 +133,13 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     decision = (
         decide_case(specs, gamma, n_start=1, strict_extension=strict_extension) if specs else None
     )
+    # one Sturm chain per rational member serves all of its exact checks
+    isos = {n: _Isolator(seq[n]) for n in range(1, usable + 1) if seq[n].kind == RATIONAL}
     if decision is None or not decision.ok:
         if decision is not None:
             for case, why in (decision.diagnosis or {}).items():
                 failures.append(f"case ({case}) hypothesis fails: {why}")
-        records = tuple(_empirical_record(seq, n, usable, None, width) for n in range(1, usable + 1))
+        records = tuple(_empirical_record(seq, n, usable, None, width, isos) for n in range(1, usable + 1))
         return VerificationReport(family, N, decision, records, False, tuple(failures), numeric,
                                   seq.collapsed, seq.truncated_at)
 
@@ -145,7 +148,7 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
         bounds = None
         if decision.containment is not None and n - 1 < len(decision.containment):
             bounds = decision.containment[n - 1]
-        rec = _empirical_record(seq, n, usable, bounds, width)
+        rec = _empirical_record(seq, n, usable, bounds, width, isos)
         records.append(rec)
         if not rec.real_simple:
             failures.append(f"P_{n} not real-simple: {rec.real_simple_witness}")
@@ -158,9 +161,9 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
                               numeric, seq.collapsed, seq.truncated_at)
 
 
-def _empirical_record(seq, n, usable, bounds, width):
-    p = seq[n]
-    chk = is_real_simple(p)
+def _empirical_record(seq, n, usable, bounds, width, isos):
+    p, iso = seq[n], isos.get(n)
+    chk = is_real_simple(p, iso=iso)
     zeros = ()
     containment = "skipped"
     containment_witness = None
@@ -168,14 +171,14 @@ def _empirical_record(seq, n, usable, bounds, width):
     interlace_witness = None
     if chk.ok:
         if bounds is not None:
-            containment_witness = _check_containment(p, bounds)
+            containment_witness = _check_containment(p, bounds, iso)
             containment = "fail" if containment_witness else "ok"
         else:
             containment = "not-claimed"
-        zeros = tuple(r.interval for r in isolate_roots(p, width).roots)
+        zeros = tuple(r.interval for r in isolate_roots(p, width, iso=iso).roots)
         if n < usable:
             try:
-                rep = interlaces(p, seq[n + 1])
+                rep = interlaces(p, seq[n + 1], p_iso=iso, q_iso=isos.get(n + 1))
                 interlace = rep.verdict
                 interlace_witness = rep.witness
             except ValueError as exc:  # the next member may fail the preconditions

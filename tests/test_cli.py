@@ -189,3 +189,19 @@ def test_strict_extension_flag(capsys, tmp_path):
     assert code == 0
     code, _ = run(capsys, "verify", "--input", str(path), "--strict-extension", "--no-timestamp")
     assert code == 1
+
+
+def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
+    # an isolator that hands refinement an interval with a root at its open
+    # end breaks a kernel invariant: exit 4, never "input error" (exit 2)
+    from fractions import Fraction
+
+    from ddepoly.roots import Interval, _Isolator
+
+    monkeypatch.setattr(_Isolator, "isolate", lambda self: ([Interval(Fraction(0), Fraction(1))], None))
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"sequence": [["1"], ["-1", "2"], ["0", "-1", "2"]]}))
+    code = main(["zeros", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("internal error: ")

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from ddepoly.poly import NEG_INF, POS_INF, Poly
 from ddepoly.roots import (
+    InternalError,
     Interval,
+    _Isolator,
+    _remainders,
     interlaces,
     is_real_simple,
     isolate_roots,
+    locate_real_roots,
     sturm_count,
 )
 
@@ -247,3 +251,78 @@ def test_float_interlacing_is_exact_on_the_held_dyadics():
     for r, verdict in cases:
         rep = interlaces(held([mpmath.mpf(1) / 2, r]), q)
         assert rep.verdict == verdict and rep.numeric
+
+
+# ---------------------------------------------------------------- exact kernel oracles
+
+small_polys = st.lists(st.integers(-12, 12), min_size=1, max_size=7).map(
+    lambda cs: P([Fraction(c, 3) for c in cs]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_remainders_are_primitive_signed_remainders(f, g, h):
+    # a common factor h makes the chain end in a nonconstant gcd
+    f, g = f * h, g * h
+    if f.is_zero:
+        return
+    seq = [f, g]
+    while not seq[-1].is_zero and seq[-1].degree > 0:
+        r = -seq[-2].divrem(seq[-1])[1]
+        if r.is_zero:
+            break
+        seq.append(r)
+    want = [s.primitive_int_coeffs() for s in seq if not s.is_zero]
+    assert _remainders(f, g) == want
+
+
+def variation_refine(p, iv, width):
+    """Sturm bisection counting sign variations: the refinement oracle."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-chain[-2].divrem(chain[-1])[1])
+
+    def variations(x):
+        signs = [s for s in ((c(x) > 0) - (c(x) < 0) for c in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    a, b = iv.lo, iv.hi
+    while b - a > width:
+        m = (a + b) / 2
+        if p(m) == 0:
+            return Interval(m, m, False, False)
+        if variations(a) - variations(m) == 1:
+            b = m
+        else:
+            a = m
+    return Interval(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=8), max_size=4, unique=True),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(2, 30)), max_size=2, unique=True),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), max_size=2),
+    st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**20)]),
+)
+def test_sign_refinement_matches_variation_bisection(rational, surds, complexes, width):
+    p = poly_from_roots(rational)
+    for a, d in surds:  # (x - a)^2 - d, roots a +- sqrt(d)
+        p = p * P([a * a - d, -2 * a, 1])
+    for b, c in complexes:  # (x + b)^2 + c, no real roots
+        p = p * P([b * b + c, 2 * b, 1])
+    if p.degree < 1 or p.gcd(p.derivative()).degree > 0:
+        return
+    for root in locate_real_roots(p):
+        if root.iso is not None:
+            assert root.iso.refine(root.iv, width) == variation_refine(root.iso.poly, root.iv, width)
+
+
+def test_refine_returns_a_rational_root_hit_as_a_point():
+    iso = _Isolator(P([-3, 4]) * P([-2, 0, 1]))  # roots 3/4, +-sqrt(2)
+    hit = Interval(Fraction(3, 4), Fraction(3, 4), False, False)
+    assert iso.refine(Interval(Fraction(0), Fraction(1)), Fraction(1, 100)) == hit
+    # a width of exactly the target stops the bisection
+    assert iso.refine(Interval(Fraction(1), Fraction(2)), Fraction(1, 4)) == Interval(Fraction(5, 4), Fraction(3, 2))
+    with pytest.raises(InternalError):
+        iso.refine(Interval(Fraction(3, 4), Fraction(1)), Fraction(1, 100))

@@ -207,3 +207,18 @@ def test_verify_reports_byte_stable(kind, params, N, digest):
     report = verify_sequence(FamilySpec(kind, dict(params)), N)
     text = dump_report({"command": "verify", "report": report}, timestamp=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_one_sturm_chain_per_member(monkeypatch):
+    # the six verify-families benchmark families at N=14: 84 members.  One
+    # chain per member plus one remainder sequence per adjacent pair (and
+    # Bell's Tarski queries and rational-root deflations) gives 206; a chain
+    # per check, as each check once built its own, gave 428
+    import ddepoly.roots as roots
+
+    calls = []
+    orig = roots._remainders
+    monkeypatch.setattr(roots, "_remainders", lambda f, g: calls.append(1) or orig(f, g))
+    for kind, params, _, _ in GOLDEN_REPORTS[:6]:
+        assert verify_sequence(FamilySpec(kind, params), 14).agreement
+    assert len(calls) <= 206
