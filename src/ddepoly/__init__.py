@@ -21,7 +21,7 @@ from .dde import (
     step,
 )
 from .families import FamilySpec, ParamRule, classical_coeffs, coefficient_source, model_coeffs, oracle_poly, stirling2
-from .freud import FreudData, PrecisionError, bessel_k, freud_recurrence_coeffs, freud_sequence, gamma_positive
+from .freud import FreudData, PrecisionError, freud_recurrence_coeffs, freud_sequence
 from .kfactor import (
     BoundarySpec,
     CaseDecision,
@@ -79,7 +79,6 @@ __all__ = [
     "SingularPointError",
     "VerificationReport",
     "admits_dde",
-    "bessel_k",
     "boundary_zeros",
     "check_k_identity",
     "classical_coeffs",
@@ -89,7 +88,6 @@ __all__ = [
     "format_poly",
     "freud_recurrence_coeffs",
     "freud_sequence",
-    "gamma_positive",
     "generate",
     "interlaces",
     "is_real_simple",

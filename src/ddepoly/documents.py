@@ -207,8 +207,4 @@ def zeros_csv(rows, out=None):
 
 
 def _csv_num(x):
-    if isinstance(x, Fraction):
-        return repr(float(x))
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, 20)
-    return mpmath.nstr(mpmath.mpf(x), 20)
+    return repr(float(x)) if isinstance(x, Fraction) else format_scalar(x, 20)

@@ -10,12 +10,10 @@ coefficients obey the nonlinear string relation
 Forward iteration of that relation is unstable (roughly one digit lost
 per step), so everything here runs in mpmath at a caller-chosen precision
 (>= 128 bits, default 256) with a residual monitor that aborts before
-silent corruption.  The seed a_1 dominates the achievable accuracy: at
-t = 0 it is Gamma(3/4) / (2^(1/4) sqrt(pi)), computed here by a Spouge
-series so the gamma evaluation has an in-house route checked against an
-independent one; for t != 0 it comes from a ratio of modified Bessel
-functions evaluated by adaptive quadrature of the integral representation
-K_nu(z) = int_0^inf exp(-z cosh u) cosh(nu u) du.
+silent corruption.  The seed a_1 dominates the achievable accuracy.  It
+is the square root of the weight's second-to-zeroth moment ratio; with
+u = x^2 both moments are parabolic-cylinder integrals (DLMF 12.5.1), so
+one library ratio D_{-3/2} / D_{-1/2} gives a_1 for every real t.
 """
 
 from __future__ import annotations
@@ -33,95 +31,23 @@ class PrecisionError(ArithmeticError):
     """Iteration aborted: precision exhausted or data outside its domain."""
 
 
-class QuadratureError(ArithmeticError):
-    """Numerical integration failed to meet the requested accuracy."""
-
-
-def gamma_positive(x, prec=256):
-    """Gamma(x) for x > 0 via the Spouge series at `prec` bits.
-
-    The term count is chosen so the series truncation error is below
-    2^-prec; accuracy is limited only by the working precision.
-    """
-    if x <= 0:
-        raise ValueError("gamma_positive requires x > 0")
-    # error ~ a^(-1/2) (2 pi)^(-(a + 1/2)); a = ceil(0.39 * prec) keeps it under 2^-prec
-    a = int(0.39 * prec) + 3
-    with mpmath.workprec(prec + 64):
-        z = to_mpf(x, prec + 64) if isinstance(x, Fraction) else mpmath.mpf(x)
-        z -= 1
-        acc = mpmath.sqrt(2 * mpmath.pi)
-        for k in range(1, a):
-            ck = mpmath.mpf(a - k) ** (k - mpmath.mpf(1) / 2) * mpmath.exp(a - k)
-            ck /= mpmath.factorial(k - 1)
-            if k % 2 == 0:
-                ck = -ck
-            acc += ck / (z + k)
-        val = acc * (z + a) ** (z + mpmath.mpf(1) / 2) * mpmath.exp(-(z + a))
-    return +val
-
-
-def bessel_k(nu, z, rel_tol=1e-12):
-    """Modified Bessel function of the second kind by adaptive quadrature.
-
-    Integrates exp(-z cosh u) cosh(nu u) on [0, T] where T is chosen so
-    the discarded tail is negligible at the working precision; z > 0.
-    """
-    if z <= 0:
-        raise ValueError("bessel_k requires z > 0")
-    dps = max(30, int(-mpmath.log10(rel_tol)) + 18)
-    with mpmath.workdps(dps + 10):
-        nu = to_mpf(nu, mpmath.mp.prec) if isinstance(nu, Fraction) else mpmath.mpf(nu)
-        z = to_mpf(z, mpmath.mp.prec) if isinstance(z, Fraction) else mpmath.mpf(z)
-        target = (dps + 15) * mpmath.log(10)
-        T = mpmath.log(2 * (target + abs(nu) + 10) / z + 4) + 2
-        val, err = mpmath.quad(lambda u: mpmath.exp(-z * mpmath.cosh(u)) * mpmath.cosh(nu * u), [0, T], error=True)
-        if not mpmath.isfinite(val) or (val != 0 and abs(err / val) > rel_tol):
-            raise QuadratureError(f"K_{float(nu)}({float(z)}) quadrature error estimate {float(err):.2e} too large")
-        return +val
-
-
 def recurrence_seed(t, prec=256):
-    """a_1(t): squared first-moment ratio of the weight exp(-x^4 + 2tx^2).
+    """a_1(t) = sqrt(m_2 / m_0), where m_k = int x^k exp(-x^4 + 2tx^2) dx over R.
 
-    t = 0 uses the closed gamma form.  t < 0 uses the Bessel-ratio form
-    a_1^2 = (|t|/2) (K_{3/4}(t^2/2)/K_{1/4}(t^2/2) - 1), which matches the
-    moment integrals to working precision (the small-t limit agrees with
-    the gamma form via the reflection identity).  t > 0 lies in the
-    oscillatory-free regime where the K-ratio form does not hold, so the
-    moment ratio is integrated directly.
+    With u = x^2 both moments are parabolic-cylinder integrals
+    (DLMF 12.5.1): m_0 = 2^(-1/4) Gamma(1/2) U(0, z) e^(z^2/4) and
+    m_2 = 2^(-3/4) Gamma(3/2) U(1, z) e^(z^2/4) with z = -sqrt(2) t, so
+
+        a_1^2 = D_{-3/2}(z) / (2 sqrt(2) D_{-1/2}(z)),
+
+    one route for every real t; at t = 0, a_1^2 = Gamma(3/4) / Gamma(1/4).
+    The ratio is evaluated 32 bits above `prec` and rounded to `prec`.
     """
+    with mpmath.workprec(prec + 32):
+        z = -mpmath.sqrt(2) * to_mpf(t, prec + 32)
+        a1 = mpmath.sqrt(mpmath.pcfd(-1.5, z) / (2 * mpmath.sqrt(2) * mpmath.pcfd(-0.5, z)))
     with mpmath.workprec(prec):
-        tv = to_mpf(t, prec) if isinstance(t, Fraction) else mpmath.mpf(t)
-        if tv == 0:
-            g = gamma_positive(Fraction(3, 4), prec)
-            return g / (mpmath.mpf(2) ** mpmath.mpf("0.25") * mpmath.sqrt(mpmath.pi))
-        if tv < 0:
-            rel = float(max(mpmath.mpf(2) ** (-prec), mpmath.mpf(10) ** -60))
-            z = tv * tv / 2
-            ratio = bessel_k(Fraction(3, 4), z, rel_tol=rel) / bessel_k(Fraction(1, 4), z, rel_tol=rel)
-            a1sq = (abs(tv) / 2) * (ratio - 1)
-        else:
-            a1sq = _moment_ratio(tv, prec)
-        if a1sq <= 0:
-            raise PrecisionError(f"a_1(t)^2 = {float(a1sq)} <= 0 at t = {float(tv)}")
-        return mpmath.sqrt(a1sq)
-
-
-def _moment_ratio(tv, prec):
-    """int x^2 w / int w for w = exp(-x^4 + 2 t x^2), by adaptive quadrature."""
-    dps = int(prec * 0.30103) + 15
-    with mpmath.workdps(dps):
-        # integrand is negligible once x^4 - 2tx^2 exceeds the precision budget
-        budget = dps * mpmath.log(10) + 20
-        U = mpmath.sqrt(abs(tv) + mpmath.sqrt(tv * tv + budget)) + 1
-
-        def w(x):
-            return mpmath.exp(-(x**4) + 2 * tv * x * x)
-
-        m0 = mpmath.quad(w, [0, U])
-        m2 = mpmath.quad(lambda x: x * x * w(x), [0, U])
-        return m2 / m0
+        return +a1
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,9 @@ def classify(c):
         raise ValueError("classification requires rational coefficients; bind parameters to rationals first")
 
     if B.is_zero:
-        return KClassification("B-zero", c, LogDerivativeForm(), _real_roots_of_a(A)[0])
+        roots = _real_roots_of_a(A)[0]
+        numeric = any(isinstance(r, mpmath.mpf) for r, _ in roots)
+        return KClassification("B-zero", c, LogDerivativeForm(), roots, numeric=numeric)
 
     bdeg = B.degree
     kappa = B.coeffs[1] if bdeg == 1 else None
@@ -247,8 +249,9 @@ def classify(c):
 
     (xi, _), (lam, _) = roots  # ascending: xi < lam
     numeric = isinstance(lam, mpmath.mpf)
-    e_lam = _eval_at(B, lam) / (lam - xi)
-    e_xi = _eval_at(B, xi) / (xi - lam)
+    with mpmath.workprec(DEFAULT_FLOAT_PREC):
+        e_lam = _eval_at(B, lam) / (lam - xi)
+        e_xi = _eval_at(B, xi) / (xi - lam)
     logs = tuple((s, e) for s, e in ((lam, e_lam), (xi, e_xi)) if e)
     form = LogDerivativeForm(log_terms=logs)
     if bdeg == 0:

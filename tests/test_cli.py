@@ -95,6 +95,13 @@ def test_freud_demo_reproduces_negative_result(capsys):
     assert doc["recurrence_coefficients"][1].startswith("0.581368317019118")
 
 
+def test_freud_demo_tiny_negative_t(capsys):
+    # a valid t this close to 0 reaches the degree-5 verdict instead of a numeric abort
+    code, out = run(capsys, "freud-demo", "--t=-1e-30", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["no_polynomial_pair_at_5"] is True
+
+
 def test_deterministic_output(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

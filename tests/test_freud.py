@@ -4,49 +4,39 @@ import mpmath
 import pytest
 
 from ddepoly.dde import admits_dde
-from ddepoly.freud import (
-    bessel_k,
-    freud_recurrence_coeffs,
-    freud_sequence,
-    gamma_positive,
-    p5_invariants,
-    recurrence_seed,
-)
+from ddepoly.freud import freud_recurrence_coeffs, freud_sequence, p5_invariants, recurrence_seed
+from ddepoly.poly import to_mpf
 from ddepoly.roots import isolate_roots
 
 
-def test_gamma_against_independent_route():
-    with mpmath.workprec(320):
-        for x in (Fraction(3, 4), Fraction(1, 2), Fraction(13, 3), 7):
-            mine = gamma_positive(x, 256)
-            ref = mpmath.gamma(mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else x)
-            assert abs(mine - ref) / ref < mpmath.mpf(10) ** -70
-    with pytest.raises(ValueError):
-        gamma_positive(0)
+def _seed_oracle(t, prec):
+    """a_1(t) by a route the library does not take: the gamma closed form at
+    t = 0, the Bessel-K ratio a_1^2 = (|t|/2) (K_{3/4}(t^2/2) / K_{1/4}(t^2/2) - 1)
+    for t < 0, and quadrature of the moments for t > 0."""
+    with mpmath.workprec(prec + 32):
+        tv = to_mpf(t, prec + 32)
+        if tv == 0:
+            return mpmath.sqrt(mpmath.gamma(mpmath.mpf(3) / 4) / mpmath.gamma(mpmath.mpf(1) / 4))
+        if tv < 0:
+            z = tv * tv / 2
+            return mpmath.sqrt(-tv / 2 * (mpmath.besselk(0.75, z) / mpmath.besselk(0.25, z) - 1))
+
+        def w(x):
+            return mpmath.exp(-(x**4) + 2 * tv * x * x)
+
+        return mpmath.sqrt(mpmath.quad(lambda x: x * x * w(x), [0, mpmath.inf]) / mpmath.quad(w, [0, mpmath.inf]))
 
 
-def test_bessel_half_integer_closed_form():
-    v = bessel_k(Fraction(1, 2), 1)
-    with mpmath.workdps(40):
-        ref = mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(-1)
-        assert abs(v - ref) / ref < 1e-10
-    # K_{3/2}(z) = sqrt(pi/(2z)) e^-z (1 + 1/z)
-    v = bessel_k(Fraction(3, 2), 2)
-    with mpmath.workdps(40):
-        ref = mpmath.sqrt(mpmath.pi / 4) * mpmath.exp(-2) * mpmath.mpf("1.5")
-        assert abs(v - ref) / ref < 1e-10
-
-
-def test_bessel_positive_and_self_convergence():
-    coarse = bessel_k(Fraction(1, 4), Fraction(1, 4), rel_tol=1e-12)
-    fine = bessel_k(Fraction(1, 4), Fraction(1, 4), rel_tol=1e-24)
-    assert coarse > 0
-    assert abs(coarse - fine) / fine < 1e-10
-
-
-def test_bessel_domain():
-    with pytest.raises(ValueError):
-        bessel_k(Fraction(1, 4), 0)
+@pytest.mark.parametrize(
+    "t, prec",
+    [(t, prec) for prec in (256, 512) for t in (0, -3, -1, Fraction(-1, 2), Fraction(-1, 10**30))]
+    + [(t, 256) for t in (Fraction(3, 10), 1, 3)],
+    ids=str,
+)
+def test_seed_against_independent_routes(t, prec):
+    a1 = recurrence_seed(t, prec)
+    ref = _seed_oracle(t, prec)
+    assert abs(a1 - ref) / ref < mpmath.mpf(2) ** -(prec - 8)
 
 
 def test_seed_value_at_zero():

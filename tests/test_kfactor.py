@@ -75,6 +75,20 @@ def test_classify_double_root_cases():
     assert k.exponent_at(Fraction(1)) == 0 and k.form.pole_at(Fraction(1)) == -5
 
 
+def test_exponents_at_irrational_roots_keep_full_precision():
+    # A = x^2 - x - 1, B = x + 1: exponent B(r)/A'(r) at r = (1 +- sqrt 5)/2, summing to b_1 = 1
+    import mpmath
+
+    k = classify(pair([-1, -1, 1], [1, 1]))
+    assert k.numeric
+    e_lam, e_xi = k.exponent_at(k.lam), k.exponent_at(k.xi)
+    with mpmath.workprec(300):
+        assert abs(e_lam + e_xi - 1) < mpmath.mpf(2) ** -250
+        for r, e in ((k.lam, e_lam), (k.xi, e_xi)):
+            root = (1 + mpmath.sqrt(5) * (1 if r > 0 else -1)) / 2
+            assert abs(e - (root + 1) / (2 * root - 1)) < mpmath.mpf(2) ** -250
+
+
 def test_classify_extensions():
     assert classify(pair([3, 0, 1], [1, 2])).tag == "irreducible-quadratic-A"
     assert classify(pair([1, 1], [])).tag == "B-zero"

@@ -111,6 +111,20 @@ def test_case_d_synthetic_extremes_and_interlacing():
             assert r.interlace_with_next == "strict"
 
 
+def test_b_zero_with_irrational_a_roots_is_numeric():
+    # A_n = x^2 - 2(n+1), B_n = 0: the endpoints +-sqrt(2(n+1)) are held as big floats
+    def pair(n):
+        if n == 0:
+            return CoefficientPair(P([1]), P([0, 1]))
+        return CoefficientPair(P([-2 * (n + 1), 0, 1]), Poly.zero())
+
+    assert classify(pair(2)).numeric
+    rep = verify_sequence(CoefficientRule(pair), 6)
+    assert rep.decision.case == "d"
+    assert rep.numeric and rep.decision.numeric
+    assert rep.agreement
+
+
 def test_immediate_truncation_reports_degenerate():
     # B_0 = 0 with constant A gives P_1 = 0: no crash, degenerate report
     src = CoefficientRule(lambda n: CoefficientPair(P([1]), Poly.zero()))
