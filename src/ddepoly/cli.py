@@ -201,11 +201,9 @@ def cmd_freud_demo(args):
                 V[i, j] = x**j
         coef = mpmath.lu_solve(V, mpmath.matrix([y for _, y in xy]))
         interp_resid = max(abs(sum(coef[j] * x**j for j in range(5)) - y) for x, y in xy)
-    reproduced = (
-        fail5.verdict == "fails"
-        and (fail5.residual or 0) > 1e6 * args.tolerance
-        and abs(coef[4]) > 1e-6
-    )
+    # scale-free: the degree-5 fit fails at the requested tolerance and the
+    # interpolant y(x) has a degree-4 term no pair (deg A <= 2, deg B <= 1) allows
+    reproduced = fail5.verdict == "fails" and abs(coef[4]) > args.tolerance * max(abs(coef[j]) for j in range(5))
     payload = {
         "command": "freud-demo",
         "t": t,
@@ -313,9 +311,26 @@ def build_parser():
     return p
 
 
+def _attach_negative_values(argv):
+    """argparse takes '-1/2' or '-1e-30' for an option name; join every
+    token that Fraction() parses to the option before it ('--t=-1/2')."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):
+            try:
+                Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InternalError as exc:

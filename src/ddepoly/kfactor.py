@@ -20,7 +20,7 @@ bases never arise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -58,7 +58,10 @@ def ext_key(points):
 @dataclass(frozen=True)
 class LogDerivativeForm:
     """log|K| = sum e ln|x-s| + sum g ln(x^2+px+q) + c1 x + c2 x^2
-                 + sum d/(x-s) + sum c * (2/sqrt(4q-p^2)) atan((2x+p)/sqrt(4q-p^2))."""
+                 + sum d/(x-s) + sum c * (2/sqrt(4q-p^2)) atan((2x+p)/sqrt(4q-p^2)).
+
+    growth is the exact exponent E of the algebraic part |K| ~ |x|^E at
+    both infinite ends, which decides the limit there when c1 = c2 = 0."""
 
     log_terms: tuple = ()
     quad_logs: tuple = ()
@@ -66,6 +69,7 @@ class LogDerivativeForm:
     quad: object = Fraction(0)
     poles: tuple = ()
     atans: tuple = ()
+    growth: Fraction = Fraction(0)
 
     def exponent_at(self, s):
         for p, e in self.log_terms:
@@ -87,16 +91,6 @@ class LogDerivativeForm:
                 out.append(p)
         return tuple(out)
 
-    def negated(self):
-        return LogDerivativeForm(
-            tuple((s, -e) for s, e in self.log_terms),
-            tuple((p, q, -g) for p, q, g in self.quad_logs),
-            -self.lin,
-            -self.quad,
-            tuple((s, -d) for s, d in self.poles),
-            tuple((c, p, q, -1 * sgn) for c, p, q, sgn in self.atans),
-        )
-
 
 def limit_class(form, point, side=None):
     """Class of lim |K| = exp(form) approaching `point`: "zero", "finite" or "inf".
@@ -110,10 +104,9 @@ def limit_class(form, point, side=None):
             return INF if form.quad > 0 else ZERO
         if form.lin:
             return INF if form.lin * sgn > 0 else ZERO
-        total = sum(e for _, e in form.log_terms) + 2 * sum(g for _, _, g in form.quad_logs)
-        if total > 0:
+        if form.growth > 0:
             return INF
-        if total < 0:
+        if form.growth < 0:
             return ZERO
         return FINITE
     d = form.pole_at(point)
@@ -137,10 +130,6 @@ class KClassification:
     pair: CoefficientPair  # normalized: A monic
     form: LogDerivativeForm
     a_roots: tuple  # ((root, multiplicity), ...) real roots of A
-    lam: object = None
-    xi: object = None
-    mu: object = None
-    kappa: object = None
     numeric: bool = False
 
     @property
@@ -151,26 +140,9 @@ class KClassification:
         return self.form.exponent_at(s)
 
     def a_over_k_form(self):
-        neg = self.form.negated()
-        out_logs = list(neg.log_terms)
-        for root, mult in self.a_roots:
-            for i, (s, e) in enumerate(out_logs):
-                if ext_eq(s, root):
-                    out_logs[i] = (s, e + mult)
-                    break
-            else:
-                out_logs.append((root, Fraction(mult)))
-        quad_logs = list(neg.quad_logs)
+        """log|A/K| has log-derivative A'/A - B/A = (A' - B)/A."""
         A = self.pair.A
-        if A.degree == 2 and not self.a_roots:  # irreducible quadratic factor of |A|
-            p, q = A.coeffs[1], A.coeffs[0]
-            for i, (pp, qq, g) in enumerate(quad_logs):
-                if pp == p and qq == q:
-                    quad_logs[i] = (pp, qq, g + 1)
-                    break
-            else:
-                quad_logs.append((p, q, Fraction(1)))
-        return LogDerivativeForm(tuple(out_logs), tuple(quad_logs), neg.lin, neg.quad, neg.poles, neg.atans)
+        return _log_form(A, A.derivative() - self.pair.B, self.a_roots)
 
 
 def normalize(c):
@@ -194,101 +166,87 @@ def classify(c):
     A, B = c.A, c.B
     if A.kind != RATIONAL or (not B.is_zero and B.kind != RATIONAL):
         raise ValueError("classification requires rational coefficients; bind parameters to rationals first")
+    roots = _real_roots_of_a(A)
+    numeric = any(isinstance(r, mpmath.mpf) for r, _ in roots)
+    return KClassification(_tag(A, B, roots), c, _log_form(A, B, roots), roots, numeric)
 
+
+def _tag(A, B, roots):
+    """Shape tag from deg A, the real roots of A, deg B and whether B's
+    root is a (rational) root of A."""
     if B.is_zero:
-        roots = _real_roots_of_a(A)[0]
-        numeric = any(isinstance(r, mpmath.mpf) for r, _ in roots)
-        return KClassification("B-zero", c, LogDerivativeForm(), roots, numeric=numeric)
-
-    bdeg = B.degree
-    kappa = B.coeffs[1] if bdeg == 1 else None
-    mu = -B.coeffs[0] / B.coeffs[1] if bdeg == 1 else B.coeffs[0]
-
+        return "B-zero"
+    if A.degree == 2 and not roots:
+        return "irreducible-quadratic-A"
+    shape = ("constant-A", "linear-A", "equal-roots" if len(roots) == 1 else "distinct-roots")[A.degree]
+    if B.degree == 0:
+        return f"{shape}-constant-B"
     if A.degree == 0:
-        if bdeg == 1:
-            form = LogDerivativeForm(lin=-kappa * mu, quad=kappa / 2)
-            return KClassification("constant-A", c, form, (), mu=mu, kappa=kappa)
-        form = LogDerivativeForm(lin=B.coeffs[0])
-        return KClassification("constant-A-constant-B", c, form, (), mu=mu)
-
+        return shape
+    matches = any(isinstance(r, Fraction) and B(r) == 0 for r, _ in roots)
     if A.degree == 1:
-        lam = -A.coeffs[0]
-        roots = ((lam, 1),)
-        e = B(lam)
-        logs = ((lam, e),) if e else ()
-        if bdeg == 1:
-            form = LogDerivativeForm(log_terms=logs, lin=kappa)
-            tag = "linear-A-equal" if mu == lam else "linear-A-distinct"
-            return KClassification(tag, c, form, roots, lam=lam, mu=mu, kappa=kappa)
-        form = LogDerivativeForm(log_terms=logs)
-        return KClassification("linear-A-constant-B", c, form, roots, lam=lam, mu=mu)
+        return "linear-A-equal" if matches else "linear-A-distinct"
+    return "B-root-matches-A-root" if matches else f"{shape}-linear-B"
 
-    (roots, disc) = _real_roots_of_a(A)
-    if disc < 0:
-        p, q = A.coeffs[1], A.coeffs[0]
-        g = (kappa if bdeg == 1 else Fraction(0)) / 2
-        cc = B.coeffs[0] - (B.coeffs[1] if bdeg == 1 else Fraction(0)) * p / 2
-        form = LogDerivativeForm(
-            quad_logs=((p, q, g),) if g else (),
-            atans=((cc, p, q, 1),) if cc else (),
-        )
-        return KClassification("irreducible-quadratic-A", c, form, (), mu=mu, kappa=kappa)
 
-    if disc == 0:
+def _log_form(A, R, roots):
+    """Closed form of log|exp(int R/A)| by partial fractions, for monic A
+    (degree <= 2) with real roots `roots`, ascending, and deg R <= 1.
+
+    K is the case R = B and A/K the case R = A' - B.  The growth exponent
+    at +-inf is the exact residue sum: r1 for quadratic A, R(lam) for
+    linear A.
+    """
+    r0, r1 = R.coeff(0), R.coeff(1)
+    if A.degree == 0:  # r0 + r1 x
+        return LogDerivativeForm(lin=r0, quad=r1 / 2)
+    if A.degree == 1:  # r1 + R(lam)/(x - lam)
         lam = roots[0][0]
-        e = B.coeffs[1] if bdeg == 1 else Fraction(0)
-        d = -B(lam)
-        form = LogDerivativeForm(
-            log_terms=((lam, e),) if e else (),
-            poles=((lam, d),) if d else (),
+        e = R(lam)
+        return LogDerivativeForm(log_terms=((lam, e),) if e else (), lin=r1, growth=e)
+    if not roots:  # (r1/2) A'/A + (r0 - r1 p/2)/A
+        p, q = A.coeffs[1], A.coeffs[0]
+        g, cc = r1 / 2, r0 - r1 * p / 2
+        return LogDerivativeForm(
+            quad_logs=((p, q, g),) if g else (),
+            atans=((cc, p, q),) if cc else (),
+            growth=r1,
         )
-        if bdeg == 0:
-            return KClassification("equal-roots-constant-B", c, form, roots, lam=lam, xi=lam, mu=mu)
-        tag = "B-root-matches-A-root" if mu == lam else "equal-roots-linear-B"
-        return KClassification(tag, c, form, roots, lam=lam, xi=lam, mu=mu, kappa=kappa)
-
-    (xi, _), (lam, _) = roots  # ascending: xi < lam
-    numeric = isinstance(lam, mpmath.mpf)
+    if len(roots) == 1:  # r1/(x - lam) + R(lam)/(x - lam)^2
+        lam = roots[0][0]
+        d = -R(lam)
+        return LogDerivativeForm(
+            log_terms=((lam, r1),) if r1 else (),
+            poles=((lam, d),) if d else (),
+            growth=r1,
+        )
+    # R(lam)/(lam - xi) / (x - lam) + R(xi)/(xi - lam) / (x - xi); surd roots
+    # are 256-bit floats, so divide at that precision
+    (xi, _), (lam, _) = roots
     with mpmath.workprec(DEFAULT_FLOAT_PREC):
-        e_lam = _eval_at(B, lam) / (lam - xi)
-        e_xi = _eval_at(B, xi) / (xi - lam)
-    logs = tuple((s, e) for s, e in ((lam, e_lam), (xi, e_xi)) if e)
-    form = LogDerivativeForm(log_terms=logs)
-    if bdeg == 0:
-        return KClassification("distinct-roots-constant-B", c, form, roots, lam=lam, xi=xi, mu=mu, numeric=numeric)
-    matches = (not numeric) and (mu == lam or mu == xi)
-    tag = "B-root-matches-A-root" if matches else "distinct-roots-linear-B"
-    return KClassification(tag, c, form, roots, lam=lam, xi=xi, mu=mu, kappa=kappa, numeric=numeric)
-
-
-def _eval_at(p, x):
-    if isinstance(x, mpmath.mpf):
-        with mpmath.workprec(DEFAULT_FLOAT_PREC):
-            return to_mpf(p(x), DEFAULT_FLOAT_PREC)
-    return p(x)
+        logs = ((lam, R(lam) / (lam - xi)), (xi, R(xi) / (xi - lam)))
+    return LogDerivativeForm(log_terms=tuple((s, e) for s, e in logs if e), growth=r1)
 
 
 def _real_roots_of_a(A):
-    """Real roots of monic A (degree <= 2) with multiplicities, plus the
-    discriminant for quadratics (None otherwise)."""
+    """Real roots of monic A (degree <= 2), ascending, with multiplicities."""
     if A.degree == 0:
-        return (), None
+        return ()
     if A.degree == 1:
-        return ((-A.coeffs[0], 1),), None
+        return ((-A.coeffs[0], 1),)
     p, q = A.coeffs[1], A.coeffs[0]
     disc = p * p - 4 * q
     if disc < 0:
-        return (), disc
+        return ()
     if disc == 0:
-        return ((-p / 2, 2),), disc
+        return ((-p / 2, 2),)
     s = fraction_sqrt(disc)
     if s is not None:
-        lo, hi = (-p - s) / 2, (-p + s) / 2
-        return ((lo, 1), (hi, 1)), disc
+        return (((-p - s) / 2, 1), ((-p + s) / 2, 1))
     with mpmath.workprec(DEFAULT_FLOAT_PREC):
         sm = mpmath.sqrt(to_mpf(disc))
         pm = to_mpf(p)
-        return ((( -pm - sm) / 2, 1), ((-pm + sm) / 2, 1)), disc
+        return (((-pm - sm) / 2, 1), ((-pm + sm) / 2, 1))
 
 
 @dataclass(frozen=True)
@@ -349,9 +307,6 @@ class BoundarySpec:
         at_inf = any(not is_finite(z.point) for z in self.zeros_of_k)
         return finite + (1 if at_inf else 0)
 
-    def k_limit(self, point, side=None):
-        return limit_class(self.classification.form, point, side)
-
 
 def boundary_zeros(k):
     """Where K and A/K vanish, and where K blows up, for a classification."""
@@ -394,9 +349,9 @@ def log_k_eval(k, x, prec=53):
             if dx == 0:
                 raise SingularPointError(f"log|K| singular at x = {format_scalar(s)}")
             total += to_mpf(d, prec + 16) / dx
-        for cc, p, q, sgn in form.atans:
+        for cc, p, q in form.atans:
             s0 = mpmath.sqrt(4 * to_mpf(q) - to_mpf(p) ** 2)
-            total += sgn * to_mpf(cc) * (2 / s0) * mpmath.atan((2 * xv + to_mpf(p)) / s0)
+            total += to_mpf(cc) * (2 / s0) * mpmath.atan((2 * xv + to_mpf(p)) / s0)
         return total
 
 
@@ -453,19 +408,12 @@ def decide_case(specs, p1_root, n_start=1, strict_extension=False):
     for case in "abcd":
         dec = _try_case(case, specs, p1_root, n_start)
         if dec.ok:
-            return dec if not numeric else _tag_numeric(dec)
+            return dec if not numeric else replace(dec, numeric=True)
         diagnosis[case] = dec.diagnosis["failure"]
     return CaseDecision("none", n_start, diagnosis=diagnosis, numeric=numeric)
 
 
-def _tag_numeric(dec):
-    return CaseDecision(
-        dec.case, dec.n_start, dec.alphas, dec.betas, dec.checklist,
-        dec.interlacing, dec.real_simple, dec.containment, True, dec.diagnosis,
-    )
-
-
-def _fail(case, msg):
+def _fail(msg):
     return CaseDecision("none", diagnosis={"failure": msg})
 
 
@@ -486,20 +434,17 @@ def _k_end_decay_ok(spec, point, n):
     if is_finite(point):
         return None
     form = spec.classification.form
-    if form.quad or form.lin:
-        return None
-    total = sum(e for _, e in form.log_terms) + 2 * sum(g for _, _, g in form.quad_logs)
-    if total + n < 0:
+    if form.quad or form.lin or form.growth + n < 0:
         return None
     return (
-        f"K decays only algebraically (like |x|^{format_scalar(total)}) at {format_scalar(point)}, "
+        f"K decays only algebraically (like |x|^{format_scalar(form.growth)}) at {format_scalar(point)}, "
         f"too slowly to damp a degree-{n} member"
     )
 
 
 def _endpoint_finite(spec, point, side):
     """K has a finite limit at an interval endpoint, approached from inside."""
-    if spec.k_limit(point, side) == INF:
+    if limit_class(spec.classification.form, point, side) == INF:
         return f"K has no finite limit at endpoint {format_scalar(point)}"
     return None
 
@@ -551,27 +496,27 @@ def _try_case_a(specs, gamma, n_start):
         n = n_start + i
         zs = spec.zeros_of_k
         if len(zs) != 2:
-            return _fail("a", f"n={n}: K vanishes at {len(zs)} point(s), need exactly 2")
+            return _fail(f"n={n}: K vanishes at {len(zs)} point(s), need exactly 2")
         lo, hi = (zs[0], zs[1]) if ext_lt(zs[0].point, zs[1].point) else (zs[1], zs[0])
         if not lo.usable_as_left():
-            return _fail("a", f"n={n}: K -> 0 at {lo!r} only from the wrong side for a left endpoint")
+            return _fail(f"n={n}: K -> 0 at {lo!r} only from the wrong side for a left endpoint")
         if not hi.usable_as_right():
-            return _fail("a", f"n={n}: K -> 0 at {hi!r} only from the wrong side for a right endpoint")
+            return _fail(f"n={n}: K -> 0 at {hi!r} only from the wrong side for a right endpoint")
         for pt in (lo.point, hi.point):
             slow = _k_end_decay_ok(spec, pt, n)
             if slow:
-                return _fail("a", f"n={n}: {slow}")
+                return _fail(f"n={n}: {slow}")
         bad = _interior_continuity(spec, lo.point, hi.point)
         if bad:
-            return _fail("a", f"n={n}: {bad}")
+            return _fail(f"n={n}: {bad}")
         alphas.append(lo.point)
         betas.append(hi.point)
     chain = _chain_ok(alphas, betas, n_start=n_start)
     if chain:
-        return _fail("a", chain)
+        return _fail(chain)
     gbad = _gamma_ok(gamma, alphas[0], betas[0]) if n_start == 1 else None
     if gbad:
-        return _fail("a", gbad)
+        return _fail(gbad)
     checklist = (
         ChecklistItem("vanishing pattern (a): K = 0 exactly at both endpoints", True),
         ChecklistItem("continuity/differentiability on each [alpha_n, beta_n]", True),
@@ -590,16 +535,16 @@ def _try_case_bc(case, orient, specs, gamma, n_start):
         n = n_start + i
         zs = spec.zeros_of_k
         if len(zs) != 1:
-            return _fail(case, f"n={n}: K vanishes at {len(zs)} point(s), need exactly 1")
+            return _fail(f"n={n}: K vanishes at {len(zs)} point(s), need exactly 1")
         kz = zs[0]
         slow = _k_end_decay_ok(spec, kz.point, n)
         if slow:
-            return _fail(case, f"n={n}: {slow}")
+            return _fail(f"n={n}: {slow}")
         # the opposite endpoint must be a finite A/K zero: the inductive step
         # places a zero of the next member exactly there
         if orient == "k-at-alpha":
             if not kz.usable_as_left():
-                return _fail(case, f"n={n}: K zero at {kz!r} unusable as a left endpoint")
+                return _fail(f"n={n}: K zero at {kz!r} unusable as a left endpoint")
             cands = [
                 z for z in spec.zeros_of_a_over_k
                 if z.usable_as_right() and is_finite(z.point) and ext_lt(kz.point, z.point)
@@ -607,7 +552,7 @@ def _try_case_bc(case, orient, specs, gamma, n_start):
             cands.sort(key=functools.cmp_to_key(lambda u, v: -1 if ext_lt(u.point, v.point) else 1))
         else:
             if not kz.usable_as_right():
-                return _fail(case, f"n={n}: K zero at {kz!r} unusable as a right endpoint")
+                return _fail(f"n={n}: K zero at {kz!r} unusable as a right endpoint")
             cands = [
                 z for z in spec.zeros_of_a_over_k
                 if z.usable_as_left() and is_finite(z.point) and ext_lt(z.point, kz.point)
@@ -629,20 +574,20 @@ def _try_case_bc(case, orient, specs, gamma, n_start):
             chosen = (alpha, beta)
             break
         if chosen is None:
-            return _fail(case, f"n={n} ({label}): no usable A/K vanishing point opposite the K zero")
+            return _fail(f"n={n} ({label}): no usable A/K vanishing point opposite the K zero")
         alphas.append(chosen[0])
         betas.append(chosen[1])
     strict_beta = case == "b" and orient == "k-at-alpha"
     strict_alpha = case == "b" and orient == "k-at-beta"
     chain = _chain_ok(alphas, betas, strict_alpha, strict_beta, n_start=n_start)
     if chain:
-        return _fail(case, f"({label}) {chain}")
+        return _fail(f"({label}) {chain}")
     if n_start == 1:
         weak_high = case == "c" and orient == "k-at-alpha"
         weak_low = case == "c" and orient == "k-at-beta"
         gbad = _gamma_ok(gamma, alphas[0], betas[0], weak_low, weak_high)
         if gbad:
-            return _fail(case, f"({label}) {gbad}")
+            return _fail(f"({label}) {gbad}")
     if case == "b":
         growth = "beta_n < beta_(n+1)" if strict_beta else "alpha_(n+1) < alpha_n"
         checklist_growth = ChecklistItem(f"strict outer-endpoint growth ({growth})", True)
@@ -674,28 +619,28 @@ def _try_case_d(specs, gamma, n_start):
     for i, spec in enumerate(specs):
         n = n_start + i
         if spec.zeros_of_k:
-            return _fail("d", f"n={n}: K vanishes at {spec.zeros_of_k[0]!r}, but case d needs K != 0 everywhere")
+            return _fail(f"n={n}: K vanishes at {spec.zeros_of_k[0]!r}, but case d needs K != 0 everywhere")
         zs = spec.zeros_of_a_over_k
         if len(zs) != 2:
-            return _fail("d", f"n={n}: A/K vanishes at {len(zs)} point(s), need exactly 2")
+            return _fail(f"n={n}: A/K vanishes at {len(zs)} point(s), need exactly 2")
         lo, hi = (zs[0], zs[1]) if ext_lt(zs[0].point, zs[1].point) else (zs[1], zs[0])
         if not is_finite(lo.point) or not is_finite(hi.point):
-            return _fail("d", f"n={n}: A/K endpoints must be finite (a zero of the next member sits on each)")
+            return _fail(f"n={n}: A/K endpoints must be finite (a zero of the next member sits on each)")
         if not lo.usable_as_left() or not hi.usable_as_right():
-            return _fail("d", f"n={n}: A/K vanishing sides incompatible with endpoints")
+            return _fail(f"n={n}: A/K vanishing sides incompatible with endpoints")
         if _endpoint_finite(spec, lo.point, "+") or _endpoint_finite(spec, hi.point, "-"):
-            return _fail("d", f"n={n}: K has no finite limit at an endpoint")
+            return _fail(f"n={n}: K has no finite limit at an endpoint")
         bad = _interior_continuity(spec, lo.point, hi.point)
         if bad:
-            return _fail("d", f"n={n}: {bad}")
+            return _fail(f"n={n}: {bad}")
         alphas.append(lo.point)
         betas.append(hi.point)
     chain = _chain_ok(alphas, betas, strict_alpha=True, strict_beta=True, n_start=n_start)
     if chain:
-        return _fail("d", chain)
+        return _fail(chain)
     gbad = _gamma_ok(gamma, alphas[0], betas[0]) if n_start == 1 else None
     if gbad:
-        return _fail("d", gbad)
+        return _fail(gbad)
     checklist = (
         ChecklistItem("vanishing pattern (d): K never 0, A/K = 0 at both endpoints", True),
         ChecklistItem("continuity/differentiability on each [alpha_n, beta_n]", True),

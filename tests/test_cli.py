@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ddepoly.cli import main
 
 
@@ -100,6 +102,41 @@ def test_freud_demo_tiny_negative_t(capsys):
     code, out = run(capsys, "freud-demo", "--t=-1e-30", "--no-timestamp")
     assert code == 0
     assert json.loads(out)["no_polynomial_pair_at_5"] is True
+
+
+def test_freud_demo_small_coefficients_reproduce(capsys):
+    # at t = -30 the recurrence coefficients are small (a_1 ~ 0.091), so the
+    # degree-5 residual and the degree-4 interpolant term are small too
+    code, out = run(capsys, "freud-demo", "--t=-30", "--no-timestamp")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["no_polynomial_pair_at_5"] is True
+    assert {e["n"]: e for e in doc["admissibility"]["entries"]}[5]["verdict"] == "fails"
+
+
+def test_freud_demo_loose_tolerance_admits(capsys):
+    code, out = run(capsys, "freud-demo", "--t", "0", "--tolerance", "1", "--no-timestamp")
+    assert code == 1
+    doc = json.loads(out)
+    assert {e["n"]: e for e in doc["admissibility"]["entries"]}[5]["verdict"] == "admits"
+    assert doc["no_polynomial_pair_at_5"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("freud-demo", "--t", "-1/2", "--no-timestamp"),
+        ("freud-demo", "--t", "-1e-30", "--no-timestamp"),
+        ("zeros", "--family", "jacobi", "--alpha", "-1/2", "--beta", "0", "--n", "4"),
+    ],
+)
+def test_negative_rational_option_value(capsys, argv):
+    # the value reads as with '--opt=value', not as an option name
+    i = next(i for i, tok in enumerate(argv) if tok[:1] == "-" and tok[1:2].isdigit())
+    code, out = run(capsys, *argv)
+    assert code == 0
+    joined = argv[: i - 1] + (f"{argv[i - 1]}={argv[i]}",) + argv[i + 1 :]
+    assert run(capsys, *joined) == (code, out)
 
 
 def test_deterministic_output(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ddepoly.dde import CoefficientPair
@@ -10,6 +11,7 @@ from ddepoly.kfactor import (
     classify,
     decide_case,
     k_eval,
+    limit_class,
     normalize,
 )
 from ddepoly.poly import NEG_INF, POS_INF, Poly
@@ -24,6 +26,12 @@ def pair(a, b):
 
 def points(zs):
     return [z.point for z in zs]
+
+
+def b_root(k):
+    """The root of the normalized linear B."""
+    b0, b1 = k.pair.B.coeffs
+    return -b0 / b1
 
 
 def test_normalize_examples():
@@ -42,21 +50,21 @@ def test_classify_scaled_square_factor():
         assert k.tag == "distinct-roots-linear-B"
         assert k.exponent_at(Fraction(1)) == r
         assert k.exponent_at(Fraction(-1)) == r
-        assert k.mu == 0
+        assert b_root(k) == 0
 
 
 def test_classify_shared_growth():
     k = classify(pair([0, 1], [0, 1]))
     assert k.tag == "linear-A-equal"
     assert k.form.lin == 1 and not k.form.log_terms  # pure e^x
-    assert k.lam == 0 and k.mu == 0 and k.kappa == 1
+    assert k.a_roots == ((0, 1),) and b_root(k) == 0 and k.pair.B.lead == 1
 
 
 def test_classify_constant_a():
     k = classify(pair([1], [-6, 3]))  # B = 3(x - 2)
     assert k.tag == "constant-A"
     assert k.form.quad == Fraction(3, 2) and k.form.lin == -6
-    assert k.mu == 2 and k.kappa == 3
+    assert b_root(k) == 2 and k.pair.B.lead == 3
 
 
 def test_classify_double_root_cases():
@@ -77,14 +85,13 @@ def test_classify_double_root_cases():
 
 def test_exponents_at_irrational_roots_keep_full_precision():
     # A = x^2 - x - 1, B = x + 1: exponent B(r)/A'(r) at r = (1 +- sqrt 5)/2, summing to b_1 = 1
-    import mpmath
-
     k = classify(pair([-1, -1, 1], [1, 1]))
     assert k.numeric
-    e_lam, e_xi = k.exponent_at(k.lam), k.exponent_at(k.xi)
+    (xi, _), (lam, _) = k.a_roots
+    e_lam, e_xi = k.exponent_at(lam), k.exponent_at(xi)
     with mpmath.workprec(300):
         assert abs(e_lam + e_xi - 1) < mpmath.mpf(2) ** -250
-        for r, e in ((k.lam, e_lam), (k.xi, e_xi)):
+        for r, e in ((lam, e_lam), (xi, e_xi)):
             root = (1 + mpmath.sqrt(5) * (1 if r > 0 else -1)) / 2
             assert abs(e - (root + 1) / (2 * root - 1)) < mpmath.mpf(2) ** -250
 
@@ -157,6 +164,70 @@ def test_three_vanishing_points_stay_bounded():
     b = boundary_zeros(classify(pair([-1, 0, 1], [4, -2])))
     assert len(b.zeros_of_k) == 3
     assert b.k_zero_count == 2
+
+
+def near(zs, expected):
+    """Points of `zs` within 2^-250 of `expected`, all sides two-sided."""
+    with mpmath.workprec(300):
+        return (
+            [z.sides for z in zs] == ["both"] * len(expected)
+            and all(abs(z.point - e) < mpmath.mpf(2) ** -250 for z, e in zip(zs, expected))
+        )
+
+
+def test_surd_roots_constant_b_k_finite_at_infinity():
+    # A = x^2 - 5, B = 1: K = |x - r|^(1/2r) |x + r|^(-1/2r), r = sqrt 5, tends to 1 at both
+    # infinite ends, so it vanishes at r only; A/K ~ x^2 vanishes at -r and r
+    b = boundary_zeros(classify(pair([-5, 0, 1], [1])))
+    with mpmath.workprec(300):
+        r = mpmath.sqrt(5)
+        roots = [-r, r]
+    assert near(b.zeros_of_k, [r])
+    assert near(b.zeros_of_a_over_k, roots)
+    assert b.k_zero_count == 1
+    dec = decide_case([b] * 4, Fraction(0))
+    assert dec.diagnosis["a"] == "n=1: K vanishes at 1 point(s), need exactly 2"
+
+
+def test_surd_roots_a_over_k_finite_at_infinity():
+    # A = x^2 + (2/5)x - 1, B = 2x + 9: A/K ~ |x|^(2 - 2) has a finite limit at both ends
+    b = boundary_zeros(classify(pair([-1, Fraction(2, 5), 1], [9, 2])))
+    with mpmath.workprec(300):
+        xi, lam = (-1 - mpmath.sqrt(26)) / 5, (-1 + mpmath.sqrt(26)) / 5
+    assert near(b.zeros_of_k, [lam])
+    assert near(b.zeros_of_a_over_k, [xi])
+    assert b.k_zero_count == 1
+
+
+def test_algebraic_decay_reported_exactly():
+    # A = x^2 - 5, B = -x: K = 1/|x^2 - 5|^(1/2) decays like |x|^-1
+    b = boundary_zeros(classify(pair([-5, 0, 1], [0, -1])))
+    dec = decide_case([b] * 3, Fraction(0))
+    assert dec.diagnosis["a"] == (
+        "n=1: K decays only algebraically (like |x|^-1) at -inf, too slowly to damp a degree-1 member"
+    )
+
+
+def test_growth_at_infinity_matches_exact_exponent():
+    # |K| ~ |x|^E at both infinite ends, with E the x-coefficient of the monic B for
+    # quadratic A and the constant of the monic B for linear A and constant B;
+    # |A/K| ~ |x|^(deg A - E)
+    rng = random.Random(8)
+    small = [Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 5)]
+    surds = 0
+    for _ in range(600):
+        lead = Fraction(rng.choice([1, -2, Fraction(3, 2)]))
+        deg = rng.choice([1, 2, 2])
+        a = [rng.choice(small) for _ in range(deg)] + [lead]
+        e = lead * rng.choice([0, 0, 1, 2, 2, -1, 3, Fraction(1, 2)])
+        b = [rng.choice(small), e] if deg == 2 else [e]
+        k = classify(pair(a, b))
+        surds += k.numeric
+        exponent = e / lead
+        for form, g in ((k.form, exponent), (k.a_over_k_form(), deg - exponent)):
+            want = "inf" if g > 0 else ("zero" if g < 0 else "finite")
+            assert limit_class(form, NEG_INF) == limit_class(form, POS_INF) == want, (a, b)
+    assert surds > 100
 
 
 def test_zero_count_bound_random():
