@@ -199,7 +199,9 @@ def admits_dde(seq, tolerance=1e-12):
 
     seq is a list of Poly with seq[0] == 1.  Entries n with deg seq[n] != n
     are skipped as degenerate, as are n >= 2 where seq[n] has repeated
-    roots (the decision procedure needs simple zeros).  Rational input is
+    roots (the decision procedure needs simple zeros); for rational input
+    gcd(P_n, P_n') is read off the integer remainder chain of the Sturm
+    kernel, with no Fraction gcd.  Rational input is
     decided exactly; float input is decided by least squares against
     `tolerance` (relative) and the result is tagged numeric.
     """
@@ -235,10 +237,10 @@ def _admit_at(polys, n, numeric, tolerance):
             return AdmissibilityEntry(n, "skipped-degenerate", witness=f"deg P_2 = {Pn1.degree} > 2")
         # B_1 is a free choice; take B_1 = 0, A_1 = P_2 / P_1'
         c = Pn.derivative().coeffs[0]
-        A = Pn1.scale(Fraction(1, 1) / c if Pn.kind == RATIONAL else 1 / c)
+        A = Pn1.scale(1 / c)
         zero = Poly.zero(Pn.kind, Pn.prec)
         return AdmissibilityEntry(n, "admits", CoefficientPair(A, zero), unique=False, residual=0.0)
-    if Pn.kind == RATIONAL and not Pn.is_squarefree():
+    if Pn.kind == RATIONAL and _Isolator(Pn).gcd_degree > 0:
         return AdmissibilityEntry(n, "skipped-degenerate", witness=f"P_{n} has repeated roots")
     dPn = Pn.derivative()
     cols = []

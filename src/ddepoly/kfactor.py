@@ -98,12 +98,11 @@ def limit_class(form, point, side=None):
     For finite points `side` is "+" (from the right) or "-" (from the
     left); infinite points have a single natural side.
     """
-    if point == NEG_INF or point == POS_INF:
-        sgn = 1 if point == POS_INF else -1
+    if not is_finite(point):
         if form.quad:
             return INF if form.quad > 0 else ZERO
         if form.lin:
-            return INF if form.lin * sgn > 0 else ZERO
+            return INF if form.lin * point.sign > 0 else ZERO
         if form.growth > 0:
             return INF
         if form.growth < 0:
@@ -273,10 +272,11 @@ class SidedZero:
 
 
 def _vanishing_points(form):
+    """Zeros of exp(form) on the extended real line, and the (point, class
+    from below, class from above) of each singular point they were read from."""
+    sided = tuple((s, limit_class(form, s, "-"), limit_class(form, s, "+")) for s in form.singular_points())
     out = []
-    for s in form.singular_points():
-        left = limit_class(form, s, "-")
-        right = limit_class(form, s, "+")
+    for s, left, right in sided:
         if left == ZERO and right == ZERO:
             out.append(SidedZero(s, "both"))
         elif left == ZERO:
@@ -287,7 +287,7 @@ def _vanishing_points(form):
         out.insert(0, SidedZero(NEG_INF, "right"))
     if limit_class(form, POS_INF) == ZERO:
         out.append(SidedZero(POS_INF, "left"))
-    return tuple(out)
+    return tuple(out), sided
 
 
 @dataclass(frozen=True)
@@ -310,18 +310,13 @@ class BoundarySpec:
 
 def boundary_zeros(k):
     """Where K and A/K vanish, and where K blows up, for a classification."""
-    form = k.form
-    aok = k.a_over_k_form()
-    singular = tuple(
-        s
-        for s in form.singular_points()
-        if limit_class(form, s, "-") == INF or limit_class(form, s, "+") == INF
-    )
+    zeros_of_k, k_sided = _vanishing_points(k.form)
+    zeros_of_a_over_k, _ = _vanishing_points(k.a_over_k_form())
     return BoundarySpec(
         classification=k,
-        zeros_of_k=_vanishing_points(form),
-        zeros_of_a_over_k=_vanishing_points(aok),
-        k_singular=singular,
+        zeros_of_k=zeros_of_k,
+        zeros_of_a_over_k=zeros_of_a_over_k,
+        k_singular=tuple(s for s, left, right in k_sided if INF in (left, right)),
     )
 
 

@@ -364,13 +364,6 @@ class Poly:
                 b = b.monic()
         return a.monic()
 
-    def is_squarefree(self):
-        if self.kind != RATIONAL:
-            raise KindMismatchError("squarefree test requires rational coefficients")
-        if self.degree <= 1:
-            return not self.is_zero
-        return self.gcd(self.derivative()).degree == 0
-
     def primitive_int_coeffs(self):
         """Integer coefficient vector with content 1, same sign pattern.
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from ddepoly.dde import (
     sample_xy,
     step,
 )
+from ddepoly.families import FamilySpec, coefficient_source
 from ddepoly.poly import Poly
 
 P = Poly.rational
@@ -135,6 +137,44 @@ def test_admits_skips_repeated_roots():
     res = admits_dde(polys)
     assert res.entry(2).verdict == "skipped-degenerate"
     assert "repeated" in res.entry(2).witness
+
+
+def test_admits_builds_no_fraction_gcd(monkeypatch):
+    # the repeated-root test reads gcd(P_n, P_n') off the integer remainder chain
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda self, other: calls.append(self) or gcd(self, other))
+    for kind in ("hermite", "bell"):
+        seq = generate(coefficient_source(FamilySpec(kind)), 20)
+        assert admits_dde(list(seq.polys)).all_admit, kind
+    assert not calls
+
+
+def test_repeated_root_skip_matches_gcd_oracle():
+    # seeded tables of products of small rational linear factors, half of the
+    # members with a planted double root, all under random rational scales
+    rng = random.Random(17)
+    repeated_seen = simple_seen = 0
+    for _ in range(80):
+        N = rng.randint(3, 9)
+        table = [P([1])]
+        for n in range(1, N + 1):
+            roots = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            if n >= 2 and rng.random() < 0.5:
+                roots[rng.randrange(1, n)] = roots[0]
+            p = P([Fraction(rng.choice([1, -2, 3, -5]), rng.choice([1, 2, 7]))])
+            for r in roots:
+                p = p * P([-r, 1])
+            table.append(p)
+        res = admits_dde(table)
+        for n in range(2, N):
+            Pn, e = table[n], res.entry(n)
+            repeated = Pn.gcd(Pn.derivative()).degree > 0
+            skipped = e.verdict == "skipped-degenerate" and e.witness == f"P_{n} has repeated roots"
+            assert skipped == repeated, (table, n)
+            repeated_seen += repeated
+            simple_seen += not repeated
+    assert repeated_seen > 50 and simple_seen > 50
 
 
 def test_admits_exact_failure_at_four_roots():

@@ -14,7 +14,7 @@ from ddepoly.kfactor import (
     limit_class,
     normalize,
 )
-from ddepoly.poly import NEG_INF, POS_INF, Poly
+from ddepoly.poly import NEG_INF, POS_INF, Poly, is_finite
 from ddepoly.verify import check_k_identity
 
 P = Poly.rational
@@ -228,6 +228,55 @@ def test_growth_at_infinity_matches_exact_exponent():
             want = "inf" if g > 0 else ("zero" if g < 0 else "finite")
             assert limit_class(form, NEG_INF) == limit_class(form, POS_INF) == want, (a, b)
     assert surds > 100
+
+
+def kind_pair(rng, kind):
+    """A seeded pair whose A is linear, or quadratic with no real roots, two
+    rational roots (possibly equal) or two surd roots r +- sqrt(d)."""
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    lead = q() or Fraction(1)
+    r = q()
+    if kind == "linear":
+        A = [-r * lead, lead]
+    elif kind == "rational":
+        A = list((P([-r, 1]) * P([-rng.choice([r, q()]), 1]) * P([lead])).coeffs)
+    else:
+        d = rng.choice([2, 3, 5, Fraction(7, 4)]) * (1 if kind == "surd" else -1)
+        A = [(r * r - d) * lead, -2 * r * lead, lead]
+    B = rng.choice([[], [q() or 1], [q(), q() or 1], [-r, 1]])
+    return pair(A, B)
+
+
+def test_boundary_zeros_match_pointwise_limits():
+    # the sided zeros and blow-up points assembled here from limit_class at
+    # each singular point and at +-inf
+    def sided_zeros(form):
+        out = []
+        for s in form.singular_points():
+            below, above = limit_class(form, s, "-") == "zero", limit_class(form, s, "+") == "zero"
+            if below or above:
+                out.append((s, "both" if below and above else ("left" if below else "right")))
+        if limit_class(form, NEG_INF) == "zero":
+            out.insert(0, (NEG_INF, "right"))
+        if limit_class(form, POS_INF) == "zero":
+            out.append((POS_INF, "left"))
+        return out
+
+    rng = random.Random(29)
+    one_sided = singular = surds = 0
+    for i in range(800):
+        k = classify(kind_pair(rng, ("linear", "complex", "rational", "surd")[i % 4]))
+        b = boundary_zeros(k)
+        form = k.form
+        assert [(z.point, z.sides) for z in b.zeros_of_k] == sided_zeros(form)
+        assert [(z.point, z.sides) for z in b.zeros_of_a_over_k] == sided_zeros(k.a_over_k_form())
+        want = [s for s in form.singular_points() if "inf" in (limit_class(form, s, "-"), limit_class(form, s, "+"))]
+        assert list(b.k_singular) == want
+        one_sided += any(z.sides != "both" for z in b.zeros_of_k if is_finite(z.point))
+        singular += bool(want)
+        surds += k.numeric
+    assert one_sided > 20 and singular > 100 and surds > 100
 
 
 def test_zero_count_bound_random():

@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Write a BENCH_<n>.json file from perfbench runs at a parent and a change.
+
+    python3 tools/bench_rows.py --parent DIR --change DIR --out BENCH_<n>.json \\
+        --what TEXT [--seed 21] [--pairs 10 --pair-seed 31]
+
+DIR is a checkout of the repository (for example one made with
+`git archive`); perfbench/run.py runs there, unchanged, as
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0|1
+
+for every workload in the change's BENCHMARK.json, at --trace 0 and 1, on
+each side, with T the benchmark's run_seconds.  The last line of each run
+must be strict JSON (no NaN or Infinity) and is stored as it came.  With
+--pairs N, run_s of recover-classify, the workload whose gain is claimed,
+is also measured in N alternating pairs at --trace 0, odd pairs running
+the parent first and even pairs the change first.  The file also holds the
+machine facts and the commands.  Only the standard library is used; the
+interpreter that runs this script runs perfbench too.
+"""
+
+import argparse
+import json
+import os
+import platform
+import shlex
+import statistics
+import subprocess
+import sys
+
+CLAIM_WORKLOAD = "recover-classify"
+
+
+def strict_json(line):
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
+def perfbench(checkout, workload, seed, seconds, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        sys.exit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    try:
+        result = strict_json(lines[-1])
+    except ValueError as exc:
+        sys.exit(f"{checkout}: {' '.join(cmd[1:])}: last line is not strict JSON ({exc}): {lines[-1][:200]}")
+    print(f"{os.path.basename(checkout.rstrip('/'))} {workload} seed {seed} trace {trace}: "
+          f"correct {result['correct']}, failed {result['failed']}", file=sys.stderr)
+    return result
+
+
+def command(workload, seed, seconds, trace):
+    return f"python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace {trace} | tail -n 1"
+
+
+def machine(checkout):
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next((ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")), "")
+    except OSError:
+        pass
+    probe = "import mpmath, mpmath.libmp; print(mpmath.__version__, mpmath.libmp.BACKEND)"
+    mp = subprocess.run([sys.executable, "-c", probe], cwd=checkout, capture_output=True, text=True).stdout.split()
+    return {
+        "cpus": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "mpmath": mp[0] if mp else None,
+        "mpmath_backend": mp[1] if len(mp) > 1 else None,
+    }
+
+
+def summary(runs):
+    runs = sorted(runs)
+    q1, median, q3 = statistics.quantiles(runs, n=4) if len(runs) > 1 else (runs[0],) * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--what", required=True, help="one line saying what the file measures")
+    ap.add_argument("--seed", type=int, default=21)
+    ap.add_argument("--pairs", type=int, default=0)
+    ap.add_argument("--pair-seed", type=int, default=31)
+    args = ap.parse_args()
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    seconds = bench["run_seconds"]
+    sides = (("parent", args.parent), ("change", args.change))
+    doc = {
+        "what": args.what,
+        "machine": machine(args.change),
+        "perfbench_command": command("W", args.seed, seconds, "T"),
+        "written_by": shlex.join(["python3", "tools/bench_rows.py", *sys.argv[1:]]),
+        "perfbench": [],
+    }
+    for w in (x["name"] for x in bench["workloads"]):
+        for trace in (0, 1):
+            for side, checkout in sides:
+                result = perfbench(checkout, w, args.seed, seconds, trace)
+                doc["perfbench"].append({"side": side, "workload": w, "seed": args.seed, "trace": trace, "result": result})
+
+    if args.pairs:
+        pairs, runs = [], {"parent": [], "change": []}
+        for i in range(1, args.pairs + 1):
+            row = {"pair": i}
+            for side, checkout in sides if i % 2 else sides[::-1]:
+                result = perfbench(checkout, CLAIM_WORKLOAD, args.pair_seed, seconds, 0)
+                if not result["correct"] or result["failed"]:
+                    sys.exit(f"{side}: pair {i} run is not correct")
+                row[side] = result["metrics"]["run_s"]["value"]
+                runs[side].append(row[side])
+            pairs.append(row)
+        wins = sum(p["change"] < p["parent"] for p in pairs)
+        doc["claimed_gain"] = {
+            "metric": "run_s",
+            "workload": CLAIM_WORKLOAD,
+            "command": command(CLAIM_WORKLOAD, args.pair_seed, seconds, 0),
+            "order": "odd pairs run the parent first, even pairs the change first",
+            "pairs": pairs,
+            "change_wins": f"{wins}/{len(pairs)}",
+            "parent": summary(runs["parent"]),
+            "change": summary(runs["change"]),
+        }
+
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()
