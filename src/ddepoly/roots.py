@@ -4,10 +4,17 @@ Rational mode is exact and runs on Python ints.  Signed remainder
 sequences are primitive pseudo-remainder sequences (Brown & Traub, JACM
 1971): each entry is the primitive part of -|lc b|^(deg a - deg b + 1)
 (a mod b), a positive multiple of -rem(a, b).  Signs at p/q come from the
-homogenized integer value sum c_i p^i q^(d-i).  Refinement in an isolating
-interval of a squarefree f compares sign f(midpoint) with sign f(left end)
-alone, on integer endpoints over one common denominator.  Interlacing is a
-Cauchy index read off a remainder sequence.
+homogenized integer value sum c_i p^i q^(d-i).
+
+Isolation is one bisection tree over one chain per polynomial, that of
+its squarefree part.  The tree starts from a dyadic bound 2^(e+2):
+Fujiwara's root bound read off coefficient bit lengths, then doubled, so
+no root lies on it.  A midpoint that is a root is kept as an exact point
+[m, m], and bisection goes on over the same chain with counts that
+exclude it.  Refinement in an isolating interval of a squarefree f
+compares sign f(midpoint) with sign f(left end) alone, on integer
+endpoints over one common denominator.  Interlacing is a Cauchy index
+read off a remainder sequence.
 
 Counting convention: for a squarefree polynomial the variation difference
 V(a) - V(b) equals the number of distinct real roots in the half-open
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import mpmath
 import numpy as np
@@ -75,28 +82,10 @@ class Interval:
     def is_point(self):
         return is_finite(self.lo) and self.lo == self.hi
 
-    def width(self):
-        if not is_finite(self.lo) or not is_finite(self.hi):
-            return POS_INF
-        return self.hi - self.lo
-
     def midpoint(self):
         if not is_finite(self.lo) or not is_finite(self.hi):
             raise ValueError("midpoint of an unbounded interval")
         return (self.lo + self.hi) / 2
-
-    def strictly_left_of(self, other):
-        """True when every point of self is below every point of other."""
-        if not is_finite(self.hi) or not is_finite(other.lo):
-            return False
-        if self.hi < other.lo:
-            return True
-        if self.hi == other.lo:
-            return self.hi_open or other.lo_open
-        return False
-
-    def disjoint(self, other):
-        return self.strictly_left_of(other) or other.strictly_left_of(self)
 
     def contains(self, x):
         if is_finite(self.lo):
@@ -200,6 +189,15 @@ def _cauchy_index(chain):
     return _variations_inf(chain, -1) - _variations_inf(chain, 1)
 
 
+def _dyadic_bound(c):
+    """A power of two above |root| for every root of sum c_i x^i: Fujiwara's
+    bound 2 max_i |c_(n-i) / c_n|^(1/i), with each quotient below 2^(e i)
+    by bit lengths, doubled so that no root lies on it."""
+    top = abs(c[-1]).bit_length() - 1
+    e = max((-((top - abs(v).bit_length()) // i) for i, v in enumerate(reversed(c[:-1]), 1) if v), default=0)
+    return Fraction(2) ** (e + 2)
+
+
 class _Isolator:
     """Sturm-chain root isolation for one rational polynomial.
 
@@ -215,13 +213,7 @@ class _Isolator:
             raise KindMismatchError("exact root isolation requires rational coefficients")
         self.poly = f
         self.chain = _remainders(f, f.derivative())
-        self.bound = self._cauchy_bound()
-
-    def _cauchy_bound(self):
-        c = self.chain[0]
-        lead = abs(c[-1])
-        biggest = max((abs(v) for v in c[:-1]), default=0)
-        return Fraction(biggest, lead) + 2
+        self.bound = _dyadic_bound(self.chain[0])
 
     @property
     def gcd_degree(self):
@@ -239,36 +231,6 @@ class _Isolator:
     def count_half_open(self, lo, hi):
         """Distinct roots in (lo, hi]; lo/hi are Fractions or infinity tags."""
         return self.variations(lo) - self.variations(hi)
-
-    def isolate(self):
-        """Isolating intervals for all real roots.
-
-        Returns (intervals, hit): half-open (a, b] intervals each holding
-        one root, or a rational root `hit` (the root of a linear f, or one
-        met mid-bisection), which the caller deflates before asking again.
-        """
-        f = self.poly
-        if f.degree == 1:
-            return [], -f.coeffs[0] / f.coeffs[1]
-        M = self.bound
-        stack = [(-M, M, self.variations(-M), self.variations(M))]
-        singles = []
-        while stack:
-            a, b, va, vb = stack.pop()
-            n = va - vb
-            if n == 0:
-                continue
-            if n == 1:
-                singles.append(Interval(a, b))
-                continue
-            m = (a + b) / 2
-            if self.sign(m) == 0:
-                return [], m
-            vm = self.variations(m)
-            stack.append((a, m, va, vm))
-            stack.append((m, b, vm, vb))
-        singles.sort(key=lambda iv: iv.lo)
-        return singles, None
 
     def refine(self, iv, width):
         """Shrink an isolating interval below `width` by bisection on the
@@ -290,54 +252,34 @@ class _Isolator:
         return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-class _LocatedRoot:
-    """One real algebraic number: an isolator plus a shrinking interval."""
-
-    __slots__ = ("iso", "iv")
-
-    def __init__(self, iso, iv):
-        self.iso = iso
-        self.iv = iv
-
-    def refine_once(self):
-        if self.iso is not None:
-            self.iv = self.iso.refine(self.iv, self.iv.width() * Fraction(3, 4))
-
-    def refine_to(self, width):
-        if self.iso is not None:
-            self.iv = self.iso.refine(self.iv, width)
-
-
-def separate(roots):
-    """Refine located roots (of squarefree, pairwise-coprime sources) until
-    all intervals are pairwise disjoint, so interval order is root order."""
-    while True:
-        clash = False
-        ordered = sorted(roots, key=lambda r: (r.iv.lo, r.iv.hi))
-        for a, b in zip(ordered, ordered[1:]):
-            if not a.iv.disjoint(b.iv):
-                if a.iv.is_point and b.iv.is_point:
-                    raise ValueError(f"coincident roots at {format_scalar(a.iv.lo)}")
-                a.refine_once()
-                b.refine_once()
-                clash = True
-        if not clash:
-            return sorted(roots, key=lambda r: (r.iv.lo, r.iv.hi))
-
-
 def locate_real_roots(f, iso=None):
-    """All real roots of a squarefree rational polynomial as _LocatedRoots;
-    `iso` is an isolator already built for f."""
-    points, located, work = [], [], f
-    while work.degree >= 1:
-        iso = iso or _Isolator(work)
-        ivs, hit = iso.isolate()
-        if hit is None:
-            located = [_LocatedRoot(iso, iv) for iv in ivs]
-            break
-        points.append(hit)
-        work, iso = work.exact_div(Poly.rational([-hit, 1])), None
-    return separate([_LocatedRoot(None, Interval(p, p, False, False)) for p in points] + located)
+    """Sorted isolating intervals for the real roots of a squarefree rational
+    polynomial: exact points [m, m], and half-open (a, b] holding one root
+    with f nonzero at both ends.  `iso` is an isolator already built for f."""
+    if f.degree == 1:
+        r = -f.coeffs[0] / f.coeffs[1]
+        return [Interval(r, r, False, False)]
+    iso = iso or _Isolator(f)
+    M = iso.bound
+    stack = [(-M, M, iso.variations(-M), iso.variations(M))]
+    points, out = set(), []
+    while stack:
+        a, b, va, vb = stack.pop()
+        n = va - vb
+        if n == 0:
+            continue
+        if n == 1 and a not in points and b not in points:
+            out.append(Interval(a, b))
+            continue
+        m = (a + b) / 2
+        vm, hit = iso.variations(m), iso.sign(m) == 0
+        if hit:
+            points.add(m)
+            out.append(Interval(m, m, False, False))
+        stack.append((a, m, va, vm + hit))  # at a root m, V(m) = V(m+) = V(m-) - 1
+        stack.append((m, b, vm, vb))
+    out.sort(key=lambda iv: iv.lo)
+    return out
 
 
 def sturm_count(p, iv, iso=None):
@@ -358,10 +300,11 @@ def sturm_count(p, iv, iso=None):
 def isolate_roots(p, width, iso=None):
     """Disjoint sorted isolating intervals for the real roots of p.
 
-    Rational mode: Sturm bisection, multiplicities from the squarefree
-    (Yun) decomposition, intervals refined to <= width.  `iso`, an
-    isolator already built for p, is reused; when it shows p squarefree
-    (gcd(p, p') constant) the Yun decomposition is skipped.  Float mode:
+    Rational mode: one Sturm bisection tree over the chain of p's
+    squarefree part, multiplicities from its squarefree (Yun)
+    decomposition, intervals refined to <= width.  `iso`, an isolator
+    already built for p, is reused; when it shows p squarefree (gcd(p, p')
+    constant) the Yun decomposition is skipped.  Float mode:
     companion-matrix seeds polished by Newton at the working precision;
     the input is assumed squarefree.
     """
@@ -375,18 +318,24 @@ def isolate_roots(p, width, iso=None):
     if iso is not None and iso.gcd_degree == 0:
         decomp = [(p, 1)]
     else:
-        decomp, iso = squarefree_decomposition(p), None
+        decomp = squarefree_decomposition(p)
+        iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
     squarefree = all(m == 1 for _, m in decomp)
-    entries = []
-    for f, mult in decomp:
-        for root in locate_real_roots(f, iso):
-            entries.append((root, mult))
-    separate([r for r, _ in entries])
-    for root, _ in entries:
-        root.refine_to(width)
-    entries.sort(key=lambda e: (e[0].iv.lo, e[0].iv.hi))
-    roots = tuple(RootInterval(r.iv, m) for r, m in entries)
+    roots = tuple(
+        RootInterval(iso.refine(iv, width), 1 if squarefree else _multiplicity(decomp, iv))
+        for iv in locate_real_roots(iso.poly, iso)
+    )
     return RootSet(roots=roots, count=len(roots), squarefree=squarefree)
+
+
+def _multiplicity(decomp, iv):
+    """Multiplicity of the one root in an isolating interval of the
+    squarefree part: that of the Yun factor which vanishes at a point root,
+    or changes sign across a half-open interval."""
+    for f, mult in decomp:
+        if f(iv.lo) == 0 if iv.is_point else (f(iv.lo) > 0) != (f(iv.hi) > 0):
+            return mult
+    raise InternalError(f"no squarefree factor has the root in {iv!r}")
 
 
 def _isolate_float(p, width):

@@ -236,13 +236,13 @@ def test_strict_extension_flag(capsys, tmp_path):
 
 
 def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
-    # an isolator that hands refinement an interval with a root at its open
+    # an isolation that hands refinement an interval with a root at its open
     # end breaks a kernel invariant: exit 4, never "input error" (exit 2)
     from fractions import Fraction
 
-    from ddepoly.roots import Interval, _Isolator
+    import ddepoly.roots as roots
 
-    monkeypatch.setattr(_Isolator, "isolate", lambda self: ([Interval(Fraction(0), Fraction(1))], None))
+    monkeypatch.setattr(roots, "locate_real_roots", lambda f, iso=None: [roots.Interval(Fraction(0), Fraction(1))])
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"sequence": [["1"], ["-1", "2"], ["0", "-1", "2"]]}))
     code = main(["zeros", "--input", str(path)])

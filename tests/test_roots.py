@@ -82,6 +82,27 @@ def test_isolate_double_root():
     assert rs.roots[0].interval.is_point and rs.roots[0].interval.lo == 1
 
 
+def left_of(a, b):
+    """Every point of interval a lies below every point of b."""
+    return a.hi < b.lo or (a.hi == b.lo and (a.hi_open or b.lo_open))
+
+
+def test_isolate_constant_has_no_roots():
+    rs = isolate_roots(P([3]), WIDTH)
+    assert rs.roots == () and rs.count == 0 and rs.squarefree
+
+
+def test_isolate_close_double_and_simple_roots():
+    # (x - 1)^2 (x - 1 - 10^-12): a double root and a simple one 10^-12 apart
+    eps = Fraction(1, 10**12)
+    rs = isolate_roots(P([-1, 1]) * P([-1, 1]) * P([-1 - eps, 1]), WIDTH)
+    assert rs.count == 2 and not rs.squarefree
+    (a, ma), (b, mb) = ((r.interval, r.multiplicity) for r in rs.roots)
+    assert (ma, mb) == (2, 1)
+    assert a.contains(Fraction(1)) and b.contains(1 + eps)
+    assert left_of(a, b)
+
+
 def test_isolate_bad_width():
     with pytest.raises(ValueError):
         isolate_roots(P([0, 1]), Fraction(0))
@@ -286,6 +307,8 @@ def variation_refine(p, iv, width):
         signs = [s for s in ((c(x) > 0) - (c(x) < 0) for c in chain) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
+    if iv.is_point:
+        return iv
     a, b = iv.lo, iv.hi
     while b - a > width:
         m = (a + b) / 2
@@ -298,24 +321,75 @@ def variation_refine(p, iv, width):
     return Interval(a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=8), max_size=4, unique=True),
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(2, 30)), max_size=2, unique=True),
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), max_size=2),
-    st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**20)]),
-)
-def test_sign_refinement_matches_variation_bisection(rational, surds, complexes, width):
+PLANTED_RATIONALS = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=8), max_size=4, unique=True)
+PLANTED_SURDS = st.lists(st.tuples(st.integers(-6, 6), st.integers(2, 30)), max_size=2, unique=True)
+PLANTED_COMPLEX = st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), max_size=2)
+
+
+def planted(rational, surds, complexes):
+    """The product of the planted factors, or None unless it is squarefree
+    of degree >= 1."""
     p = poly_from_roots(rational)
     for a, d in surds:  # (x - a)^2 - d, roots a +- sqrt(d)
         p = p * P([a * a - d, -2 * a, 1])
     for b, c in complexes:  # (x + b)^2 + c, no real roots
         p = p * P([b * b + c, 2 * b, 1])
     if p.degree < 1 or p.gcd(p.derivative()).degree > 0:
+        return None
+    return p
+
+
+def surd_side(a, s, d):
+    """x -> sign(x - (a + s sqrt(d))), exactly, for s = +-1 and d > 0."""
+    def side(x):
+        y = x - a
+        if s > 0:
+            return -1 if y <= 0 else (y * y > d) - (y * y < d)
+        return 1 if y >= 0 else (d > y * y) - (d < y * y)
+    return side
+
+
+@settings(max_examples=60, deadline=None)
+@given(PLANTED_RATIONALS, PLANTED_SURDS, PLANTED_COMPLEX)
+def test_locate_real_roots_isolates_each_planted_root_once(rational, surds, complexes):
+    p = planted(rational, surds, complexes)
+    if p is None:
         return
-    for root in locate_real_roots(p):
-        if root.iso is not None:
-            assert root.iso.refine(root.iv, width) == variation_refine(root.iso.poly, root.iv, width)
+    iso = _Isolator(p)
+    sides = [lambda x, r=r: (x > r) - (x < r) for r in rational]
+    sides += [surd_side(a, s, d) for a, d in surds for s in (1, -1)]
+    ivs = locate_real_roots(p, iso)
+
+    def inside(iv, side):
+        lo, hi = side(iv.lo), side(iv.hi)
+        return (lo < 0 or (lo == 0 and not iv.lo_open)) and (hi > 0 or (hi == 0 and not iv.hi_open))
+
+    for side in sides:
+        assert side(-iso.bound) < 0 < side(iso.bound)
+        assert sum(inside(iv, side) for iv in ivs) == 1
+    assert len(ivs) == len(sides)
+    for iv in ivs:
+        if iv.is_point:
+            assert p(iv.lo) == 0
+        else:
+            assert iv.lo_open and not iv.hi_open and p(iv.lo) != 0 and p(iv.hi) != 0
+    assert all(left_of(a, b) for a, b in zip(ivs, ivs[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    PLANTED_RATIONALS,
+    PLANTED_SURDS,
+    PLANTED_COMPLEX,
+    st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**9), Fraction(1, 10**20)]),
+)
+def test_sign_refinement_matches_variation_bisection(rational, surds, complexes, width):
+    p = planted(rational, surds, complexes)
+    if p is None:
+        return
+    iso = _Isolator(p)
+    for iv in locate_real_roots(p, iso):
+        assert iso.refine(iv, width) == variation_refine(p, iv, width)
 
 
 def test_refine_returns_a_rational_root_hit_as_a_point():

@@ -14,9 +14,11 @@ each side, with T the benchmark's run_seconds.  The last line of each run
 must be strict JSON (no NaN or Infinity) and is stored as it came.  With
 --pairs N, run_s of recover-classify, the workload whose gain is claimed,
 is also measured in N alternating pairs at --trace 0, odd pairs running
-the parent first and even pairs the change first.  The file also holds the
-machine facts and the commands.  Only the standard library is used; the
-interpreter that runs this script runs perfbench too.
+the parent first and even pairs the change first.  A scaling row times
+verify_sequence once per family and degree on each side, by the stored
+command SCALING.  The file also holds the machine facts and the commands.
+Only the standard library is used; the interpreter that runs this script
+runs perfbench too.
 """
 
 import argparse
@@ -28,13 +30,22 @@ import statistics
 import subprocess
 import sys
 
+from result_line import strict_json
+
 CLAIM_WORKLOAD = "recover-classify"
-
-
-def strict_json(line):
-    def reject(name):
-        raise ValueError(f"non-finite constant {name}")
-    return json.loads(line, parse_constant=reject)
+SCALING = """\
+import json, time
+from ddepoly.families import FamilySpec
+from ddepoly.verify import verify_sequence
+F = [("bell", {}), ("hermite", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
+     ("euler_frobenius", {"kappa": "1", "r": "n+1"})]
+row = {}
+for k, p in F:
+    for N in (10, 20, 30, 40, 60):
+        t = time.perf_counter(); ok = verify_sequence(FamilySpec(k, p), N).agreement
+        row[f"{k} N={N}"] = [round(time.perf_counter() - t, 3), ok]
+print(json.dumps(row))
+"""
 
 
 def perfbench(checkout, workload, seed, seconds, trace):
@@ -51,6 +62,16 @@ def perfbench(checkout, workload, seed, seconds, trace):
     print(f"{os.path.basename(checkout.rstrip('/'))} {workload} seed {seed} trace {trace}: "
           f"correct {result['correct']}, failed {result['failed']}", file=sys.stderr)
     return result
+
+
+def scaling(checkout):
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", SCALING], cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{checkout}: scaling row exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    row = strict_json(proc.stdout)
+    print(f"{os.path.basename(checkout.rstrip('/'))} scaling: {row}", file=sys.stderr)
+    return row
 
 
 def command(workload, seed, seconds, trace):
@@ -109,6 +130,13 @@ def main():
             for side, checkout in sides:
                 result = perfbench(checkout, w, args.seed, seconds, trace)
                 doc["perfbench"].append({"side": side, "workload": w, "seed": args.seed, "trace": trace, "result": result})
+
+    doc["scaling"] = {
+        "what": "verify_sequence wall seconds (one run each) and agreement, width 1e-9",
+        "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING),
+    }
+    for side, checkout in sides:
+        doc["scaling"][side] = scaling(checkout)
 
     if args.pairs:
         pairs, runs = [], {"parent": [], "change": []}
