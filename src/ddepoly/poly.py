@@ -26,6 +26,10 @@ class KindMismatchError(TypeError):
     """Raised when an operation mixes rational and float operands."""
 
 
+class InternalError(RuntimeError):
+    """An invariant of the exact kernel failed: a bug, never an input error."""
+
+
 class _Infinity:
     """Tagged signed infinity for extended-real endpoints.
 
@@ -352,17 +356,11 @@ class Poly:
         return self._wrap([c / lc for c in self.coeffs])
 
     def gcd(self, other):
-        """Monic gcd over the rationals (Euclid)."""
-        if self.kind != RATIONAL or other.kind != RATIONAL:
-            raise KindMismatchError("gcd is defined for rational polynomials only")
-        a, b = self, other
-        if a.is_zero and b.is_zero:
+        """Monic gcd over the rationals: the last entry of the primitive
+        integer remainder chain of (self, other), made monic."""
+        if self.is_zero and other.is_zero:
             raise ValueError("gcd(0, 0) is undefined")
-        while not b.is_zero:
-            a, b = b, (a % b)
-            if not b.is_zero:
-                b = b.monic()
-        return a.monic()
+        return Poly.rational(_remainders(self, other)[-1]).monic()
 
     def primitive_int_coeffs(self):
         """Integer coefficient vector with content 1, same sign pattern.
@@ -377,11 +375,7 @@ class Poly:
         den = 1
         for c in self.coeffs:
             den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        return tuple(v // g for v in ints)
+        return _primitive([int(c * den) for c in self.coeffs])
 
     def to_float(self, prec=DEFAULT_FLOAT_PREC):
         if self.kind == FLOAT:
@@ -415,33 +409,82 @@ def format_poly(p, var="x", dps=12):
     return " ".join(parts)
 
 
+def _remainders(f, g):
+    """`_prs` of the primitive integer vectors of two rational polynomials."""
+    return _prs(f.primitive_int_coeffs(), g.primitive_int_coeffs())
+
+
+def _primitive(v):
+    """An integer vector divided by its content: content 1, same signs."""
+    c = int_gcd(*v)
+    return tuple(x // c for x in v)
+
+
+def _prs(a, b):
+    """Signed remainder sequence a, b, -rem(a, b), ... of integer vectors
+    (low to high power; b may be empty) as the primitive pseudo-remainder
+    sequence of Brown & Traub (JACM 1971): primitive parts of a, b, then of
+    -|lc b|^(deg a - deg b + 1) (a mod b), ...; its last entry is +-gcd(a, b)."""
+    chain = [_primitive(a), _primitive(b)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lc, b = (b[-1], b) if b[-1] > 0 else (-b[-1], [-v for v in b])
+        r, n = list(a), len(b) - 1
+        for k in range(len(a) - 1, n - 1, -1):  # r <- lc r - r_k x^(k-n) b
+            q = r.pop()
+            r = [lc * v for v in r]
+            for i in range(n):
+                r[k - n + i] -= q * b[i]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        chain.append(tuple(-v for v in _primitive(r)))
+    return chain if chain[1] else chain[:1]  # gcd(a, 0) = a
+
+
+def _dx(a):
+    return [i * v for i, v in enumerate(a)][1:]
+
+
+def _quo(a, b):
+    """a / b for integer vectors with b primitive and dividing a over Q;
+    the quotient is then integral (Gauss's lemma)."""
+    r, n, q = list(a), len(b) - 1, []
+    for k in range(len(a) - 1, n - 1, -1):
+        c = r[k] // b[-1]
+        q.append(c)
+        for i in range(n + 1):
+            r[k - n + i] -= c * b[i]
+    if any(r):
+        raise InternalError("an exact division left a remainder")
+    return q[::-1]
+
+
 def squarefree_decomposition(p):
     """Yun decomposition of a rational polynomial: [(f_i, i)] with p ~ prod f_i^i.
 
-    Factors are monic, squarefree and pairwise coprime.
+    Factors are monic, squarefree and pairwise coprime.  Yun's loop (SYMSAC
+    1976) runs on integer vectors: each gcd is the last entry of a `_prs`
+    chain, primitive, so each division is exact over Z; monic on output.
     """
     if p.kind != RATIONAL:
         raise KindMismatchError("squarefree decomposition requires rational coefficients")
     if p.is_zero:
         raise ValueError("zero polynomial")
-    p = p.monic()
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    g = p.gcd(dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    out = []
-    w = p.exact_div(g)
-    y = dp.exact_div(g)
-    z = y - w.derivative()
-    i = 1
-    while w.degree > 0:
-        gi = w.gcd(z) if not z.is_zero else w.monic()
-        if gi.degree > 0:
-            out.append((gi.monic(), i))
-        w = w.exact_div(gi)
-        y = z.exact_div(gi) if not z.is_zero else z
-        z = y - w.derivative()
+    a = p.primitive_int_coeffs()
+    g = _prs(a, _dx(a))[-1]
+    w, y = _quo(a, g), _quo(_dx(a), g)
+    out, i = [], 1
+    while len(w) > 1:
+        z = [u - v for u, v in zip(y, _dx(w))]  # deg y = deg w - 1
+        while z and not z[-1]:
+            z.pop()
+        gi = _prs(w, z)[-1]
+        if len(gi) > 1:
+            out.append((Poly.rational(gi).monic(), i))
+        w, y = _quo(w, gi), _quo(z, gi)
         i += 1
     return out

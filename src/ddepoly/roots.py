@@ -1,20 +1,22 @@
 """Real-root location: Sturm counting, isolating intervals, interlacing.
 
 Rational mode is exact and runs on Python ints.  Signed remainder
-sequences are primitive pseudo-remainder sequences (Brown & Traub, JACM
-1971): each entry is the primitive part of -|lc b|^(deg a - deg b + 1)
-(a mod b), a positive multiple of -rem(a, b).  Signs at p/q come from the
-homogenized integer value sum c_i p^i q^(d-i).
+sequences are `poly._remainders`, primitive pseudo-remainder sequences
+(Brown & Traub, JACM 1971) and the one exact gcd routine.  Signs at p/q
+come from the homogenized integer value sum c_i p^i q^(d-i).
 
 Isolation is one bisection tree over one chain per polynomial, that of
-its squarefree part.  The tree starts from a dyadic bound 2^(e+2):
-Fujiwara's root bound read off coefficient bit lengths, then doubled, so
-no root lies on it.  A midpoint that is a root is kept as an exact point
-[m, m], and bisection goes on over the same chain with counts that
-exclude it.  Refinement in an isolating interval of a squarefree f
-compares sign f(midpoint) with sign f(left end) alone, on integer
-endpoints over one common denominator.  Interlacing is a Cauchy index
-read off a remainder sequence.
+its squarefree part.  p's own chain comes first: its last entry is
+gcd(p, p'), and only a non-constant one sends p through Yun's
+decomposition, whose factors' signs give the multiplicities.  The tree
+starts from a dyadic bound 2^(e+2): Fujiwara's root bound read off
+coefficient bit lengths, then doubled, so no root lies on it.  A
+midpoint that is a root is kept as an exact point [m, m], and bisection
+goes on over the same chain with counts that exclude it.  Refinement in
+an isolating interval of a squarefree f compares sign f(midpoint) with
+sign f(left end) alone, on integer endpoints over one common
+denominator.  Interlacing is a Cauchy index read off a remainder
+sequence.
 
 Counting convention: for a squarefree polynomial the variation difference
 V(a) - V(b) equals the number of distinct real roots in the half-open
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 import mpmath
 import numpy as np
@@ -42,9 +44,11 @@ from .poly import (
     NEG_INF,
     POS_INF,
     RATIONAL,
+    InternalError,
     KindMismatchError,
     Poly,
     _Infinity,
+    _remainders,
     as_exact,
     format_scalar,
     is_finite,
@@ -55,10 +59,6 @@ from .poly import (
 
 class IllConditionedError(ArithmeticError):
     """Float-mode root polishing failed to converge or roots are unresolvable."""
-
-
-class InternalError(RuntimeError):
-    """An invariant of the exact kernel failed: a bug, never an input error."""
 
 
 @dataclass(frozen=True)
@@ -146,31 +146,6 @@ def _variations(signs):
             changes += 1
         prev = s
     return changes
-
-
-def _remainders(f, g):
-    """Signed remainder sequence f, g, -rem(f, g), ... as primitive integer
-    vectors; its last entry is gcd(f, g) up to a nonzero scalar."""
-    chain = [f.primitive_int_coeffs()]
-    if g.is_zero:
-        return chain
-    chain.append(g.primitive_int_coeffs())
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        lc, b = (b[-1], b) if b[-1] > 0 else (-b[-1], [-v for v in b])
-        r, n = list(a), len(b) - 1
-        for k in range(len(a) - 1, n - 1, -1):  # r <- lc r - r_k x^(k-n) b
-            q = r.pop()
-            r = [lc * v for v in r]
-            for i in range(n):
-                r[k - n + i] -= q * b[i]
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            break
-        c = -gcd(*r)
-        chain.append(tuple(v // c for v in r))
-    return chain
 
 
 def _variations_inf(chain, sgn):
@@ -301,12 +276,12 @@ def isolate_roots(p, width, iso=None):
     """Disjoint sorted isolating intervals for the real roots of p.
 
     Rational mode: one Sturm bisection tree over the chain of p's
-    squarefree part, multiplicities from its squarefree (Yun)
-    decomposition, intervals refined to <= width.  `iso`, an isolator
-    already built for p, is reused; when it shows p squarefree (gcd(p, p')
-    constant) the Yun decomposition is skipped.  Float mode:
-    companion-matrix seeds polished by Newton at the working precision;
-    the input is assumed squarefree.
+    squarefree part, intervals refined to <= width.  p's own chain (`iso`,
+    reused if given) comes first; when it shows p squarefree (gcd(p, p')
+    constant) no Yun decomposition runs, else multiplicities are read off
+    the signs of p's Yun factors.  Float mode: companion-matrix seeds
+    polished by Newton at the working precision; the input is assumed
+    squarefree.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -315,25 +290,26 @@ def isolate_roots(p, width, iso=None):
     if p.kind == FLOAT:
         return _isolate_float(p, width)
     width = Fraction(width) if not isinstance(width, Fraction) else width
-    if iso is not None and iso.gcd_degree == 0:
-        decomp = [(p, 1)]
-    else:
+    iso = iso or _Isolator(p)
+    squarefree = iso.gcd_degree == 0
+    if not squarefree:
         decomp = squarefree_decomposition(p)
         iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
-    squarefree = all(m == 1 for _, m in decomp)
+        factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
     roots = tuple(
-        RootInterval(iso.refine(iv, width), 1 if squarefree else _multiplicity(decomp, iv))
+        RootInterval(iso.refine(iv, width), 1 if squarefree else _multiplicity(factors, iv))
         for iv in locate_real_roots(iso.poly, iso)
     )
     return RootSet(roots=roots, count=len(roots), squarefree=squarefree)
 
 
-def _multiplicity(decomp, iv):
+def _multiplicity(factors, iv):
     """Multiplicity of the one root in an isolating interval of the
-    squarefree part: that of the Yun factor which vanishes at a point root,
-    or changes sign across a half-open interval."""
-    for f, mult in decomp:
-        if f(iv.lo) == 0 if iv.is_point else (f(iv.lo) > 0) != (f(iv.hi) > 0):
+    squarefree part: that of the Yun factor (an integer vector) which
+    vanishes at a point root, or changes sign across a half-open interval."""
+    for f, mult in factors:
+        lo, hi = (_sign_int_poly(f, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+        if lo == 0 if iv.is_point else lo != hi:
             return mult
     raise InternalError(f"no squarefree factor has the root in {iv!r}")
 

@@ -16,6 +16,7 @@ from ddepoly.dde import (
 )
 from ddepoly.families import FamilySpec, coefficient_source
 from ddepoly.poly import Poly
+from sympy_oracle import gcd
 
 P = Poly.rational
 
@@ -169,7 +170,7 @@ def test_repeated_root_skip_matches_gcd_oracle():
         res = admits_dde(table)
         for n in range(2, N):
             Pn, e = table[n], res.entry(n)
-            repeated = Pn.gcd(Pn.derivative()).degree > 0
+            repeated = gcd(Pn, Pn.derivative()).degree > 0
             skipped = e.verdict == "skipped-degenerate" and e.witness == f"P_{n} has repeated roots"
             assert skipped == repeated, (table, n)
             repeated_seen += repeated

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import strategies as st
 from ddepoly.poly import (
     NEG_INF,
     POS_INF,
+    InternalError,
     KindMismatchError,
     Poly,
+    _quo,
     ext_lt,
     format_poly,
     squarefree_decomposition,
 )
+from sympy_oracle import gcd, sqf_list
 
 P = Poly.rational
 
@@ -89,6 +94,44 @@ def test_gcd_divides_both(p, q):
         if not q.is_zero:
             assert (q % g).is_zero
         assert g.lead == 1
+    assert g == gcd(p, q)
+
+
+def random_factor(rng):
+    """A monic irreducible factor over Q: rational linear, a real surd pair
+    (x - a)^2 - d or a complex pair (x + b)^2 + c."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return P([-Fraction(rng.randint(-20, 20), rng.randint(1, 6)), 1])
+    a, d = rng.randint(-6, 6), rng.choice([2, 3, 5, 6, 7, 10, 11, 13])
+    if kind == 1:
+        return P([a * a - d, -2 * a, 1])
+    return P([a * a + d, 2 * a, 1])
+
+
+def test_gcd_matches_sympy_on_shared_factors_and_zero():
+    rng = random.Random(5)
+    for _ in range(100):
+        h, f, g = (prod((random_factor(rng) for _ in range(rng.randint(0, 3))), start=Poly.one()) for _ in "hfg")
+        a, b = (f * h).scale(Fraction(rng.randint(-9, 9) or 1, 7)), (g * h).scale(Fraction(3, rng.randint(1, 5)))
+        assert a.gcd(b) == gcd(a, b)
+        assert a.gcd(Poly.zero()) == Poly.zero().gcd(a) == gcd(a, Poly.zero()) == a.monic()
+    with pytest.raises(ValueError):
+        Poly.zero().gcd(Poly.zero())
+
+
+def test_squarefree_decomposition_matches_sympy_sqf_list():
+    rng = random.Random(11)
+    for _ in range(150):
+        p = P([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))])
+        factors, n = set(), rng.randint(1, 4)
+        while len(factors) < n:
+            factors.add(random_factor(rng))
+        for f in factors:
+            p = p * f ** rng.randint(1, 4)
+        decomp = squarefree_decomposition(p)
+        assert all(f.lead == 1 for f, _ in decomp)
+        assert decomp == sqf_list(p)
 
 
 def test_yun_reassembles():
@@ -99,6 +142,12 @@ def test_yun_reassembles():
     for f, m in decomp:
         rebuilt = rebuilt * f**m
     assert rebuilt == p.monic()
+
+
+def test_integer_quotient_refuses_a_remainder():
+    assert _quo([-2, 1, 1], [-1, 1]) == [2, 1]  # (x - 1)(x + 2)
+    with pytest.raises(InternalError):
+        _quo([1, 0, 1], [-1, 1])
 
 
 def test_eval_modes():

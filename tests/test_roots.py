@@ -18,6 +18,7 @@ from ddepoly.roots import (
     locate_real_roots,
     sturm_count,
 )
+from sympy_oracle import gcd
 
 P = Poly.rational
 WIDTH = Fraction(1, 10**6)
@@ -203,7 +204,7 @@ def test_gcd_constant_iff_all_multiplicities_one():
         for r, m in zip(roots, mults):
             p = p * P([-r, 1]) ** m
         rs = isolate_roots(p, WIDTH)
-        gcd_const = p.gcd(p.derivative()).degree == 0
+        gcd_const = gcd(p, p.derivative()).degree == 0
         assert gcd_const == all(ri.multiplicity == 1 for ri in rs.roots)
         assert sorted(ri.multiplicity for ri in rs.roots) == sorted(mults)
 
@@ -334,7 +335,7 @@ def planted(rational, surds, complexes):
         p = p * P([a * a - d, -2 * a, 1])
     for b, c in complexes:  # (x + b)^2 + c, no real roots
         p = p * P([b * b + c, 2 * b, 1])
-    if p.degree < 1 or p.gcd(p.derivative()).degree > 0:
+    if p.degree < 1 or gcd(p, p.derivative()).degree > 0:
         return None
     return p
 
@@ -400,3 +401,33 @@ def test_refine_returns_a_rational_root_hit_as_a_point():
     assert iso.refine(Interval(Fraction(1), Fraction(2)), Fraction(1, 4)) == Interval(Fraction(5, 4), Fraction(3, 2))
     with pytest.raises(InternalError):
         iso.refine(Interval(Fraction(3, 4), Fraction(1)), Fraction(1, 100))
+
+
+def test_exact_isolation_makes_no_divrem_or_gcd(monkeypatch):
+    calls = []
+
+    def spy(name, orig):
+        return lambda self, other: calls.append(name) or orig(self, other)
+
+    for name in ("divrem", "gcd"):
+        monkeypatch.setattr(Poly, name, spy(name, getattr(Poly, name)))
+    squarefree = P([3, -1]) * P([-2, 0, 1]) * P([1, 0, 1])
+    repeated = P(["1/2"]) * P([-3, 4]) ** 3 * P([-2, 0, 1]) ** 2 * P([1, 0, 1]) * P([5, 1])
+    assert [r.multiplicity for r in isolate_roots(squarefree, WIDTH).roots] == [1, 1, 1]
+    assert [r.multiplicity for r in isolate_roots(repeated, WIDTH).roots] == [1, 2, 3, 2]
+    assert not calls
+
+
+def test_squarefree_input_builds_one_chain_and_no_yun(monkeypatch):
+    import ddepoly.roots as roots
+
+    chains, yun = [], []
+    orig_chain, orig_yun = roots._remainders, roots.squarefree_decomposition
+    monkeypatch.setattr(roots, "_remainders", lambda f, g: chains.append(1) or orig_chain(f, g))
+    monkeypatch.setattr(roots, "squarefree_decomposition", lambda p: yun.append(1) or orig_yun(p))
+    rs = isolate_roots(poly_from_roots([Fraction(-7, 3), 0, 2, 5]) * P([-3, 0, 1]), WIDTH)
+    assert rs.count == 6 and rs.squarefree
+    assert (len(chains), len(yun)) == (1, 0)
+    rs = isolate_roots(P([1, -2, 1]) * P([-3, 0, 1]), WIDTH)
+    assert not rs.squarefree and [r.multiplicity for r in rs.roots] == [1, 2, 1]
+    assert (len(chains), len(yun)) == (3, 1)  # p's chain, then its squarefree part's

@@ -2,7 +2,7 @@
 """Write a BENCH_<n>.json file from perfbench runs at a parent and a change.
 
     python3 tools/bench_rows.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        --what TEXT [--seed 21] [--pairs 10 --pair-seed 31]
+        --what TEXT [--seed 21] [--pairs 10 --pair-seed 31] [--claim-workload W]
 
 DIR is a checkout of the repository (for example one made with
 `git archive`); perfbench/run.py runs there, unchanged, as
@@ -11,12 +11,13 @@ DIR is a checkout of the repository (for example one made with
 
 for every workload in the change's BENCHMARK.json, at --trace 0 and 1, on
 each side, with T the benchmark's run_seconds.  The last line of each run
-must be strict JSON (no NaN or Infinity) and is stored as it came.  With
---pairs N, run_s of recover-classify, the workload whose gain is claimed,
-is also measured in N alternating pairs at --trace 0, odd pairs running
-the parent first and even pairs the change first.  A scaling row times
-verify_sequence once per family and degree on each side, by the stored
-command SCALING.  The file also holds the machine facts and the commands.
+must be strict JSON (no NaN or Infinity) holding every metric that
+tools/result_line.py asks for, and is stored as it came.  With --pairs N,
+run_s of the workload whose gain is claimed (--claim-workload, by default
+recover-classify) is also measured in N alternating pairs at --trace 0,
+odd pairs running the parent first and even pairs the change first.  A
+scaling row times verify_sequence once per family and degree on each
+side, by the stored command SCALING.  The file also holds the machine facts and the commands.
 Only the standard library is used; the interpreter that runs this script
 runs perfbench too.
 """
@@ -30,9 +31,8 @@ import statistics
 import subprocess
 import sys
 
-from result_line import strict_json
+from result_line import missing_metrics, strict_json
 
-CLAIM_WORKLOAD = "recover-classify"
 SCALING = """\
 import json, time
 from ddepoly.families import FamilySpec
@@ -59,6 +59,9 @@ def perfbench(checkout, workload, seed, seconds, trace):
         result = strict_json(lines[-1])
     except ValueError as exc:
         sys.exit(f"{checkout}: {' '.join(cmd[1:])}: last line is not strict JSON ({exc}): {lines[-1][:200]}")
+    missing = missing_metrics(result.get("metrics", {}))
+    if missing:
+        sys.exit(f"{checkout}: {' '.join(cmd[1:])}: last line lacks metrics {', '.join(missing)}")
     print(f"{os.path.basename(checkout.rstrip('/'))} {workload} seed {seed} trace {trace}: "
           f"correct {result['correct']}, failed {result['failed']}", file=sys.stderr)
     return result
@@ -112,11 +115,14 @@ def main():
     ap.add_argument("--seed", type=int, default=21)
     ap.add_argument("--pairs", type=int, default=0)
     ap.add_argument("--pair-seed", type=int, default=31)
+    ap.add_argument("--claim-workload", default="recover-classify", help="workload of the --pairs runs")
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
+    if args.claim_workload not in (x["name"] for x in bench["workloads"]):
+        ap.error(f"--claim-workload {args.claim_workload} is not a workload of BENCHMARK.json")
     sides = (("parent", args.parent), ("change", args.change))
     doc = {
         "what": args.what,
@@ -143,7 +149,7 @@ def main():
         for i in range(1, args.pairs + 1):
             row = {"pair": i}
             for side, checkout in sides if i % 2 else sides[::-1]:
-                result = perfbench(checkout, CLAIM_WORKLOAD, args.pair_seed, seconds, 0)
+                result = perfbench(checkout, args.claim_workload, args.pair_seed, seconds, 0)
                 if not result["correct"] or result["failed"]:
                     sys.exit(f"{side}: pair {i} run is not correct")
                 row[side] = result["metrics"]["run_s"]["value"]
@@ -152,8 +158,8 @@ def main():
         wins = sum(p["change"] < p["parent"] for p in pairs)
         doc["claimed_gain"] = {
             "metric": "run_s",
-            "workload": CLAIM_WORKLOAD,
-            "command": command(CLAIM_WORKLOAD, args.pair_seed, seconds, 0),
+            "workload": args.claim_workload,
+            "command": command(args.claim_workload, args.pair_seed, seconds, 0),
             "order": "odd pairs run the parent first, even pairs the change first",
             "pairs": pairs,
             "change_wins": f"{wins}/{len(pairs)}",
