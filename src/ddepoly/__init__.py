@@ -35,7 +35,6 @@ from .kfactor import (
 )
 from .poly import NEG_INF, POS_INF, KindMismatchError, Poly, format_poly, squarefree_decomposition
 from .roots import (
-    IllConditionedError,
     InterlaceReport,
     InternalError,
     Interval,
@@ -59,7 +58,6 @@ __all__ = [
     "CoefficientTable",
     "FamilySpec",
     "FreudData",
-    "IllConditionedError",
     "InterlaceReport",
     "InternalError",
     "Interval",

@@ -2,8 +2,8 @@
 
 Commands: generate, classify, verify, admits, freud-demo, zeros.
 Exit codes: 0 success; 1 verification disagreement or hypothesis failure;
-2 input/schema error; 3 numeric abort (precision exhausted or polishing
-failure); 4 internal error (an exact-kernel invariant failed).
+2 input/schema error; 3 numeric abort (the Freud recurrence exhausted its
+precision); 4 internal error (an exact-kernel invariant failed).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .families import FAMILY_KINDS, FamilySpec, coefficient_source
 from .freud import PrecisionError, freud_recurrence_coeffs, freud_sequence, p5_invariants
 from .kfactor import boundary_zeros, classify, decide_case
 from .poly import format_poly
-from .roots import IllConditionedError, InternalError, isolate_roots
+from .roots import InternalError, isolate_roots
 from .verify import verify_sequence
 
 EXIT_OK = 0
@@ -339,7 +339,7 @@ def main(argv=None):
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PrecisionError, IllConditionedError) as exc:
+    except PrecisionError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError, ZeroDivisionError, IndexError) as exc:

@@ -2,8 +2,8 @@
 
 Rational mode is exact and runs on Python ints.  Signed remainder
 sequences are `poly._remainders`, primitive pseudo-remainder sequences
-(Brown & Traub, JACM 1971) and the one exact gcd routine.  Signs at p/q
-come from the homogenized integer value sum c_i p^i q^(d-i).
+(Brown & Traub, JACM 1971) and the one exact gcd routine.  Values and
+signs at p/q come from the homogenized integer sum c_i p^i q^(d-i).
 
 Isolation is one bisection tree over one chain per polynomial, that of
 its squarefree part.  p's own chain comes first: its last entry is
@@ -12,22 +12,17 @@ decomposition, whose factors' signs give the multiplicities.  The tree
 starts from a dyadic bound 2^(e+2): Fujiwara's root bound read off
 coefficient bit lengths, then doubled, so no root lies on it.  A
 midpoint that is a root is kept as an exact point [m, m], and bisection
-goes on over the same chain with counts that exclude it.  Refinement in
-an isolating interval of a squarefree f compares sign f(midpoint) with
-sign f(left end) alone, on integer endpoints over one common
-denominator.  Interlacing is a Cauchy index read off a remainder
-sequence.
+goes on over the same chain with counts that exclude it.  Refinement is
+quadratic interval refinement (Abbott, 2006) capped to the nodes of the
+same tree.  Interlacing is a Cauchy index read off a remainder sequence.
+
+A float polynomial is decided as the rational one it holds (mpf values
+are dyadic), by the same kernel, so its root count is certified for it.
 
 Counting convention: for a squarefree polynomial the variation difference
 V(a) - V(b) equals the number of distinct real roots in the half-open
 interval (a, b].  Open/closed endpoints are then settled by exact sign
 checks at the endpoints themselves.
-
-Float root isolation seeds roots from the companion matrix (LAPACK
-eigenvalues, which balance internally) and polishes with Newton iterations
-at the working precision, refusing (IllConditionedError) rather than merge
-two seeds that polish onto one root.  Float interlacing is decided exactly
-on the dyadic rationals the coefficients hold.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import mpmath
-import numpy as np
+from mpmath.libmp import from_rational
 
 from .poly import (
     FLOAT,
@@ -55,10 +50,6 @@ from .poly import (
     squarefree_decomposition,
     to_mpf,
 )
-
-
-class IllConditionedError(ArithmeticError):
-    """Float-mode root polishing failed to converge or roots are unresolvable."""
 
 
 @dataclass(frozen=True)
@@ -126,14 +117,18 @@ class RootSet:
         return out
 
 
-def _sign_int_poly(coeffs, num, den):
-    """Sign of sum_i c_i num^i den^(d-i)."""
+def _value_int_poly(coeffs, num, den):
+    """sum_i c_i num^i den^(d-i), i.e. den^d f(num/den) for f = sum c_i x^i."""
     acc = coeffs[-1]
     power = 1
     for i in range(len(coeffs) - 2, -1, -1):
         power *= den
         acc = acc * num + coeffs[i] * power
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
 
 
 def _variations(signs):
@@ -152,7 +147,7 @@ def _variations_inf(chain, sgn):
     """Sign variations of a chain at sgn * infinity, read off the leads."""
     signs = []
     for c in chain:
-        s = (c[-1] > 0) - (c[-1] < 0)
+        s = _sign(c[-1])
         if sgn < 0 and (len(c) - 1) % 2 == 1:
             s = -s
         signs.append(s)
@@ -171,6 +166,10 @@ def _dyadic_bound(c):
     top = abs(c[-1]).bit_length() - 1
     e = max((-((top - abs(v).bit_length()) // i) for i, v in enumerate(reversed(c[:-1]), 1) if v), default=0)
     return Fraction(2) ** (e + 2)
+
+
+def _point(x):
+    return Interval(x, x, False, False)
 
 
 class _Isolator:
@@ -195,35 +194,64 @@ class _Isolator:
         return len(self.chain[-1]) - 1
 
     def sign(self, x):
-        return _sign_int_poly(self.chain[0], x.numerator, x.denominator)
+        return _sign(_value_int_poly(self.chain[0], x.numerator, x.denominator))
 
     def variations(self, x):
         if isinstance(x, _Infinity):
             return _variations_inf(self.chain, x.sign)
         num, den = x.numerator, x.denominator
-        return _variations([_sign_int_poly(c, num, den) for c in self.chain])
+        return _variations([_sign(_value_int_poly(c, num, den)) for c in self.chain])
 
     def count_half_open(self, lo, hi):
         """Distinct roots in (lo, hi]; lo/hi are Fractions or infinity tags."""
         return self.variations(lo) - self.variations(hi)
 
     def refine(self, iv, width):
-        """Shrink an isolating interval below `width` by bisection on the
-        sign of f alone; endpoints are ints over one common denominator."""
+        """Shrink an isolating interval of f to the node that bisection on
+        the sign of f returns: the first node no wider than `width`, or a
+        midpoint that is the root, as a point.  Quadratic interval
+        refinement takes 2^g cells at once: the secant through f's values
+        at the ends names a grid point, signs there pick a cell, and a hit
+        squares the cell count; a miss halves g and bisects once.  g is
+        capped at the steps left, so every cell is a tree node."""
         if iv.is_point:
             return iv
         f, a, b = self.chain[0], iv.lo, iv.hi
+        n = len(f) - 1
         den = lcm(a.denominator, b.denominator)
         lo, hi = a.numerator * den // a.denominator, b.numerator * den // b.denominator
-        s_lo = _sign_int_poly(f, lo, den)
-        if s_lo == 0:
+        f_lo = _value_int_poly(f, lo, den)
+        if f_lo == 0:
             raise InternalError(f"isolating interval {iv!r} has a root at its open end")
-        while (hi - lo) * width.denominator > width.numerator * den:
-            s = _sign_int_poly(f, lo + hi, 2 * den)
-            if s == 0:
-                m = Fraction(lo + hi, 2 * den)
-                return Interval(m, m, False, False)
-            lo, hi, den = (lo + hi, 2 * hi, 2 * den) if s == s_lo else (2 * lo, lo + hi, 2 * den)
+        # bisection steps to a node no wider than width: bit length of ceil(ratio) - 1
+        depth = (-(-(hi - lo) * width.denominator // (width.numerator * den)) - 1).bit_length()
+        f_hi = _value_int_poly(f, hi, den) if depth else 0
+        g = after_bisect = 2
+        while depth:
+            g = min(g, depth)
+            cells, step, d = 1 << g, hi - lo, den << g
+
+            def at(i):  # d^n f at grid point i; the ends are known
+                if i in (0, cells):
+                    return (f_hi if i else f_lo) << (g * n)
+                return _value_int_poly(f, (lo << g) + i * step, d)
+
+            total = abs(f_lo) + abs(f_hi)
+            # the inner grid point nearest the secant's root; the midpoint when g = 1
+            i = min(max((2 * cells * abs(f_lo) + total) // (2 * total), 1), cells - 1)
+            v = at(i)
+            o = i + 1 if (v < 0) == (f_lo < 0) else i - 1  # the other end of the cell toward the root
+            w = at(o) if v else 0
+            if v == 0 or w == 0:
+                return _point(Fraction((lo << g) + (i if v == 0 else o) * step, d))
+            if (v < 0) == (w < 0):
+                g, after_bisect = 1, max(g // 2, 2)
+                continue
+            k = min(i, o)
+            lo, hi, den = (lo << g) + k * step, (lo << g) + (k + 1) * step, d
+            f_lo, f_hi = (v, w) if k == i else (w, v)
+            depth -= g
+            g = 2 * g if g > 1 else after_bisect
         return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
@@ -232,8 +260,7 @@ def locate_real_roots(f, iso=None):
     polynomial: exact points [m, m], and half-open (a, b] holding one root
     with f nonzero at both ends.  `iso` is an isolator already built for f."""
     if f.degree == 1:
-        r = -f.coeffs[0] / f.coeffs[1]
-        return [Interval(r, r, False, False)]
+        return [_point(-f.coeffs[0] / f.coeffs[1])]
     iso = iso or _Isolator(f)
     M = iso.bound
     stack = [(-M, M, iso.variations(-M), iso.variations(M))]
@@ -250,7 +277,7 @@ def locate_real_roots(f, iso=None):
         vm, hit = iso.variations(m), iso.sign(m) == 0
         if hit:
             points.add(m)
-            out.append(Interval(m, m, False, False))
+            out.append(_point(m))
         stack.append((a, m, va, vm + hit))  # at a root m, V(m) = V(m+) = V(m-) - 1
         stack.append((m, b, vm, vb))
     out.sort(key=lambda iv: iv.lo)
@@ -272,32 +299,48 @@ def sturm_count(p, iv, iso=None):
     return n
 
 
+def _exact_image(p):
+    """The rational polynomial a float p holds (mpf coefficients are
+    dyadic rationals); a rational p itself."""
+    return p if p.kind == RATIONAL else Poly.rational([as_exact(c) for c in p.coeffs])
+
+
+def _ends_of_kind(p, iv):
+    """iv with ends of p's kind: mpf for a float p, exact where dyadic and
+    rounded outward at prec + 64 bits where not (a degree-1 root)."""
+    if p.kind == RATIONAL:
+        return iv
+    lo, hi = (
+        mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, max(p.prec + 64, x.numerator.bit_length()), rnd))
+        for x, rnd in ((iv.lo, "f"), (iv.hi, "c"))
+    )
+    return Interval(lo, hi, iv.lo_open, iv.hi_open)
+
+
 def isolate_roots(p, width, iso=None):
     """Disjoint sorted isolating intervals for the real roots of p.
 
-    Rational mode: one Sturm bisection tree over the chain of p's
-    squarefree part, intervals refined to <= width.  p's own chain (`iso`,
-    reused if given) comes first; when it shows p squarefree (gcd(p, p')
-    constant) no Yun decomposition runs, else multiplicities are read off
-    the signs of p's Yun factors.  Float mode: companion-matrix seeds
-    polished by Newton at the working precision; the input is assumed
-    squarefree.
+    One Sturm bisection tree over the chain of p's squarefree part,
+    intervals refined to <= width.  p's own chain (`iso`, reused if
+    given) comes first; when it shows p squarefree (gcd(p, p') constant)
+    no Yun decomposition runs, else multiplicities are read off the signs
+    of p's Yun factors.  A float p is isolated as the rational polynomial
+    it holds, so count, multiplicities and `squarefree` are certified for
+    that polynomial; its interval ends are mpf (`_ends_of_kind`).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if isinstance(width, _Infinity) or not width > 0:
         raise ValueError("width must be positive")
-    if p.kind == FLOAT:
-        return _isolate_float(p, width)
-    width = Fraction(width) if not isinstance(width, Fraction) else width
-    iso = iso or _Isolator(p)
+    width = as_exact(width)
+    iso = iso or _Isolator(_exact_image(p))
     squarefree = iso.gcd_degree == 0
     if not squarefree:
-        decomp = squarefree_decomposition(p)
+        decomp = squarefree_decomposition(iso.poly)
         iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
     roots = tuple(
-        RootInterval(iso.refine(iv, width), 1 if squarefree else _multiplicity(factors, iv))
+        RootInterval(_ends_of_kind(p, iso.refine(iv, width)), 1 if squarefree else _multiplicity(factors, iv))
         for iv in locate_real_roots(iso.poly, iso)
     )
     return RootSet(roots=roots, count=len(roots), squarefree=squarefree)
@@ -308,52 +351,10 @@ def _multiplicity(factors, iv):
     squarefree part: that of the Yun factor (an integer vector) which
     vanishes at a point root, or changes sign across a half-open interval."""
     for f, mult in factors:
-        lo, hi = (_sign_int_poly(f, x.numerator, x.denominator) for x in (iv.lo, iv.hi))
+        lo, hi = (_sign(_value_int_poly(f, x.numerator, x.denominator)) for x in (iv.lo, iv.hi))
         if lo == 0 if iv.is_point else lo != hi:
             return mult
     raise InternalError(f"no squarefree factor has the root in {iv!r}")
-
-
-def _isolate_float(p, width):
-    prec = p.prec or 256
-    with mpmath.workprec(prec + 64):
-        scale = max(abs(c) for c in p.coeffs)
-        f = Poly.floating([c / scale for c in p.coeffs], prec + 64)
-        fprime = f.derivative()
-        seeds = np.roots([float(c) for c in reversed(f.coeffs)])
-        tol = mpmath.mpf(2) ** (-prec + 8)
-        roots = []
-        for z in seeds:
-            if abs(z.imag) > 1e-6 * (1 + abs(z.real)):
-                continue
-            x = mpmath.mpf(z.real)
-            for it in range(100):
-                d = fprime(x)
-                if d == 0:
-                    raise IllConditionedError(f"derivative vanished while polishing near {float(x)}")
-                step = f(x) / d
-                x -= step
-                if abs(step) <= tol * (1 + abs(x)):
-                    break
-            else:
-                raise IllConditionedError(f"no convergence in 100 Newton iterations near {float(x)}")
-            roots.append(x)
-        roots.sort()
-        w = to_mpf(width, prec) if isinstance(width, Fraction) else mpmath.mpf(width)
-        for a, b in zip(roots, roots[1:]):
-            if b - a <= tol * (1 + abs(b)):
-                raise IllConditionedError(
-                    f"two seeds polished to the same root near {float(a)}; another root may be lost"
-                )
-            if b - a < w:
-                raise IllConditionedError(
-                    f"roots near {float(a)} and {float(b)} are closer than the requested width"
-                )
-        half = w / 2
-        ivs = tuple(
-            RootInterval(Interval(r - half, r + half, False, False), 1) for r in roots
-        )
-        return RootSet(roots=ivs, count=len(ivs), squarefree=True)
 
 
 @dataclass(frozen=True)
@@ -402,8 +403,7 @@ def interlaces(p, q, p_iso=None, q_iso=None):
     if q.degree != p.degree + 1:
         raise ValueError(f"degree mismatch: deg q = {q.degree}, expected deg p + 1 = {p.degree + 1}")
     numeric = p.kind == FLOAT or q.kind == FLOAT
-    if numeric:
-        p, q = (Poly.rational([as_exact(c) for c in f.coeffs]) for f in (p, q))
+    p, q = _exact_image(p), _exact_image(q)
     chain = _remainders(q, p)
     index = _cauchy_index(chain)
     shared = len(chain[-1]) - 1  # deg gcd(p, q)

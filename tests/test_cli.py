@@ -202,7 +202,7 @@ def test_zeros_accepts_sequence_document(capsys, tmp_path):
 
 def test_zeros_refuses_close_float_roots(capsys, tmp_path):
     # the float quintic (x-1)(x-1-1e-14)(x-2)(x+3)x has five real roots;
-    # float isolation cannot separate two of them and must not drop one
+    # isolation on the held polynomial separates the two 1e-14 apart
     import mpmath
 
     with mpmath.workprec(256):
@@ -212,8 +212,10 @@ def test_zeros_refuses_close_float_roots(capsys, tmp_path):
         doc = {"sequence": [[mpmath.nstr(c, 80) for c in coeffs]], "precision": 256}
     path = tmp_path / "quintic.json"
     path.write_text(json.dumps(doc))
-    code, _ = run(capsys, "zeros", "--input", str(path))
-    assert code == 3
+    code, out = run(capsys, "zeros", "--input", str(path))
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[0] == "n,index,lo,hi,mid" and len(rows) == 6
 
 
 def test_strict_extension_flag(capsys, tmp_path):

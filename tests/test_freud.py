@@ -131,7 +131,7 @@ def test_p5_zeros_match_closed_form():
     seq = freud_sequence(data, 6)
     _, _, zp, zm = p5_invariants(data)
     with mpmath.workprec(256):
-        mids = isolate_roots(seq[5], mpmath.mpf(2) ** -120).midpoints(256)
+        mids = isolate_roots(seq[5], mpmath.mpf(2) ** -136).midpoints(256)
         expect = sorted([-mpmath.sqrt(zp), -mpmath.sqrt(zm), mpmath.mpf(0), mpmath.sqrt(zm), mpmath.sqrt(zp)])
         for m, e in zip(mids, expect):
             assert abs(m - e) <= (1 + abs(e)) * mpmath.mpf(10) ** -40

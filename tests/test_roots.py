@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddepoly.poly import NEG_INF, POS_INF, Poly
+import ddepoly.roots as roots
+from ddepoly.poly import NEG_INF, POS_INF, Poly, as_exact
 from ddepoly.roots import (
     InternalError,
     Interval,
@@ -230,11 +232,13 @@ def test_float_isolation_newton_polish():
 
 
 def test_float_isolation_reports_ill_conditioning():
-    from ddepoly.roots import IllConditionedError
-
-    p = Poly.floating([1, -2, 1], prec=192)  # (x-1)^2: Newton stalls at linear rate
-    with pytest.raises(IllConditionedError):
-        isolate_roots(p, mpmath.mpf(1e-20))
+    # (x-1)^2 is held exactly, so its double root is certified as the exact
+    # point 1 with multiplicity 2
+    p = Poly.floating([1, -2, 1], prec=192)
+    rs = isolate_roots(p, mpmath.mpf(1e-20))
+    assert rs.count == 1 and not rs.squarefree
+    (r,) = rs.roots
+    assert r.multiplicity == 2 and r.interval == Interval(mpmath.mpf(1), mpmath.mpf(1), False, False)
 
 
 def close_root_quintic(prec=256):
@@ -246,12 +250,51 @@ def close_root_quintic(prec=256):
     return p
 
 
+def held(p):
+    """The exact rational polynomial a float polynomial holds."""
+    return P([as_exact(c) for c in p.coeffs])
+
+
 @pytest.mark.parametrize("width", ["1e-9", "1e-30"])
 def test_float_isolation_refuses_to_merge_close_roots(width):
-    from ddepoly.roots import IllConditionedError
+    # the two roots 1e-14 apart come back as two intervals, each holding
+    # one root found by mpmath.polyroots; each is an exact root of the held
+    # polynomial or brackets a sign change of it at exact mpf ends
+    p = close_root_quintic()
+    rs = isolate_roots(p, mpmath.mpf(width))
+    assert rs.count == 5 and rs.squarefree
+    with mpmath.workdps(60):
+        ref = sorted(mpmath.re(z) for z in mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200, extraprec=400))
+        slack = mpmath.mpf(10) ** -40
+        for r, z in zip(rs.roots, ref):
+            iv = r.interval
+            assert isinstance(iv.lo, mpmath.mpf) and isinstance(iv.hi, mpmath.mpf)
+            assert iv.lo - slack <= z <= iv.hi + slack and iv.hi - iv.lo <= mpmath.mpf(width)
+    exact = held(p)
+    for r in rs.roots:
+        lo, hi = (exact(as_exact(x)) for x in (r.interval.lo, r.interval.hi))
+        assert lo == 0 if r.interval.is_point else lo * hi < 0
 
-    with pytest.raises(IllConditionedError):
-        isolate_roots(close_root_quintic(), mpmath.mpf(width))
+
+def test_float_isolation_keeps_the_root_beside_a_near_double_one():
+    # ((x-1)^2 + 1e-16)(x-3): a complex pair 1e-8 off the real axis and
+    # exactly one real root
+    with mpmath.workprec(256):
+        p = Poly.floating([1 + mpmath.mpf("1e-16"), -2, 1], 256) * Poly.floating([-3, 1], 256)
+    rs = isolate_roots(p, mpmath.mpf("1e-30"))
+    assert rs.count == 1 and rs.squarefree
+    assert rs.roots[0].interval.contains(mpmath.mpf(3))
+
+
+def test_float_linear_root_is_widened_outward():
+    # 3x - 1 holds the exact root 1/3, which no mpf equals
+    rs = isolate_roots(Poly.floating([-1, 3], prec=128), mpmath.mpf(1e-9))
+    iv = rs.roots[0].interval
+    assert isinstance(iv.lo, mpmath.mpf) and isinstance(iv.hi, mpmath.mpf)
+    assert not iv.lo_open and not iv.hi_open
+    third = Fraction(1, 3)
+    assert as_exact(iv.lo) < third < as_exact(iv.hi)
+    assert as_exact(iv.hi) - as_exact(iv.lo) < Fraction(1, 2**190)
 
 
 def test_float_interlacing_is_exact_on_the_held_dyadics():
@@ -350,6 +393,12 @@ def surd_side(a, s, d):
     return side
 
 
+def inside(iv, side):
+    """The root where `side` changes sign lies in iv."""
+    lo, hi = side(iv.lo), side(iv.hi)
+    return (lo < 0 or (lo == 0 and not iv.lo_open)) and (hi > 0 or (hi == 0 and not iv.hi_open))
+
+
 @settings(max_examples=60, deadline=None)
 @given(PLANTED_RATIONALS, PLANTED_SURDS, PLANTED_COMPLEX)
 def test_locate_real_roots_isolates_each_planted_root_once(rational, surds, complexes):
@@ -360,11 +409,6 @@ def test_locate_real_roots_isolates_each_planted_root_once(rational, surds, comp
     sides = [lambda x, r=r: (x > r) - (x < r) for r in rational]
     sides += [surd_side(a, s, d) for a, d in surds for s in (1, -1)]
     ivs = locate_real_roots(p, iso)
-
-    def inside(iv, side):
-        lo, hi = side(iv.lo), side(iv.hi)
-        return (lo < 0 or (lo == 0 and not iv.lo_open)) and (hi > 0 or (hi == 0 and not iv.hi_open))
-
     for side in sides:
         assert side(-iso.bound) < 0 < side(iso.bound)
         assert sum(inside(iv, side) for iv in ivs) == 1
@@ -391,6 +435,71 @@ def test_sign_refinement_matches_variation_bisection(rational, surds, complexes,
     iso = _Isolator(p)
     for iv in locate_real_roots(p, iso):
         assert iso.refine(iv, width) == variation_refine(p, iv, width)
+
+
+def bisection_refine(iso, iv, width):
+    """Plain bisection on the sign of f, the refinement `_Isolator.refine`
+    must reproduce node for node."""
+    if iv.is_point:
+        return iv
+    f, a, b = iso.chain[0], iv.lo, iv.hi
+    den = lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * den // a.denominator, b.numerator * den // b.denominator
+    s_lo = roots._sign(roots._value_int_poly(f, lo, den))
+    while (hi - lo) * width.denominator > width.numerator * den:
+        s = roots._sign(roots._value_int_poly(f, lo + hi, 2 * den))
+        if s == 0:
+            m = Fraction(lo + hi, 2 * den)
+            return Interval(m, m, False, False)
+        lo, hi, den = (lo + hi, 2 * hi, 2 * den) if s == s_lo else (2 * lo, lo + hi, 2 * den)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def seeded_product(rng):
+    """A scaled product of distinct rational, surd-pair and complex-pair
+    factors with multiplicities 1-3: (product, its monic squarefree part,
+    [(side of a planted real root, its multiplicity)])."""
+    rational = {Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))}
+    surds = {(rng.randint(-6, 6), rng.choice([2, 3, 5, 7, 13, 60])) for _ in range(rng.randint(0, 2))}
+    complexes = {(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(rng.randint(0, 2))}
+    factors = [(P([-r, 1]), [lambda x, r=r: (x > r) - (x < r)]) for r in rational]
+    factors += [(P([a * a - d, -2 * a, 1]), [surd_side(a, 1, d), surd_side(a, -1, d)]) for a, d in surds]
+    factors += [(P([b * b + c, 2 * b, 1]), []) for b, c in complexes]
+    p, sqf, planted = P([rng.choice([1, -2, Fraction(7, 3)])]), Poly.one(), []
+    for f, sides in factors:
+        m = rng.randint(1, 3)
+        p, sqf = p * f**m, sqf * f
+        planted += [(side, m) for side in sides]
+    return p, sqf, planted
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**9), Fraction(1, 10**30), Fraction(1, 2**256)])
+def test_isolation_matches_plain_bisection(width):
+    rng = random.Random(2006)
+    for _ in range(30):
+        p, sqf, planted = seeded_product(rng)
+        iso = _Isolator(sqf)
+        want = []
+        for iv in locate_real_roots(sqf, iso):
+            (m,) = [m for side, m in planted if inside(iv, side)]
+            want.append((bisection_refine(iso, iv, width), m))
+        assert [(r.interval, r.multiplicity) for r in isolate_roots(p, width).roots] == want
+
+
+def test_quadratic_refinement_needs_under_half_the_evaluations(monkeypatch):
+    calls = []
+    value = roots._value_int_poly
+    monkeypatch.setattr(roots, "_value_int_poly", lambda f, num, den: calls.append(1) or value(f, num, den))
+    rng, width, counts = random.Random(1971), Fraction(1, 2**256), [0, 0]
+    for _ in range(20):
+        _, sqf, _ = seeded_product(rng)
+        iso = _Isolator(sqf)
+        for iv in locate_real_roots(sqf, iso):
+            for i, refine in enumerate((iso.refine, lambda iv, w: bisection_refine(iso, iv, w))):
+                calls.clear()
+                refine(iv, width)
+                counts[i] += len(calls)
+    assert 2 * counts[0] < counts[1]
 
 
 def test_refine_returns_a_rational_root_hit_as_a_point():

@@ -16,8 +16,11 @@ tools/result_line.py asks for, and is stored as it came.  With --pairs N,
 run_s of the workload whose gain is claimed (--claim-workload, by default
 recover-classify) is also measured in N alternating pairs at --trace 0,
 odd pairs running the parent first and even pairs the change first.  A
-scaling row times verify_sequence once per family and degree on each
-side, by the stored command SCALING.  The file also holds the machine facts and the commands.
+scaling row times verify_sequence per family and degree by the stored
+command SCALING, run SCALING_RUNS times per side with the side that runs
+first alternating, and keeps the median and every run: one wall-clock
+run per cell spreads wider than the changes it should show.  The file
+also holds the machine facts and the commands.
 Only the standard library is used; the interpreter that runs this script
 runs perfbench too.
 """
@@ -46,6 +49,7 @@ for k, p in F:
         row[f"{k} N={N}"] = [round(time.perf_counter() - t, 3), ok]
 print(json.dumps(row))
 """
+SCALING_RUNS = 3
 
 
 def perfbench(checkout, workload, seed, seconds, trace):
@@ -138,11 +142,20 @@ def main():
                 doc["perfbench"].append({"side": side, "workload": w, "seed": args.seed, "trace": trace, "result": result})
 
     doc["scaling"] = {
-        "what": "verify_sequence wall seconds (one run each) and agreement, width 1e-9",
+        "what": f"verify_sequence wall seconds (median and all {SCALING_RUNS} runs) and agreement, width 1e-9",
         "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING),
+        "order": "odd runs run the parent first, even runs the change first",
     }
-    for side, checkout in sides:
-        doc["scaling"][side] = scaling(checkout)
+    rows = {"parent": [], "change": []}
+    for i in range(1, SCALING_RUNS + 1):
+        for side, checkout in sides if i % 2 else sides[::-1]:
+            rows[side].append(scaling(checkout))
+    for side, runs in rows.items():
+        doc["scaling"][side] = {
+            cell: {"median": statistics.median(r[cell][0] for r in runs), "runs": [r[cell][0] for r in runs],
+                   "agreement": all(r[cell][1] for r in runs)}
+            for cell in runs[0]
+        }
 
     if args.pairs:
         pairs, runs = [], {"parent": [], "change": []}
