@@ -189,11 +189,11 @@ def cmd_freud_demo(args):
     with mpmath.workprec(args.precision):
         expected = sorted([-mpmath.sqrt(zp), -mpmath.sqrt(zm), mpmath.mpf(0), mpmath.sqrt(zm), mpmath.sqrt(zp)])
         width = mpmath.mpf(2) ** (-args.precision // 2)
-        mids = isolate_roots(seq[5], width).midpoints(args.precision)
-        zero_err = max(abs(m - e) / (1 + abs(e)) for m, e in zip(mids, expected))
+    xy = sample_xy(seq[5], seq[6], width)  # x_k: the zeros of P_5, isolated once
+    with mpmath.workprec(args.precision):
+        zero_err = max(abs(x - e) / (1 + abs(e)) for (x, _), e in zip(xy, expected))
     result = admits_dde(list(seq.polys), tolerance=args.tolerance)
     fail5 = result.entry(5)
-    xy = sample_xy(seq[5], seq[6], width)
     with mpmath.workprec(args.precision):
         V = mpmath.matrix(5, 5)
         for i, (x, _) in enumerate(xy):

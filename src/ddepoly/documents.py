@@ -26,7 +26,7 @@ import mpmath
 
 from .dde import CoefficientPair, CoefficientTable
 from .families import FamilySpec
-from .poly import Poly, _Infinity, format_scalar
+from .poly import Poly, Surd, _Infinity, format_scalar
 from .roots import Interval
 
 
@@ -153,7 +153,7 @@ def jsonable(obj, dps=30):
         return obj
     if isinstance(obj, float):
         return obj
-    if isinstance(obj, (Fraction, _Infinity, mpmath.mpf)):
+    if isinstance(obj, (Fraction, Surd, _Infinity, mpmath.mpf)):
         return format_scalar(obj, dps)
     if isinstance(obj, Poly):
         return [format_scalar(c, dps) for c in obj.coeffs]

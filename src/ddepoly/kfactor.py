@@ -15,29 +15,20 @@ some combination.
 K is handled through |K|: all zero/limit analysis is insensitive to the
 sign convention between singular points, and real powers of negative
 bases never arise.
+
+Points and exponents are exact (Fractions, or `poly.Surd`s at irrational
+roots of A) and are ordered with plain `<`; only `log_k_eval` uses floats.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 
-from .poly import (
-    DEFAULT_FLOAT_PREC,
-    NEG_INF,
-    POS_INF,
-    RATIONAL,
-    ext_eq,
-    ext_le,
-    ext_lt,
-    format_scalar,
-    fraction_sqrt,
-    is_finite,
-    to_mpf,
-)
+from .poly import NEG_INF, POS_INF, RATIONAL, Surd, format_scalar, is_finite, to_mpf
 from .dde import CoefficientPair
 
 ZERO = "zero"
@@ -49,10 +40,6 @@ EXTENSION_TAGS = {"B-zero", "linear-A-constant-B", "constant-A-constant-B", "irr
 
 class SingularPointError(ValueError):
     """Evaluation requested at a singular point of the closed form."""
-
-
-def ext_key(points):
-    return sorted(points, key=functools.cmp_to_key(lambda a, b: -1 if ext_lt(a, b) else (0 if ext_eq(a, b) else 1)))
 
 
 @dataclass(frozen=True)
@@ -73,23 +60,18 @@ class LogDerivativeForm:
 
     def exponent_at(self, s):
         for p, e in self.log_terms:
-            if ext_eq(p, s):
+            if p == s:
                 return e
         return Fraction(0)
 
     def pole_at(self, s):
         for p, d in self.poles:
-            if ext_eq(p, s):
+            if p == s:
                 return d
         return Fraction(0)
 
     def singular_points(self):
-        pts = [s for s, e in self.log_terms if e] + [s for s, d in self.poles if d]
-        out = []
-        for p in ext_key(pts):
-            if not any(ext_eq(p, q) for q in out):
-                out.append(p)
-        return tuple(out)
+        return tuple(sorted({s for s, e in self.log_terms if e} | {s for s, d in self.poles if d}))
 
 
 def limit_class(form, point, side=None):
@@ -129,7 +111,6 @@ class KClassification:
     pair: CoefficientPair  # normalized: A monic
     form: LogDerivativeForm
     a_roots: tuple  # ((root, multiplicity), ...) real roots of A
-    numeric: bool = False
 
     @property
     def extension(self):
@@ -157,17 +138,16 @@ def normalize(c):
 def classify(c):
     """Identify the closed form of K from a coefficient pair.
 
-    Requires rational coefficients.  Quadratic A with an irrational
-    (positive, non-square) discriminant gets big-float roots and a
-    classification tagged numeric; all coincidence decisions stay exact.
+    Requires rational coefficients.  A quadratic A with an irrational
+    (positive, non-square) discriminant has two `Surd` roots, and every
+    point and exponent is exact.
     """
     c = normalize(c)
     A, B = c.A, c.B
     if A.kind != RATIONAL or (not B.is_zero and B.kind != RATIONAL):
         raise ValueError("classification requires rational coefficients; bind parameters to rationals first")
     roots = _real_roots_of_a(A)
-    numeric = any(isinstance(r, mpmath.mpf) for r, _ in roots)
-    return KClassification(_tag(A, B, roots), c, _log_form(A, B, roots), roots, numeric)
+    return KClassification(_tag(A, B, roots), c, _log_form(A, B, roots), roots)
 
 
 def _tag(A, B, roots):
@@ -219,10 +199,13 @@ def _log_form(A, R, roots):
             poles=((lam, d),) if d else (),
             growth=r1,
         )
-    # R(lam)/(lam - xi) / (x - lam) + R(xi)/(xi - lam) / (x - xi); surd roots
-    # are 256-bit floats, so divide at that precision
+    # R(lam)/(lam - xi) / (x - lam) + R(xi)/(xi - lam) / (x - xi); at surd roots
+    # a +- b sqrt(d), R/A' = (R(a) +- r1 b sqrt(d)) / (+-2b sqrt(d)) = r1/2 +- (R(a)/(2bd)) sqrt(d)
     (xi, _), (lam, _) = roots
-    with mpmath.workprec(DEFAULT_FLOAT_PREC):
+    if isinstance(lam, Surd):
+        ra = R(lam.a)
+        logs = tuple((s, Surd(r1 / 2, ra / (2 * s.b * s.d), s.d) if ra else r1 / 2) for s in (lam, xi))
+    else:
         logs = ((lam, R(lam) / (lam - xi)), (xi, R(xi) / (xi - lam)))
     return LogDerivativeForm(log_terms=tuple((s, e) for s, e in logs if e), growth=r1)
 
@@ -239,13 +222,11 @@ def _real_roots_of_a(A):
         return ()
     if disc == 0:
         return ((-p / 2, 2),)
-    s = fraction_sqrt(disc)
-    if s is not None:
-        return (((-p - s) / 2, 1), ((-p + s) / 2, 1))
-    with mpmath.workprec(DEFAULT_FLOAT_PREC):
-        sm = mpmath.sqrt(to_mpf(disc))
-        pm = to_mpf(p)
-        return (((-pm - sm) / 2, 1), ((-pm + sm) / 2, 1))
+    d = disc.numerator * disc.denominator  # sqrt(disc) = sqrt(d) / denominator
+    s, b = isqrt(d), Fraction(1, 2 * disc.denominator)
+    if s * s == d:
+        return ((-p / 2 - s * b, 1), (-p / 2 + s * b, 1))
+    return ((Surd(-p / 2, -b, d), 1), (Surd(-p / 2, b, d), 1))
 
 
 @dataclass(frozen=True)
@@ -375,7 +356,7 @@ class CaseDecision:
     interlacing: bool = False
     real_simple: bool = False
     containment: tuple | None = None
-    numeric: bool = False
+    numeric: bool = False  # always False: every endpoint is exact; kept as a report key
     diagnosis: dict | None = None
 
     @property
@@ -398,14 +379,13 @@ def decide_case(specs, p1_root, n_start=1, strict_extension=False):
                 return CaseDecision(
                     "none", n_start, diagnosis={"all": f"n={n_start + i}: irreducible quadratic A refused (strict mode)"}
                 )
-    numeric = any(s.classification.numeric for s in specs)
     diagnosis = {}
     for case in "abcd":
         dec = _try_case(case, specs, p1_root, n_start)
         if dec.ok:
-            return dec if not numeric else replace(dec, numeric=True)
+            return dec
         diagnosis[case] = dec.diagnosis["failure"]
-    return CaseDecision("none", n_start, diagnosis=diagnosis, numeric=numeric)
+    return CaseDecision("none", n_start, diagnosis=diagnosis)
 
 
 def _fail(msg):
@@ -416,7 +396,7 @@ def _interior_continuity(spec, alpha, beta):
     """K continuous/differentiable between the endpoints: no blow-up point
     of K strictly inside (alpha, beta)."""
     for s in spec.k_singular:
-        if ext_lt(alpha, s) and ext_lt(s, beta):
+        if alpha < s < beta:
             return f"K blows up at {format_scalar(s)} inside ({format_scalar(alpha)}, {format_scalar(beta)})"
     return None
 
@@ -446,15 +426,15 @@ def _endpoint_finite(spec, point, side):
 
 def _chain_ok(alphas, betas, strict_alpha=False, strict_beta=False, n_start=1):
     for i in range(len(alphas)):
-        if not ext_lt(alphas[i], betas[i]):
+        if not alphas[i] < betas[i]:
             return f"alpha_{n_start + i} >= beta_{n_start + i}"
     for i in range(len(alphas) - 1):
         n = n_start + i
-        a_ok = ext_lt(alphas[i + 1], alphas[i]) if strict_alpha else not ext_lt(alphas[i], alphas[i + 1])
+        a_ok = alphas[i + 1] < alphas[i] if strict_alpha else not alphas[i] < alphas[i + 1]
         if not a_ok:
             op = "<" if strict_alpha else "<="
             return f"n={n + 1}: need alpha_{n + 1} {op} alpha_{n}"
-        b_ok = ext_lt(betas[i], betas[i + 1]) if strict_beta else not ext_lt(betas[i + 1], betas[i])
+        b_ok = betas[i] < betas[i + 1] if strict_beta else not betas[i + 1] < betas[i]
         if not b_ok:
             op = "<" if strict_beta else "<="
             return f"n={n}: need beta_{n} {op} beta_{n + 1}"
@@ -462,8 +442,8 @@ def _chain_ok(alphas, betas, strict_alpha=False, strict_beta=False, n_start=1):
 
 
 def _gamma_ok(gamma, alpha, beta, weak_low=False, weak_high=False):
-    lo_ok = ext_le(alpha, gamma) if weak_low else ext_lt(alpha, gamma)
-    hi_ok = ext_le(gamma, beta) if weak_high else ext_lt(gamma, beta)
+    lo_ok = alpha <= gamma if weak_low else alpha < gamma
+    hi_ok = gamma <= beta if weak_high else gamma < beta
     if not (lo_ok and hi_ok):
         lo_op = "<=" if weak_low else "<"
         hi_op = "<=" if weak_high else "<"
@@ -492,7 +472,7 @@ def _try_case_a(specs, gamma, n_start):
         zs = spec.zeros_of_k
         if len(zs) != 2:
             return _fail(f"n={n}: K vanishes at {len(zs)} point(s), need exactly 2")
-        lo, hi = (zs[0], zs[1]) if ext_lt(zs[0].point, zs[1].point) else (zs[1], zs[0])
+        lo, hi = (zs[0], zs[1]) if zs[0].point < zs[1].point else (zs[1], zs[0])
         if not lo.usable_as_left():
             return _fail(f"n={n}: K -> 0 at {lo!r} only from the wrong side for a left endpoint")
         if not hi.usable_as_right():
@@ -542,17 +522,17 @@ def _try_case_bc(case, orient, specs, gamma, n_start):
                 return _fail(f"n={n}: K zero at {kz!r} unusable as a left endpoint")
             cands = [
                 z for z in spec.zeros_of_a_over_k
-                if z.usable_as_right() and is_finite(z.point) and ext_lt(kz.point, z.point)
+                if z.usable_as_right() and is_finite(z.point) and kz.point < z.point
             ]
-            cands.sort(key=functools.cmp_to_key(lambda u, v: -1 if ext_lt(u.point, v.point) else 1))
+            cands.sort(key=lambda z: z.point)
         else:
             if not kz.usable_as_right():
                 return _fail(f"n={n}: K zero at {kz!r} unusable as a right endpoint")
             cands = [
                 z for z in spec.zeros_of_a_over_k
-                if z.usable_as_left() and is_finite(z.point) and ext_lt(z.point, kz.point)
+                if z.usable_as_left() and is_finite(z.point) and z.point < kz.point
             ]
-            cands.sort(key=functools.cmp_to_key(lambda u, v: -1 if ext_lt(v.point, u.point) else 1))
+            cands.sort(key=lambda z: z.point, reverse=True)
         chosen = None
         for cand in cands:
             side = "-" if orient == "k-at-alpha" else "+"
@@ -618,7 +598,7 @@ def _try_case_d(specs, gamma, n_start):
         zs = spec.zeros_of_a_over_k
         if len(zs) != 2:
             return _fail(f"n={n}: A/K vanishes at {len(zs)} point(s), need exactly 2")
-        lo, hi = (zs[0], zs[1]) if ext_lt(zs[0].point, zs[1].point) else (zs[1], zs[0])
+        lo, hi = (zs[0], zs[1]) if zs[0].point < zs[1].point else (zs[1], zs[0])
         if not is_finite(lo.point) or not is_finite(hi.point):
             return _fail(f"n={n}: A/K endpoints must be finite (a zero of the next member sits on each)")
         if not lo.usable_as_left() or not hi.usable_as_right():

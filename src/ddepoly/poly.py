@@ -9,6 +9,7 @@ the polynomial's precision.  All values are immutable.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -30,10 +31,11 @@ class InternalError(RuntimeError):
     """An invariant of the exact kernel failed: a bug, never an input error."""
 
 
+@functools.total_ordering
 class _Infinity:
     """Tagged signed infinity for extended-real endpoints.
 
-    Compares with ints, Fractions and mpf values; never collapses to a
+    Compares with ints, Fractions, surds and mpf values; never collapses to a
     float.  Use the module singletons NEG_INF and POS_INF.
     """
 
@@ -46,17 +48,6 @@ class _Infinity:
         if isinstance(other, _Infinity):
             return self.sign < other.sign
         return self.sign < 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __ge__(self, other):
-        return self == other or self > other
 
     def __eq__(self, other):
         return isinstance(other, _Infinity) and other.sign == self.sign
@@ -75,12 +66,72 @@ NEG_INF = _Infinity(-1)
 POS_INF = _Infinity(+1)
 
 
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _sign_surd(u, v, d):
+    """Sign of u + v sqrt(d) for rationals u, v and a non-square d > 1."""
+    su, sv = _sign(u), _sign(v)
+    return su if su == sv or not sv or (su and u * u > v * v * d) else sv
+
+
+@functools.total_ordering
+class Surd:
+    """An irrational a + b sqrt(d): Fractions a and b != 0, and an integer d > 1
+    that is not a square.  Ordered exactly against ints, Fractions, surds of any
+    d and the infinity tags.  No `_mpf_`, so mpmath never takes one for a float."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def _cmp(self, x):
+        """Sign of self - x."""
+        if isinstance(x, _Infinity):
+            return -x.sign
+        if isinstance(x, (int, Fraction)):
+            return _sign_surd(self.a - x, self.b, self.d)
+        if not isinstance(x, Surd):
+            return NotImplemented
+        u = self.a - x.a
+        if x.d == self.d:
+            return _sign_surd(u, self.b - x.b, self.d)
+        # u + b sqrt(d) against b' sqrt(d'): by sign, then by u^2 + b^2 d - b'^2 d' + 2ub sqrt(d)
+        left, right = _sign_surd(u, self.b, self.d), _sign(x.b)
+        if left != right:
+            return _sign(left - right)
+        return left * _sign_surd(u * u + self.b * self.b * self.d - x.b * x.b * x.d, 2 * u * self.b, self.d)
+
+    def __eq__(self, x):  # never equal to a rational
+        return isinstance(x, Surd) and self._cmp(x) == 0
+
+    def __lt__(self, x):
+        c = self._cmp(x)
+        return c if c is NotImplemented else c < 0
+
+    def __hash__(self):
+        # equal surds share a, b^2 d and the sign of b, whatever their d
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
+
+    def __repr__(self):
+        return f"Surd({self.a}, {self.b}, {self.d})"
+
+
 def is_finite(x):
     return not isinstance(x, _Infinity)
 
 
 def to_mpf(x, prec=DEFAULT_FLOAT_PREC):
-    """Convert int/Fraction/mpf/float to mpf at the given precision."""
+    """Convert int/Fraction/Surd/mpf/float to mpf at the given precision; a
+    surd with a and b of opposite signs as (a^2 - b^2 d) / (a - b sqrt(d))."""
+    if isinstance(x, Surd):
+        with mpmath.workprec(prec + 16):
+            a, root = to_mpf(x.a, prec + 16), to_mpf(x.b, prec + 16) * mpmath.sqrt(x.d)
+            v = a + root if x.a * x.b >= 0 else to_mpf(x.a * x.a - x.b * x.b * x.d, prec + 16) / (a - root)
+        with mpmath.workprec(prec):
+            return +v
     if isinstance(x, Fraction):
         with mpmath.workprec(prec):
             return mpmath.mpf(x.numerator) / x.denominator
@@ -88,39 +139,14 @@ def to_mpf(x, prec=DEFAULT_FLOAT_PREC):
         return mpmath.mpf(x)
 
 
-def mpf_to_fraction(x):
-    """Exact Fraction equal to a finite mpf (mpf values are dyadic)."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if exp != 0:
-            raise ValueError(f"cannot convert non-finite value {x!r}")
-        return Fraction(0)
-    v = Fraction(man) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** -exp))
-    return -v if sign else v
-
-
 def as_exact(x):
-    """Exact Fraction for an int, Fraction or finite mpf (compared as dyadic)."""
-    return mpf_to_fraction(x) if isinstance(x, mpf) else Fraction(x)
-
-
-def ext_lt(a, b):
-    """a < b on the extended real line, exactly (mpf compared as dyadic)."""
-    if isinstance(a, _Infinity):
-        return a < b
-    if isinstance(b, _Infinity):
-        return b > a
-    return as_exact(a) < as_exact(b)
-
-
-def ext_le(a, b):
-    return ext_eq(a, b) or ext_lt(a, b)
-
-
-def ext_eq(a, b):
-    if isinstance(a, _Infinity) or isinstance(b, _Infinity):
-        return a == b
-    return as_exact(a) == as_exact(b)
+    """Exact Fraction for an int, Fraction or finite mpf (mpf values are dyadic)."""
+    if not isinstance(x, mpf):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"cannot convert non-finite value {x!r}")
+    return (-man if sign else man) * Fraction(2) ** exp
 
 
 def as_fraction(x):
@@ -134,27 +160,8 @@ def as_fraction(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def fraction_sqrt(f):
-    """Exact square root of a nonnegative Fraction, or None if irrational."""
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn = _isqrt_exact(n)
-    rd = _isqrt_exact(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def format_scalar(x, dps=17):
-    """Render a scalar for reports: exact 'p/q' for rationals, decimal for floats."""
+    """Render a scalar for reports: exact 'p/q' for rationals, decimal otherwise."""
     if isinstance(x, _Infinity):
         return repr(x)
     if isinstance(x, (int,)):
@@ -163,6 +170,8 @@ def format_scalar(x, dps=17):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, mpmath.mpf):
         return mpmath.nstr(x, dps)
+    if isinstance(x, Surd):  # about 4 bits a digit, and a margin
+        return mpmath.nstr(to_mpf(x, 4 * dps + 64), dps)
     return mpmath.nstr(mpmath.mpf(x), dps)
 
 

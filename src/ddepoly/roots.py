@@ -42,8 +42,11 @@ from .poly import (
     InternalError,
     KindMismatchError,
     Poly,
+    Surd,
     _Infinity,
     _remainders,
+    _sign,
+    _sign_surd,
     as_exact,
     format_scalar,
     is_finite,
@@ -127,8 +130,23 @@ def _value_int_poly(coeffs, num, den):
     return acc
 
 
-def _sign(v):
-    return (v > 0) - (v < 0)
+def _signs_at(chain, x):
+    """Exact signs of integer vectors at a Fraction or a Surd x.  At
+    x = (p + q sqrt(d)) / den, Horner in Q(sqrt(d)) gives the integers U, V
+    with den^n f(x) = U + V sqrt(d)."""
+    if not isinstance(x, Surd):
+        num, den = x.numerator, x.denominator
+        return [_sign(_value_int_poly(c, num, den)) for c in chain]
+    d, den = x.d, lcm(x.a.denominator, x.b.denominator)
+    p, q = x.a.numerator * den // x.a.denominator, x.b.numerator * den // x.b.denominator
+    out = []
+    for c in chain:
+        u, v, power = c[-1], 0, 1
+        for ci in reversed(c[:-1]):
+            power *= den
+            u, v = u * p + v * q * d + ci * power, u * q + v * p
+        out.append(_sign_surd(u, v, d))
+    return out
 
 
 def _variations(signs):
@@ -194,16 +212,15 @@ class _Isolator:
         return len(self.chain[-1]) - 1
 
     def sign(self, x):
-        return _sign(_value_int_poly(self.chain[0], x.numerator, x.denominator))
+        return _signs_at(self.chain[:1], x)[0]
 
     def variations(self, x):
         if isinstance(x, _Infinity):
             return _variations_inf(self.chain, x.sign)
-        num, den = x.numerator, x.denominator
-        return _variations([_sign(_value_int_poly(c, num, den)) for c in self.chain])
+        return _variations(_signs_at(self.chain, x))
 
     def count_half_open(self, lo, hi):
-        """Distinct roots in (lo, hi]; lo/hi are Fractions or infinity tags."""
+        """Distinct roots in (lo, hi]; lo/hi are Fractions, Surds or infinity tags."""
         return self.variations(lo) - self.variations(hi)
 
     def refine(self, iv, width):

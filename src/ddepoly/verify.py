@@ -25,7 +25,6 @@ from .poly import (
     POS_INF,
     RATIONAL,
     Poly,
-    as_exact,
     format_scalar,
     is_finite,
     to_mpf,
@@ -63,17 +62,17 @@ class VerificationReport:
 
 def _check_containment(p, bounds, iso=None):
     """Witness for zeros of the real-simple p outside the claimed interval,
-    or None.  Counts the zeros beyond each finite endpoint exactly; an mpf
-    endpoint (an irrational root of A) is compared as the dyadic it holds.
-    `iso` is an isolator already built for p."""
+    or None.  Counts the zeros beyond each finite endpoint exactly, at a
+    Fraction or a Surd endpoint alike.  `iso` is an isolator already built
+    for p."""
     alpha, beta, lo_closed, hi_closed = bounds
     if is_finite(beta):
-        n = sturm_count(p, Interval(as_exact(beta), POS_INF, lo_open=hi_closed), iso=iso)
+        n = sturm_count(p, Interval(beta, POS_INF, lo_open=hi_closed), iso=iso)
         if n:
             end = "]" if hi_closed else ")"
             return f"{n} zero(s) beyond right endpoint {format_scalar(beta)}{end}"
     if is_finite(alpha):
-        n = sturm_count(p, Interval(NEG_INF, as_exact(alpha), hi_open=lo_closed), iso=iso)
+        n = sturm_count(p, Interval(NEG_INF, alpha, hi_open=lo_closed), iso=iso)
         if n:
             end = "[" if lo_closed else "("
             return f"{n} zero(s) below left endpoint {end}{format_scalar(alpha)}"
@@ -93,10 +92,10 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     """Generate, predict, and empirically verify a sequence up to degree N.
 
     `spec` is a FamilySpec or any coefficient source exposing pair(n).
-    Exact arithmetic throughout for rational input.  The report carries a
-    numeric flag when the data are approximate: big-float coefficients, or
-    irrational endpoints held as big floats.  Those are compared exactly as
-    the dyadic rationals they hold.
+    Exact arithmetic throughout for rational input; irrational endpoints
+    are exact surds.  The report carries a numeric flag when the data are
+    approximate, that is when a member has big-float coefficients; those
+    are decided exactly as the dyadic rationals they hold.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -126,9 +125,7 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
         except IndexError:
             break  # table sources may stop at the last generation step
     specs = [boundary_zeros(classify(c)) for c in pairs]
-    numeric = any(s.classification.numeric for s in specs) or any(
-        p.kind == FLOAT for p in seq.polys[: usable + 1]
-    )
+    numeric = any(p.kind == FLOAT for p in seq.polys[: usable + 1])
     gamma = _first_root(seq[1])  # deg P_1 == 1 here, else n=1 was a collapse
     decision = (
         decide_case(specs, gamma, n_start=1, strict_extension=strict_extension) if specs else None

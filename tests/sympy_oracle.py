@@ -26,3 +26,10 @@ def gcd(p, q):
 def sqf_list(p):
     """Squarefree factorization [(monic f_i, i)] of a nonconstant rational polynomial."""
     return [(from_sympy(f).monic(), m) for f, m in to_sympy(p).sqf_list()[1]]
+
+
+def surd_to_sympy(x):
+    """a + b sqrt(d) for a Surd, the value itself for a Fraction."""
+    if isinstance(x, Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+    return surd_to_sympy(x.a) + surd_to_sympy(x.b) * sympy.sqrt(x.d)

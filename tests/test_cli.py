@@ -97,6 +97,38 @@ def test_freud_demo_reproduces_negative_result(capsys):
     assert doc["recurrence_coefficients"][1].startswith("0.581368317019118")
 
 
+def test_freud_demo_isolates_p5_once(capsys, monkeypatch):
+    # quintic_zero_mismatch reads the zeros that sample_xy isolated
+    import ddepoly.cli as cli
+    import ddepoly.dde as dde
+
+    calls = []
+    for mod in (cli, dde):
+        orig = mod.isolate_roots
+        monkeypatch.setattr(mod, "isolate_roots", lambda *a, orig=orig, **k: calls.append(1) or orig(*a, **k))
+    code, out = run(capsys, "freud-demo", "--no-timestamp")
+    assert code == 0 and json.loads(out)["quintic_zero_mismatch"] < 1e-30
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_close_surd_roots_get_a_case_diagnosis(capsys, tmp_path, command):
+    # A = (x-1)^2 - 2 10^-160 has the roots 1 +- sqrt(2) 10^-80, one 256-bit
+    # float apart from nothing; held exactly, they give an honest "no case"
+    c0 = f"{10**160 - 2}/{10**160}"
+    pairs = [{"A": ["1"], "B": ["0", "1"]}] + [{"A": [c0, "-2", "1"], "B": ["0", "1"]}] * 3
+    path = tmp_path / "close_roots.json"
+    path.write_text(json.dumps({"coefficients": pairs, "N": 3}))
+    code, out = run(capsys, command, "--input", str(path), "--no-timestamp")
+    assert code == 1
+    doc = json.loads(out)
+    decision = doc["decision"] if command == "classify" else doc["report"]["decision"]
+    assert decision["case"] == "none" and not decision["numeric"]
+    assert decision["diagnosis"]["a"] == "n=1: K vanishes at 1 point(s), need exactly 2"
+    if command == "classify":
+        assert len(doc["classifications"][0]["exponents"]) == 2
+
+
 def test_freud_demo_tiny_negative_t(capsys):
     # a valid t this close to 0 reaches the degree-5 verdict instead of a numeric abort
     code, out = run(capsys, "freud-demo", "--t=-1e-30", "--no-timestamp")

@@ -216,6 +216,13 @@ def test_sample_xy_rejects_repeated_roots():
         sample_xy(P([1, -2, 1]), P([0, 0, 0, 1]), Fraction(1, 100))
 
 
+def test_sample_xy_rejects_float_members_that_are_not_real_simple():
+    # one certified check for both kinds: a double root, and a pair of complex roots
+    for coeffs in ([1, -2, 1], [1, 0, 1]):
+        with pytest.raises(NonSimpleZerosError):
+            sample_xy(Poly.floating(coeffs), Poly.floating([0, 0, 0, 1]), mpmath.mpf(2) ** -40)
+
+
 def test_round_trip_generate_admits():
     src = CoefficientRule(lambda n: CoefficientPair(P([1, 0, -1]), P([0, -2 * (n + 1)])))
     seq = generate(src, 8)

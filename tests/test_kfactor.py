@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from ddepoly.dde import CoefficientPair
@@ -14,7 +13,7 @@ from ddepoly.kfactor import (
     limit_class,
     normalize,
 )
-from ddepoly.poly import NEG_INF, POS_INF, Poly, is_finite
+from ddepoly.poly import NEG_INF, POS_INF, Poly, Surd, is_finite
 from ddepoly.verify import check_k_identity
 
 P = Poly.rational
@@ -84,16 +83,16 @@ def test_classify_double_root_cases():
 
 
 def test_exponents_at_irrational_roots_keep_full_precision():
-    # A = x^2 - x - 1, B = x + 1: exponent B(r)/A'(r) at r = (1 +- sqrt 5)/2, summing to b_1 = 1
+    # A = x^2 - x - 1, B = x + 1: exponent B(r)/A'(r) at r = (1 +- sqrt 5)/2 is
+    # (3 +- sqrt 5) / (+-2 sqrt 5) = 1/2 +- (3/10) sqrt 5, exactly; they sum to b_1 = 1
     k = classify(pair([-1, -1, 1], [1, 1]))
-    assert k.numeric
     (xi, _), (lam, _) = k.a_roots
-    e_lam, e_xi = k.exponent_at(lam), k.exponent_at(xi)
-    with mpmath.workprec(300):
-        assert abs(e_lam + e_xi - 1) < mpmath.mpf(2) ** -250
-        for r, e in ((lam, e_lam), (xi, e_xi)):
-            root = (1 + mpmath.sqrt(5) * (1 if r > 0 else -1)) / 2
-            assert abs(e - (root + 1) / (2 * root - 1)) < mpmath.mpf(2) ** -250
+    assert xi == Surd(Fraction(1, 2), Fraction(-1, 2), 5) and lam == Surd(Fraction(1, 2), Fraction(1, 2), 5)
+    assert k.exponent_at(lam) == Surd(Fraction(1, 2), Fraction(3, 10), 5)
+    assert k.exponent_at(xi) == Surd(Fraction(1, 2), Fraction(-3, 10), 5)
+    # R(a) = 0 at the midpoint a of the roots leaves the rational residue r1/2 at both
+    k = classify(pair([-1, -1, 1], [-1, 2]))
+    assert k.exponent_at(lam) == k.exponent_at(xi) == 1 and isinstance(k.exponent_at(lam), Fraction)
 
 
 def test_classify_extensions():
@@ -167,21 +166,16 @@ def test_three_vanishing_points_stay_bounded():
 
 
 def near(zs, expected):
-    """Points of `zs` within 2^-250 of `expected`, all sides two-sided."""
-    with mpmath.workprec(300):
-        return (
-            [z.sides for z in zs] == ["both"] * len(expected)
-            and all(abs(z.point - e) < mpmath.mpf(2) ** -250 for z, e in zip(zs, expected))
-        )
+    """Points of `zs` equal to `expected`, all sides two-sided."""
+    return [(z.point, z.sides) for z in zs] == [(e, "both") for e in expected]
 
 
 def test_surd_roots_constant_b_k_finite_at_infinity():
     # A = x^2 - 5, B = 1: K = |x - r|^(1/2r) |x + r|^(-1/2r), r = sqrt 5, tends to 1 at both
     # infinite ends, so it vanishes at r only; A/K ~ x^2 vanishes at -r and r
     b = boundary_zeros(classify(pair([-5, 0, 1], [1])))
-    with mpmath.workprec(300):
-        r = mpmath.sqrt(5)
-        roots = [-r, r]
+    r = Surd(0, 1, 5)
+    roots = [Surd(0, -1, 5), r]
     assert near(b.zeros_of_k, [r])
     assert near(b.zeros_of_a_over_k, roots)
     assert b.k_zero_count == 1
@@ -192,8 +186,7 @@ def test_surd_roots_constant_b_k_finite_at_infinity():
 def test_surd_roots_a_over_k_finite_at_infinity():
     # A = x^2 + (2/5)x - 1, B = 2x + 9: A/K ~ |x|^(2 - 2) has a finite limit at both ends
     b = boundary_zeros(classify(pair([-1, Fraction(2, 5), 1], [9, 2])))
-    with mpmath.workprec(300):
-        xi, lam = (-1 - mpmath.sqrt(26)) / 5, (-1 + mpmath.sqrt(26)) / 5
+    xi, lam = Surd(Fraction(-1, 5), Fraction(-1, 5), 26), Surd(Fraction(-1, 5), Fraction(1, 5), 26)
     assert near(b.zeros_of_k, [lam])
     assert near(b.zeros_of_a_over_k, [xi])
     assert b.k_zero_count == 1
@@ -222,7 +215,7 @@ def test_growth_at_infinity_matches_exact_exponent():
         e = lead * rng.choice([0, 0, 1, 2, 2, -1, 3, Fraction(1, 2)])
         b = [rng.choice(small), e] if deg == 2 else [e]
         k = classify(pair(a, b))
-        surds += k.numeric
+        surds += any(isinstance(r, Surd) for r, _ in k.a_roots)
         exponent = e / lead
         for form, g in ((k.form, exponent), (k.a_over_k_form(), deg - exponent)):
             want = "inf" if g > 0 else ("zero" if g < 0 else "finite")
@@ -275,7 +268,7 @@ def test_boundary_zeros_match_pointwise_limits():
         assert list(b.k_singular) == want
         one_sided += any(z.sides != "both" for z in b.zeros_of_k if is_finite(z.point))
         singular += bool(want)
-        surds += k.numeric
+        surds += any(isinstance(r, Surd) for r, _ in k.a_roots)
     assert one_sided > 20 and singular > 100 and surds > 100
 
 
@@ -320,6 +313,7 @@ def test_log_derivative_matches_ratio():
         pair([3, 0, 1], [1, 2]),
         pair([-1, 0, 1], [4, -2]),
         pair([0, 1], []),
+        pair([-1, -1, 1], [1, 1]),  # surd roots (1 +- sqrt 5)/2, surd exponents
     ]
     for c in cases:
         assert check_k_identity(c, samples=50) < 1e-5
@@ -410,3 +404,16 @@ def test_decide_rejects_slow_algebraic_decay():
     dec = decide_case(specs, Fraction(0))
     assert dec.case == "none"
     assert "algebraically" in dec.diagnosis["a"]
+
+
+def test_close_surd_roots_stay_two_singular_points():
+    # A = (x-1)^2 - 2 10^-160 has the roots 1 +- sqrt(2) 10^-80, which 256-bit
+    # floats cannot tell apart; as surds they are two points with opposite exponents
+    c0 = 1 - Fraction(2, 10**160)
+    k = classify(pair([c0, -2, 1], [0, 1]))
+    xi, lam = k.form.singular_points()
+    assert xi < 1 < lam and lam != xi
+    assert k.exponent_at(xi) < -(10**79) and k.exponent_at(lam) > 10**79  # 1/2 -+ 10^80 / (2 sqrt 2)
+    dec = decide_case([boundary_zeros(k)] * 3, Fraction(0))
+    assert dec.case == "none"
+    assert dec.diagnosis["a"] == "n=1: K vanishes at 1 point(s), need exactly 2"

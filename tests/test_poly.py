@@ -13,12 +13,14 @@ from ddepoly.poly import (
     InternalError,
     KindMismatchError,
     Poly,
+    Surd,
     _quo,
-    ext_lt,
     format_poly,
+    format_scalar,
     squarefree_decomposition,
+    to_mpf,
 )
-from sympy_oracle import gcd, sqf_list
+from sympy_oracle import gcd, sqf_list, surd_to_sympy
 
 P = Poly.rational
 
@@ -159,9 +161,79 @@ def test_eval_modes():
 def test_infinity_ordering():
     assert NEG_INF < Fraction(-(10**100))
     assert POS_INF > Fraction(10**100)
-    assert ext_lt(NEG_INF, POS_INF)
+    assert NEG_INF < POS_INF
     assert -POS_INF == NEG_INF
     assert not (POS_INF < POS_INF)
+    s = Surd(10**100, 3, 2)
+    assert NEG_INF < s < POS_INF and POS_INF > s > NEG_INF
+    assert not (s < NEG_INF) and not (POS_INF < s) and s != POS_INF
+
+
+def random_surd(rng, ds=(2, 3, 5, 8, 12, 18, 50)):
+    def q():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    return Surd(q(), q() or 1, rng.choice(ds))
+
+
+def near_surds(rng, s):
+    """A rational and two surds, one of s's d and one of another, within
+    about 10^-12 of s."""
+    with mpmath.workdps(60):
+        v = to_mpf(s, 200)
+        d = rng.choice([d for d in (2, 3, 7, 11) if d != s.d])
+        b = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        other = Surd(mpmath_fraction(v - to_mpf(b, 200) * mpmath.sqrt(d)), b, d)
+        pq = mpmath_fraction(mpmath.sqrt(s.d), 10**12)  # p/q near sqrt(d): (a - p) + (b + q) sqrt(d) is near s
+        same = Surd(s.a - pq.numerator, s.b + pq.denominator, s.d)
+        return [mpmath_fraction(v), other, same]
+
+
+def mpmath_fraction(v, den=10**6):
+    return Fraction(mpmath.nstr(v, 50, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)).limit_denominator(den)
+
+
+def test_surd_order_and_equality_match_sympy():
+    # seeded surds of equal and unequal d, against each other, rationals,
+    # near-equal neighbours and the infinity tags; sympy's a + b sqrt(d) decides
+    rng = random.Random(41)
+    pairs = []
+    for _ in range(120):
+        s = random_surd(rng)
+        pairs += [(s, random_surd(rng)), (s, random_surd(rng, (s.d,))), (s, Fraction(rng.randint(-40, 40), 7))]
+        pairs += [(s, t) for t in near_surds(rng, s)]
+        pairs.append((s, Surd(s.a, s.b / 2, 4 * s.d)))  # the same number, another d
+    equal = near = 0
+    for s, t in pairs:
+        x, y = surd_to_sympy(s), surd_to_sympy(t)
+        lt, eq, gt = bool(x < y), x == y, bool(y < x)
+        assert (s < t, s == t, s > t) == (t > s, t == s, t < s) == (lt, eq, gt), (s, t)
+        assert (s <= t, s >= t) == (lt or eq, gt or eq), (s, t)
+        if s == t:
+            assert hash(s) == hash(t)
+        equal += s == t
+        near += isinstance(t, Surd) and s != t and abs(to_mpf(s) - to_mpf(t)) < 1e-9
+        for inf in (NEG_INF, POS_INF):
+            assert (s < inf) == (inf.sign > 0) and (inf < s) == (inf.sign < 0) and s != inf
+    assert equal >= 120 and near >= 200
+
+
+def test_surd_is_never_a_rational_and_not_an_mpf():
+    s = Surd(Fraction(1, 2), 1, 8)
+    assert s != Fraction(1, 2) and Fraction(1, 2) != s and s != 0 and s != "x"
+    assert not hasattr(s, "_mpf_")
+    assert {s, Surd(Fraction(1, 2), 2, 2)} == {s}  # sqrt 8 = 2 sqrt 2
+    with pytest.raises(TypeError):
+        mpmath.mpf(1) + s
+
+
+def test_surd_to_mpf_keeps_digits_through_cancellation():
+    # 10^40 - sqrt(10^80 + 1) = -1 / (10^40 + sqrt(10^80 + 1)), about -5e-41
+    s = Surd(10**40, -1, 10**80 + 1)
+    with mpmath.workprec(400):
+        want = -1 / (10**40 + mpmath.sqrt(10**80 + 1))
+        assert abs(to_mpf(s, 256) / want - 1) < mpmath.mpf(2) ** -250
+        want = mpmath.mpf(1) / 3 - mpmath.mpf(2) / 7 * mpmath.sqrt(5)
+    assert format_scalar(Surd(Fraction(1, 3), Fraction(-2, 7), 5), 30) == mpmath.nstr(want, 30)
 
 
 def test_format_poly():

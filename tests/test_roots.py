@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympy
+
 import ddepoly.roots as roots
-from ddepoly.poly import NEG_INF, POS_INF, Poly, as_exact
+from ddepoly.poly import NEG_INF, POS_INF, Poly, Surd, as_exact
 from ddepoly.roots import (
     InternalError,
     Interval,
@@ -20,7 +22,7 @@ from ddepoly.roots import (
     locate_real_roots,
     sturm_count,
 )
-from sympy_oracle import gcd
+from sympy_oracle import X, gcd, surd_to_sympy, to_sympy
 
 P = Poly.rational
 WIDTH = Fraction(1, 10**6)
@@ -381,6 +383,34 @@ def planted(rational, surds, complexes):
     if p.degree < 1 or gcd(p, p.derivative()).degree > 0:
         return None
     return p
+
+
+def test_signs_and_counts_at_surds_match_sympy():
+    # seeded integer polynomials at a + b sqrt(d), every third one with that
+    # surd as a root; sympy's exact value of p(a + b sqrt(d)) decides the sign
+    rng = random.Random(17)
+    zeros = 0
+    for i in range(90):
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+        s = Surd(a, b, rng.choice([2, 3, 5, 12]))
+        p = P([rng.randint(-20, 20) for _ in range(rng.randint(2, 7))] + [rng.choice([-3, -1, 1, 2])])
+        planted = i % 3 == 0
+        if planted:
+            p = p * P([a * a - b * b * s.d, -2 * a, 1])
+        iso = _Isolator(p)
+        x = surd_to_sympy(s)
+        want = sympy.sign(sympy.expand(to_sympy(p).as_expr().subs(X, x)))
+        assert iso.sign(s) == want, (p, s)
+        zeros += want == 0
+        if iso.gcd_degree == 0 and want == 0:
+            assert sturm_count(p, Interval(s, s, False, False)) == 1
+        elif iso.gcd_degree == 0:
+            real = sympy.real_roots(to_sympy(p))
+            above = sum(1 for r in real if bool(r > x))
+            assert sturm_count(p, Interval(s, POS_INF)) == above, (p, s)
+            assert sturm_count(p, Interval(NEG_INF, s, hi_open=True)) == len(real) - above, (p, s)
+    assert zeros >= 30
 
 
 def surd_side(a, s, d):

@@ -7,7 +7,7 @@ from ddepoly.dde import CoefficientPair, CoefficientRule
 from ddepoly.documents import dump_report
 from ddepoly.families import FamilySpec
 from ddepoly.kfactor import classify
-from ddepoly.poly import NEG_INF, POS_INF, Poly
+from ddepoly.poly import NEG_INF, POS_INF, Poly, Surd
 from ddepoly.verify import check_k_identity, verify_sequence
 
 P = Poly.rational
@@ -38,8 +38,6 @@ def test_bell_family_case_c_closed_endpoint():
 def test_case_c_rejects_zero_beyond_closed_endpoint():
     # containment is decided by counting the zeros beyond each claimed end:
     # bounds are (alpha, beta, lo_closed, hi_closed)
-    import mpmath
-
     from ddepoly.verify import _check_containment
 
     p = P([0, 1]) * P([-1, 1])  # roots 0 and 1
@@ -52,14 +50,18 @@ def test_case_c_rejects_zero_beyond_closed_endpoint():
     # a zero exactly on the left end: fine when closed, outside when open
     assert _check_containment(p, (Fraction(0), Fraction(1), True, True)) is None
     assert _check_containment(p, (Fraction(0), POS_INF, False, False)) == "1 zero(s) below left endpoint (0"
-    # mpf endpoints (irrational roots of A) are compared as the dyadics they hold
-    with mpmath.workprec(256):
-        half, one = mpmath.mpf("0.5"), mpmath.mpf(1)
-        above_one = one + mpmath.mpf(2) ** -200
-    assert _check_containment(p, (NEG_INF, half, False, False)) == "1 zero(s) beyond right endpoint 0.5)"
-    assert _check_containment(p, (NEG_INF, one, False, True)) is None
-    assert _check_containment(p, (NEG_INF, one, False, False)) == "1 zero(s) beyond right endpoint 1.0)"
-    assert _check_containment(p, (-half, above_one, False, False)) is None
+    # surd endpoints (irrational roots of A) are compared exactly: sqrt(2) - 1/2
+    # lies between the roots, and 1 - 10^-60 sqrt(2) just below 1
+    mid, below_one = Surd(Fraction(-1, 2), 1, 2), Surd(1, Fraction(-1, 10**60), 2)
+    assert _check_containment(p, (NEG_INF, mid, False, False)) == "1 zero(s) beyond right endpoint 0.91421356237309505)"
+    assert _check_containment(p, (NEG_INF, below_one, False, True)) == "1 zero(s) beyond right endpoint 1.0]"
+    assert _check_containment(p, (mid, POS_INF, True, False)) == "1 zero(s) below left endpoint [0.91421356237309505"
+    assert _check_containment(p, (Surd(0, -1, 2), Surd(1, Fraction(1, 10**60), 2), False, False)) is None
+    # a surd endpoint that is a root of p counts as inside when closed
+    q = P([-2, 0, 1]) * P([1, 1])  # roots -sqrt 2, -1, sqrt 2
+    lo, hi = Surd(0, -1, 2), Surd(0, Fraction(1, 2), 8)
+    assert _check_containment(q, (lo, hi, True, True)) is None
+    assert _check_containment(q, (lo, hi, True, False)) == "1 zero(s) beyond right endpoint 1.414213562373095)"
 
 
 def test_hypergeometric_family_case_a_unit_interval():
@@ -85,15 +87,12 @@ def test_classical_families_agree():
 
 
 def test_vertgeim_irrational_endpoints_numeric():
-    import mpmath
-
+    # the endpoints +-sqrt 2 are exact surds, so nothing in the report is numeric
     rep = verify_sequence(FamilySpec("vertgeim", {"a": "1", "b": "2", "alpha": "1"}), 8)
     assert rep.decision.case == "a"
-    assert rep.numeric and rep.decision.numeric
+    assert not rep.numeric and not rep.decision.numeric
     assert rep.agreement
-    with mpmath.workprec(256):
-        beta = rep.decision.betas[0]
-        assert abs(beta * beta - 2) < mpmath.mpf(10) ** -70
+    assert rep.decision.betas[0] == Surd(0, 1, 2) and rep.decision.alphas[0] == Surd(0, -1, 2)
 
 
 def test_case_d_synthetic_extremes_and_interlacing():
@@ -112,16 +111,17 @@ def test_case_d_synthetic_extremes_and_interlacing():
 
 
 def test_b_zero_with_irrational_a_roots_is_numeric():
-    # A_n = x^2 - 2(n+1), B_n = 0: the endpoints +-sqrt(2(n+1)) are held as big floats
+    # A_n = x^2 - 2(n+1), B_n = 0: the endpoints +-sqrt(2(n+1)) are exact surds
     def pair(n):
         if n == 0:
             return CoefficientPair(P([1]), P([0, 1]))
         return CoefficientPair(P([-2 * (n + 1), 0, 1]), Poly.zero())
 
-    assert classify(pair(2)).numeric
+    assert classify(pair(2)).a_roots == ((Surd(0, Fraction(-1, 2), 24), 1), (Surd(0, Fraction(1, 2), 24), 1))
     rep = verify_sequence(CoefficientRule(pair), 6)
     assert rep.decision.case == "d"
-    assert rep.numeric and rep.decision.numeric
+    assert not rep.numeric and not rep.decision.numeric
+    assert list(rep.decision.betas) == [Fraction(2)] + [Surd(0, 1, 2 * (n + 1)) for n in range(2, 7)]
     assert rep.agreement
 
 
@@ -208,7 +208,7 @@ GOLDEN_REPORTS = [
     ("laguerre", {"alpha": "1/2"}, 12, "f5d42140b062ba0c292e10011cca35d4daac8395071026d70146803a70f11268"),
     ("hyp2f1", {"b": "40", "c": "1"}, 12, "42e6eb32326047ea66b24987e7c5a92d2e0bf19f6819aa997a48e4336add7f82"),
     ("vertgeim", {"a": "1", "b": "2", "alpha": "1"}, 12,
-     "aa1425f434fff36fcbff2806f596806b5bc38437a2e8bbcfa1e2026abba145d9"),
+     "8b635c68b6755a1ba0e98510e881da7a59cd283bf488a6fd9353aa96d54ed019"),
     ("hermite_like", {"kappa": "2"}, 12, "86d40b53bdd044e29acff03ac4735bf63c60d1d150e57acd4de597f8d6a0a547"),
     ("bell", {}, 22, "670fe75c34eae6ba40f52b4f331026b013029f296d430c5f39e719fd6fb45e02"),
     ("hermite", {}, 22, "141e27a0455c0ea3498649834ccd2304ecd87ba8341e60efa696b5162996ad28"),
