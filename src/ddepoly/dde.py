@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from .poly import DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, format_poly, to_mpf
-from .roots import _Isolator, isolate_roots
+from .roots import _exact_image, _Isolator, is_real_simple, isolate_roots
 
 
 class NonSimpleZerosError(ValueError):
@@ -299,9 +299,11 @@ def sample_xy(Pn, Pn1, width):
     to `width` and returned in increasing order as big floats.
     """
     prec = Pn.prec or DEFAULT_FLOAT_PREC
-    rs = isolate_roots(Pn, width)
-    if not rs.squarefree or rs.count != Pn.degree:
-        raise NonSimpleZerosError(f"P_n must have real simple zeros: {rs.count} of {Pn.degree} are real and distinct")
+    iso = _Isolator(_exact_image(Pn))
+    chk = is_real_simple(Pn, iso=iso)
+    if not chk:
+        raise NonSimpleZerosError(f"P_n must have real simple zeros: {chk.witness}")
+    rs = isolate_roots(Pn, width, iso=iso)
     if rs.count == 0:
         return []
     out = []

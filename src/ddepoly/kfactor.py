@@ -28,7 +28,7 @@ from math import isqrt
 
 import mpmath
 
-from .poly import NEG_INF, POS_INF, RATIONAL, Surd, format_scalar, is_finite, to_mpf
+from .poly import NEG_INF, POS_INF, RATIONAL, Surd, as_exact, format_scalar, is_finite, to_mpf
 from .dde import CoefficientPair
 
 ZERO = "zero"
@@ -442,8 +442,9 @@ def _chain_ok(alphas, betas, strict_alpha=False, strict_beta=False, n_start=1):
 
 
 def _gamma_ok(gamma, alpha, beta, weak_low=False, weak_high=False):
-    lo_ok = alpha <= gamma if weak_low else alpha < gamma
-    hi_ok = gamma <= beta if weak_high else gamma < beta
+    g = as_exact(gamma)  # the root of a float P_1 is the dyadic rational its mpf holds
+    lo_ok = alpha <= g if weak_low else alpha < g
+    hi_ok = g <= beta if weak_high else g < beta
     if not (lo_ok and hi_ok):
         lo_op = "<=" if weak_low else "<"
         hi_op = "<=" if weak_high else "<"
@@ -455,13 +456,8 @@ def _try_case(case, specs, gamma, n_start):
     if case == "a":
         return _try_case_a(specs, gamma, n_start)
     if case in ("b", "c"):
-        last_fail = None
-        for orient in ("k-at-alpha", "k-at-beta"):
-            dec = _try_case_bc(case, orient, specs, gamma, n_start)
-            if dec.ok:
-                return dec
-            last_fail = dec
-        return last_fail
+        dec = _try_case_bc(case, "k-at-alpha", specs, gamma, n_start)
+        return dec if dec.ok else _try_case_bc(case, "k-at-beta", specs, gamma, n_start)
     return _try_case_d(specs, gamma, n_start)
 
 

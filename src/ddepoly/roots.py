@@ -384,9 +384,10 @@ class RealSimpleCheck:
 
 
 def is_real_simple(p, iso=None):
-    """True iff p is squarefree with as many real roots as its degree.
-    `iso` is an isolator already built for p."""
-    iso = iso or _Isolator(p)
+    """True iff p is squarefree with as many real roots as its degree; a
+    float p is checked as the rational polynomial it holds.  `iso` is an
+    isolator already built for p."""
+    iso = iso or _Isolator(_exact_image(p))
     if iso.gcd_degree > 0:
         return RealSimpleCheck(False, f"repeated factor of degree {iso.gcd_degree}: gcd(p, p') is not constant")
     n = iso.count_half_open(NEG_INF, POS_INF)

@@ -129,6 +129,25 @@ def test_close_surd_roots_get_a_case_diagnosis(capsys, tmp_path, command):
         assert len(doc["classifications"][0]["exponents"]) == 2
 
 
+@pytest.mark.parametrize("a0s, b0, code, case", [
+    (["-4", "-9", "-16"], "-0.5", 0, "d"),
+    (["-2", "-3", "-5"], "-0.5", 0, "d"),
+    (["-2", "-3", "-5"], "-1.5", 1, "none"),
+])
+def test_classify_decimal_first_root(capsys, tmp_path, a0s, b0, code, case):
+    # a decimal B_0 puts an mpf first root against exact (rational or surd)
+    # endpoints; it is compared as the dyadic rational it holds
+    pairs = [{"A": ["0"], "B": [b0, "1"]}] + [{"A": [a0, "0", "1"], "B": ["0"]} for a0 in a0s]
+    path = tmp_path / "decimal_b0.json"
+    path.write_text(json.dumps({"coefficients": pairs, "N": 3}))
+    got, out = run(capsys, "classify", "--input", str(path), "--no-timestamp")
+    doc = json.loads(out)
+    assert got == code and doc["decision"]["case"] == case
+    assert doc["first_root"] == b0[1:]
+    if case == "none":
+        assert doc["decision"]["diagnosis"]["d"] == "first root 1.5 violates alpha_1 < root < beta_1"
+
+
 def test_freud_demo_tiny_negative_t(capsys):
     # a valid t this close to 0 reaches the degree-5 verdict instead of a numeric abort
     code, out = run(capsys, "freud-demo", "--t=-1e-30", "--no-timestamp")

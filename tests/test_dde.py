@@ -212,14 +212,15 @@ def test_sample_xy_matches_recovered_coefficients():
 
 
 def test_sample_xy_rejects_repeated_roots():
-    with pytest.raises(NonSimpleZerosError):
+    with pytest.raises(NonSimpleZerosError, match="repeated factor of degree 1"):
         sample_xy(P([1, -2, 1]), P([0, 0, 0, 1]), Fraction(1, 100))
 
 
 def test_sample_xy_rejects_float_members_that_are_not_real_simple():
-    # one certified check for both kinds: a double root, and a pair of complex roots
-    for coeffs in ([1, -2, 1], [1, 0, 1]):
-        with pytest.raises(NonSimpleZerosError):
+    # one certified check for both kinds, before any refinement: a double
+    # root, and a pair of complex roots
+    for coeffs, witness in (([1, -2, 1], "repeated factor of degree 1"), ([1, 0, 1], "only 0 of 2 roots are real")):
+        with pytest.raises(NonSimpleZerosError, match=witness):
             sample_xy(Poly.floating(coeffs), Poly.floating([0, 0, 0, 1]), mpmath.mpf(2) ** -40)
 
 
