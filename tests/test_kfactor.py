@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from ddepoly.dde import CoefficientPair
 from ddepoly.kfactor import (
+    BoundarySpec,
+    SidedZero,
     SingularPointError,
     boundary_zeros,
     classify,
@@ -417,3 +420,113 @@ def test_close_surd_roots_stay_two_singular_points():
     dec = decide_case([boundary_zeros(k)] * 3, Fraction(0))
     assert dec.case == "none"
     assert dec.diagnosis["a"] == "n=1: K vanishes at 1 point(s), need exactly 2"
+
+
+def bz(a, b):
+    return boundary_zeros(classify(pair(a, b)))
+
+
+def made_spec(k_zeros=(), ak_zeros=(), k_singular=(), k=None):
+    """A boundary spec with the given (point, sides) zeros of K and of A/K,
+    ascending, over `k` (by default K = 1, finite everywhere)."""
+    zeros = (tuple(SidedZero(p, s) for p, s in zs) for zs in (k_zeros, ak_zeros))
+    return BoundarySpec(k or classify(pair([1], [])), *zeros, tuple(k_singular))
+
+
+# A = x - mu_n, B = mu_n - x: K = e^-x vanishes at +inf, A/K at mu_n = 1, 2
+E_MINUS_X = [bz([-m, 1], [m, -1]) for m in (1, 2)]
+
+
+@pytest.mark.parametrize("case, specs, gamma, why", [
+    ("a", [made_spec([(0, "left"), (1, "both")])], Fraction(1, 2),
+     "n=1: K -> 0 at 0 (from below) only from the wrong side for a left endpoint"),
+    ("a", [made_spec([(0, "both"), (1, "right")])], Fraction(1, 2),
+     "n=1: K -> 0 at 1 (from above) only from the wrong side for a right endpoint"),
+    # A = x^2 - x, B = -10x: K = |x - 1|^-10 vanishes at both infinite ends, blows up at 1
+    ("a", [bz([0, -1, 1], [0, -10])], Fraction(1, 2), "n=1: K blows up at 1 inside (-inf, +inf)"),
+    ("a", [bz([4, 0, -1], [0, -4]), bz([1, 0, -1], [0, -4])], Fraction(0), "n=2: need alpha_2 <= alpha_1"),
+    ("a", [bz([1, 0, -1], [0, -4])], Fraction(5), "first root 5 violates alpha_1 < root < beta_1"),
+    ("b", [made_spec([(POS_INF, "left")])], Fraction(0),
+     "n=1: K decays only algebraically (like |x|^0) at +inf, too slowly to damp a degree-1 member"),
+    ("b", E_MINUS_X, Fraction(2), "(b/k-at-beta) n=2: need alpha_2 < alpha_1"),
+    ("c", E_MINUS_X, Fraction(2), "(c/k-at-beta) n=2: need alpha_2 <= alpha_1"),
+    # B = 0, so A/K = A: no real root, then one
+    ("d", [bz([1, 0, 1], [])], Fraction(0), "n=1: A/K vanishes at 0 point(s), need exactly 2"),
+    ("d", [bz([0, 1], [])], Fraction(0), "n=1: A/K vanishes at 1 point(s), need exactly 2"),
+    # A = x^2 + 1, B = 3x: A/K = (x^2 + 1)^(-1/2) vanishes only at the infinite ends
+    ("d", [bz([1, 0, 1], [0, 3])], Fraction(0),
+     "n=1: A/K endpoints must be finite (a zero of the next member sits on each)"),
+    ("d", [made_spec(ak_zeros=[(-1, "left"), (1, "both")])], Fraction(0),
+     "n=1: A/K vanishing sides incompatible with endpoints"),
+    # K = |x - 1|^-1 (A = x - 1, B = -1) blows up at the right endpoint
+    ("d", [made_spec(ak_zeros=[(-1, "both"), (1, "both")], k=classify(pair([-1, 1], [-1])))], Fraction(0),
+     "n=1: K has no finite limit at an endpoint"),
+    ("d", [made_spec(ak_zeros=[(-1, "both"), (1, "both")], k_singular=[0])], Fraction(0),
+     "n=1: K blows up at 0 inside (-1, 1)"),
+    ("d", [bz([-9, 0, 1], []), bz([-4, 0, 1], [])], Fraction(0), "n=2: need alpha_2 < alpha_1"),
+])
+def test_decide_case_failure_diagnosis(case, specs, gamma, why):
+    dec = decide_case(specs, gamma)
+    assert dec.case == "none"
+    assert dec.diagnosis[case] == why
+
+
+def test_decide_case_bc_skips_an_a_over_k_end_past_a_blow_up():
+    # K vanishes at 0 and blows up at 1, so the A/K zero at 2 cannot close the
+    # interval on the right; the K zero closes it on the right instead
+    spec = made_spec([(0, "both")], [(-2, "both"), (2, "both")], [1])
+    dec = decide_case([spec], Fraction(-1))
+    assert dec.case == "b" and dec.checklist[0].detail == "b/k-at-beta"
+    assert (dec.alphas, dec.betas) == ((-2,), (0,))
+
+
+def golden_decisions():
+    """decide_case on 1,500 seeded spec lists: per-degree families of the
+    shapes each case is built on, with rising, constant and falling
+    parameters, and runs of random pairs; mostly n_start = 1."""
+    rng = random.Random(16)
+    memo = {}
+
+    def spec(a, b):
+        key = (tuple(a), tuple(b))
+        if key not in memo:
+            memo[key] = bz(a, b)
+        return memo[key]
+
+    shapes = (
+        lambda m, t: ([0, -m, 1], [-t * m, t]),  # A = x(x - m), B = t(x - m)
+        lambda m, t: ([0, 1], [m, 1 if t > 0 else -1]),  # A = x, B = +-x + m
+        lambda m, t: ([-m, 1], [t * m, -t]),  # A = x - m, B = t(m - x)
+        lambda m, t: ([m * m + 1, 0, -1], [0, -2 * t]),  # K = (m^2 + 1 - x^2)^t
+        lambda m, t: ([-m * m - 1, 0, 1], []),  # A/K = A = x^2 - m^2 - 1
+        lambda m, t: ([m, 0, 1], [0, t]),  # no real, two rational or two surd roots
+        lambda m, t: ([m * m, -2 * m, 1], [-t * m - 1, t]),  # double root m, pole
+    )
+    small = [Fraction(k, d) for k in range(-4, 5) for d in (1, 2)]
+    out = []
+    for i in range(1500):
+        length = rng.randint(1, 5)
+        if i % 5 == 4:
+            specs = [spec(*pair_coeffs(rng, small)) for _ in range(length)]
+        else:
+            shape = shapes[i % len(shapes)]
+            m0, dm = rng.choice(small), rng.choice([-1, 0, 0, Fraction(1, 2), 1, 2])
+            t0, dt = rng.choice([1, 2, -1, Fraction(1, 2), -3, 5]), rng.choice([0, 0, 1, -1])
+            specs = [spec(*shape(m0 + dm * n, t0 + dt * n)) for n in range(length)]
+        gamma = rng.choice(small + [Fraction(3), Fraction(-3), Fraction(1, 3)])
+        n_start = rng.choice([1] * 8 + [0, 2])
+        out.append(decide_case(specs, gamma, n_start, strict_extension=rng.random() < 0.1))
+    return out
+
+
+def pair_coeffs(rng, small):
+    a = [rng.choice(small) for _ in range(rng.randint(0, 2))] + [rng.choice([1, -1, 2])]
+    return a, [rng.choice(small) for _ in range(rng.randint(0, 2))]
+
+
+def test_decide_case_golden_corpus():
+    decisions = golden_decisions()
+    digest = hashlib.sha256("\n".join(map(repr, decisions)).encode()).hexdigest()
+    assert digest == "8fa7c47a2a96a63809fbd88122fcd1912fa7aa356b25796f01977e05cee5eb2e"
+    labels = {d.checklist[0].detail or d.case if d.ok else "none" for d in decisions}
+    assert labels >= {"a", "b/k-at-alpha", "b/k-at-beta", "c/k-at-alpha", "c/k-at-beta", "d", "none"}
