@@ -19,8 +19,7 @@ from .dde import admits_dde, generate, sample_xy
 from .documents import DocumentError, InputDocument, dump_report, zeros_csv
 from .families import FAMILY_KINDS, FamilySpec, coefficient_source
 from .freud import PrecisionError, freud_recurrence_coeffs, freud_sequence, p5_invariants
-from .kfactor import boundary_zeros, classify, decide_case
-from .poly import format_poly
+from .kfactor import predict
 from .roots import InternalError, isolate_roots
 from .verify import verify_sequence
 
@@ -38,7 +37,8 @@ def _add_common(p, family=True):
     p.add_argument("--out", help="write the report to this path instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--precision", type=int, default=256, help="big-float working precision in bits")
-    p.add_argument("--tolerance", type=float, default=1e-12, help="relative residual tolerance (float mode)")
+    p.add_argument("--tolerance", type=float,
+                   help="relative residual tolerance (float mode; default: the input document's, else 1e-12)")
     p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field (byte-stable output)")
     p.add_argument("--strict-extension", action="store_true",
                    help="refuse coefficient pairs whose quadratic A has no real roots")
@@ -72,6 +72,12 @@ def _resolve_input(args, need_n=True):
     if need_n and not args.n:
         raise DocumentError("$", "--n is required with --family")
     return _family_from_args(args), None, args.n, None
+
+
+def _tolerance(args, doc):
+    if args.tolerance is not None:
+        return args.tolerance
+    return doc.tolerance if doc is not None else 1e-12
 
 
 def _emit(args, payload):
@@ -109,14 +115,7 @@ def cmd_classify(args):
     src = coefficient_source(spec) if spec is not None else table
     if src is None:
         raise DocumentError("$", "classify needs a family or coefficient table")
-    pairs = [src.pair(n) for n in range(1, N + 1)]
-    ks = [classify(c) for c in pairs]
-    specs = [boundary_zeros(k) for k in ks]
-    p1 = src.pair(0).B
-    if p1.degree != 1:
-        raise DocumentError("$", f"B_0 must have degree 1 to place the first root, got {format_poly(p1)}")
-    gamma = -p1.coeffs[0] / p1.coeffs[1]
-    decision = decide_case(specs, gamma, strict_extension=args.strict_extension)
+    specs, gamma, decision = predict(src, N, args.strict_extension)
     payload = {
         "command": "classify",
         "family": spec.describe() if spec is not None else "coefficient-table",
@@ -124,16 +123,16 @@ def cmd_classify(args):
         "first_root": gamma,
         "classifications": [
             {
-                "n": n + 1,
-                "tag": k.tag,
-                "extension": k.extension,
-                "pair": k.pair,
-                "exponents": [{"point": s, "exponent": e} for s, e in k.form.log_terms],
+                "n": n,
+                "tag": s.classification.tag,
+                "extension": s.classification.extension,
+                "pair": s.classification.pair,
+                "exponents": [{"point": p, "exponent": e} for p, e in s.classification.form.log_terms],
                 "zeros_of_K": list(s.zeros_of_k),
                 "zeros_of_A_over_K": list(s.zeros_of_a_over_k),
                 "k_zero_count": s.k_zero_count,
             }
-            for n, (k, s) in enumerate(zip(ks, specs))
+            for n, s in enumerate(specs, 1)
         ],
         "decision": decision,
     }
@@ -172,14 +171,14 @@ def cmd_admits(args):
         seq = list(generate(src, N).polys)
     else:
         raise DocumentError("$", "admits needs a sequence document or a family")
-    result = admits_dde(seq, tolerance=args.tolerance)
+    result = admits_dde(seq, tolerance=_tolerance(args, doc))
     payload = {"command": "admits", "result": result}
     _emit(args, payload)
     return EXIT_OK if result.all_admit else EXIT_DISAGREE
 
 
 def cmd_freud_demo(args):
-    t = _parse_t(args, None)
+    t, tol = _parse_t(args, None), _tolerance(args, None)
     N = args.n or 6
     if N < 6:
         raise DocumentError("$", "the demo needs N >= 6 to reach the degree-5 decision")
@@ -192,7 +191,7 @@ def cmd_freud_demo(args):
     xy = sample_xy(seq[5], seq[6], width)  # x_k: the zeros of P_5, isolated once
     with mpmath.workprec(args.precision):
         zero_err = max(abs(x - e) / (1 + abs(e)) for (x, _), e in zip(xy, expected))
-    result = admits_dde(list(seq.polys), tolerance=args.tolerance)
+    result = admits_dde(list(seq.polys), tolerance=tol)
     fail5 = result.entry(5)
     with mpmath.workprec(args.precision):
         V = mpmath.matrix(5, 5)
@@ -203,7 +202,7 @@ def cmd_freud_demo(args):
         interp_resid = max(abs(sum(coef[j] * x**j for j in range(5)) - y) for x, y in xy)
     # scale-free: the degree-5 fit fails at the requested tolerance and the
     # interpolant y(x) has a degree-4 term no pair (deg A <= 2, deg B <= 1) allows
-    reproduced = fail5.verdict == "fails" and abs(coef[4]) > args.tolerance * max(abs(coef[j]) for j in range(5))
+    reproduced = fail5.verdict == "fails" and abs(coef[4]) > tol * max(abs(coef[j]) for j in range(5))
     payload = {
         "command": "freud-demo",
         "t": t,

@@ -9,9 +9,11 @@ Input documents are JSON with exactly one of three payloads:
 plus optional "precision" (bits) and "tolerance".  Polynomials are
 coefficient arrays indexed by power.  Exact rationals are encoded as
 integers or "p/q" strings; a coefficient written with a decimal point or
-exponent makes the whole document big-float at the stated precision.
-Reports serialize rationals back to the same exact strings, so documents
-round-trip losslessly.
+exponent makes its polynomial big-float at the stated precision.  Each
+polynomial is typed on its own: a sequence whose members differ in kind
+(P_0 = "1" with decimal later members) is refused, and the A and B of one
+pair must agree unless one is zero.  Reports serialize rationals back to
+the same exact strings, so documents round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -91,11 +93,10 @@ class InputDocument:
         if not isinstance(precision, int) or precision < 64:
             raise DocumentError("$.precision", "precision must be an integer >= 64")
         tolerance = doc.get("tolerance", 1e-12)
-        if isinstance(tolerance, str):
-            try:
-                tolerance = float(tolerance)
-            except ValueError:
-                raise DocumentError("$.tolerance", f"bad tolerance {tolerance!r}") from None
+        try:
+            tolerance = float(tolerance)
+        except (TypeError, ValueError):
+            raise DocumentError("$.tolerance", f"bad tolerance {tolerance!r}") from None
         kind = keys[0]
         if kind == "family":
             fam = doc["family"]
@@ -133,6 +134,8 @@ class InputDocument:
             except (ValueError, TypeError) as exc:
                 raise DocumentError(loc, str(exc)) from None
         N = doc.get("N", len(pairs))
+        if not isinstance(N, int) or N < 1:
+            raise DocumentError("$.N", "N must be an integer >= 1")
         return cls(coefficients=CoefficientTable(pairs), N=N, precision=precision, tolerance=tolerance)
 
     @classmethod

@@ -28,7 +28,7 @@ from math import isqrt
 
 import mpmath
 
-from .poly import NEG_INF, POS_INF, RATIONAL, Surd, as_exact, format_scalar, is_finite, to_mpf
+from .poly import NEG_INF, POS_INF, RATIONAL, Surd, as_exact, format_poly, format_scalar, is_finite, to_mpf
 from .dde import CoefficientPair
 
 ZERO = "zero"
@@ -273,7 +273,8 @@ def _vanishing_points(form):
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Vanishing sets of K and A/K on the extended real line for one pair."""
+    """Vanishing sets of K and A/K on the extended real line for one pair,
+    each in ascending order."""
 
     classification: KClassification
     zeros_of_k: tuple
@@ -356,7 +357,7 @@ class CaseDecision:
     interlacing: bool = False
     real_simple: bool = False
     containment: tuple | None = None
-    numeric: bool = False  # always False: every endpoint is exact; kept as a report key
+    numeric: bool = False  # the first root is a big float
     diagnosis: dict | None = None
 
     @property
@@ -368,37 +369,44 @@ def decide_case(specs, p1_root, n_start=1, strict_extension=False):
     """Match per-degree boundary specs against endpoint configurations.
 
     specs[i] describes the coefficient pair at n = n_start + i; p1_root is
-    the single root of P_1.  Cases are tried strongest first; the first
-    one whose hypotheses all hold is returned.
+    the single root of P_1.  Cases are tried strongest first, b and c with
+    the K zero at alpha before beta; the first one whose hypotheses all
+    hold is returned.
     """
     if not specs:
         raise ValueError("no boundary specs supplied")
+    numeric = isinstance(p1_root, mpmath.mpf)
     if strict_extension:
         for i, s in enumerate(specs):
             if s.classification.tag == "irreducible-quadratic-A":
-                return CaseDecision(
-                    "none", n_start, diagnosis={"all": f"n={n_start + i}: irreducible quadratic A refused (strict mode)"}
-                )
+                why = f"n={n_start + i}: irreducible quadratic A refused (strict mode)"
+                return CaseDecision("none", n_start, numeric=numeric, diagnosis={"all": why})
     diagnosis = {}
-    for case in "abcd":
-        dec = _try_case(case, specs, p1_root, n_start)
-        if dec.ok:
+    for case, ak_lo, ak_hi in _PATTERNS:
+        dec = _match(case, ak_lo, ak_hi, specs, p1_root, n_start)
+        if not isinstance(dec, str):
             return dec
-        diagnosis[case] = dec.diagnosis["failure"]
-    return CaseDecision("none", n_start, diagnosis=diagnosis)
+        diagnosis[case] = dec
+    return CaseDecision("none", n_start, numeric=numeric, diagnosis=diagnosis)
 
 
-def _fail(msg):
-    return CaseDecision("none", diagnosis={"failure": msg})
-
-
-def _interior_continuity(spec, alpha, beta):
-    """K continuous/differentiable between the endpoints: no blow-up point
-    of K strictly inside (alpha, beta)."""
-    for s in spec.k_singular:
-        if alpha < s < beta:
-            return f"K blows up at {format_scalar(s)} inside ({format_scalar(alpha)}, {format_scalar(beta)})"
-    return None
+def predict(source, N, strict_extension=False):
+    """The endpoint case of a coefficient source: classify its pairs
+    1..N (a table may stop earlier), place the root of P_1 = B_0 at B_0's
+    precision and decide.  Returns (boundary specs, first root, decision)."""
+    pairs = []
+    for n in range(1, N + 1):
+        try:
+            pairs.append(source.pair(n))
+        except IndexError:
+            break  # a table may stop at the last generation step
+    specs = [boundary_zeros(classify(c)) for c in pairs]
+    p1 = source.pair(0).B
+    if p1.degree != 1:
+        raise ValueError(f"B_0 must have degree 1 to place the first root, got {format_poly(p1)}")
+    with mpmath.workprec(p1.prec or mpmath.mp.prec):
+        gamma = -p1.coeffs[0] / p1.coeffs[1]
+    return specs, gamma, decide_case(specs, gamma, strict_extension=strict_extension)
 
 
 def _k_end_decay_ok(spec, point, n):
@@ -417,10 +425,16 @@ def _k_end_decay_ok(spec, point, n):
     )
 
 
-def _endpoint_finite(spec, point, side):
-    """K has a finite limit at an interval endpoint, approached from inside."""
-    if limit_class(spec.classification.form, point, side) == INF:
-        return f"K has no finite limit at endpoint {format_scalar(point)}"
+def _ends_bad(spec, alpha, beta, ak_lo=False, ak_hi=False):
+    """Why K cannot carry P_n across (alpha, beta), or None: K needs a finite
+    limit from inside at each end that is an A/K zero (ak_lo, ak_hi) and no
+    blow-up point strictly inside."""
+    form = spec.classification.form
+    if (ak_lo and limit_class(form, alpha, "+") == INF) or (ak_hi and limit_class(form, beta, "-") == INF):
+        return "K has no finite limit at an endpoint"
+    for s in spec.k_singular:
+        if alpha < s < beta:
+            return f"K blows up at {format_scalar(s)} inside ({format_scalar(alpha)}, {format_scalar(beta)})"
     return None
 
 
@@ -452,170 +466,114 @@ def _gamma_ok(gamma, alpha, beta, weak_low=False, weak_high=False):
     return None
 
 
-def _try_case(case, specs, gamma, n_start):
-    if case == "a":
-        return _try_case_a(specs, gamma, n_start)
-    if case in ("b", "c"):
-        dec = _try_case_bc(case, "k-at-alpha", specs, gamma, n_start)
-        return dec if dec.ok else _try_case_bc(case, "k-at-beta", specs, gamma, n_start)
-    return _try_case_d(specs, gamma, n_start)
+def _ends_a(spec, n):
+    """Case a's ends at degree n: the two zeros of K."""
+    zs = spec.zeros_of_k
+    if len(zs) != 2:
+        return f"n={n}: K vanishes at {len(zs)} point(s), need exactly 2"
+    lo, hi = zs
+    if not lo.usable_as_left():
+        return f"n={n}: K -> 0 at {lo!r} only from the wrong side for a left endpoint"
+    if not hi.usable_as_right():
+        return f"n={n}: K -> 0 at {hi!r} only from the wrong side for a right endpoint"
+    why = (_k_end_decay_ok(spec, lo.point, n) or _k_end_decay_ok(spec, hi.point, n)
+           or _ends_bad(spec, lo.point, hi.point))
+    return f"n={n}: {why}" if why else (lo.point, hi.point)
 
 
-def _try_case_a(specs, gamma, n_start):
-    alphas, betas = [], []
+def _ends_bc(spec, n, gamma, ak_lo, closed, label):
+    """Case b or c's ends at degree n: the one zero of K, and on the side
+    ak_lo names (below it if true) the nearest finite A/K zero that K
+    tolerates and, at n = 1, that admits the first root."""
+    zs = spec.zeros_of_k
+    if len(zs) != 1:
+        return f"n={n}: K vanishes at {len(zs)} point(s), need exactly 1"
+    kz = zs[0]
+    slow = _k_end_decay_ok(spec, kz.point, n)
+    if slow:
+        return f"n={n}: {slow}"
+    if not (kz.usable_as_right() if ak_lo else kz.usable_as_left()):
+        return f"n={n}: K zero at {kz!r} unusable as a {'right' if ak_lo else 'left'} endpoint"
+    for z in reversed(spec.zeros_of_a_over_k) if ak_lo else spec.zeros_of_a_over_k:
+        lo, hi = (z.point, kz.point) if ak_lo else (kz.point, z.point)
+        if (lo < hi and is_finite(z.point) and (z.usable_as_left() if ak_lo else z.usable_as_right())
+                and not _ends_bad(spec, lo, hi, ak_lo, not ak_lo)
+                and not (n == 1 and _gamma_ok(gamma, lo, hi, *closed))):
+            return lo, hi
+    return f"n={n} ({label}): no usable A/K vanishing point opposite the K zero"
+
+
+def _ends_d(spec, n):
+    """Case d's ends at degree n: the two zeros of A/K, where K never vanishes."""
+    if spec.zeros_of_k:
+        return f"n={n}: K vanishes at {spec.zeros_of_k[0]!r}, but case d needs K != 0 everywhere"
+    zs = spec.zeros_of_a_over_k
+    if len(zs) != 2:
+        return f"n={n}: A/K vanishes at {len(zs)} point(s), need exactly 2"
+    lo, hi = zs
+    if not is_finite(lo.point) or not is_finite(hi.point):
+        return f"n={n}: A/K endpoints must be finite (a zero of the next member sits on each)"
+    if not lo.usable_as_left() or not hi.usable_as_right():
+        return f"n={n}: A/K vanishing sides incompatible with endpoints"
+    why = _ends_bad(spec, lo.point, hi.point, True, True)
+    return f"n={n}: {why}" if why else (lo.point, hi.point)
+
+
+# (case, A/K zero at alpha, A/K zero at beta); every other end is a K zero
+_PATTERNS = (("a", False, False), ("b", False, True), ("b", True, False),
+             ("c", False, True), ("c", True, False), ("d", True, True))
+_VANISHING = {
+    "a": "K = 0 exactly at both endpoints",
+    "b": "K = 0 at one endpoint, A/K = 0 at the other",
+    "c": "K = 0 at one endpoint, A/K = 0 at the other",
+    "d": "K never 0, A/K = 0 at both endpoints",
+}
+_GROWTH = {
+    "b": "strict outer-endpoint growth ({})",
+    "c": "no growth requirement (case c)",
+    "d": "strict two-sided endpoint growth",
+}
+
+
+def _match(case, ak_lo, ak_hi, specs, gamma, n_start):
+    """The decision for one endpoint pattern, or why it fails.  The ends
+    flagged ak_lo/ak_hi are zeros of A/K, the others zeros of K.  The
+    inductive step puts a zero of the next member exactly on an A/K end, so
+    b and d need that end to move strictly outward with n, and c closes it."""
+    label = f"{case}/k-at-{'beta' if ak_lo else 'alpha'}" if ak_lo != ak_hi else ""
+    closed = (ak_lo, ak_hi) if case == "c" else (False, False)
+    ends = []
     for i, spec in enumerate(specs):
         n = n_start + i
-        zs = spec.zeros_of_k
-        if len(zs) != 2:
-            return _fail(f"n={n}: K vanishes at {len(zs)} point(s), need exactly 2")
-        lo, hi = (zs[0], zs[1]) if zs[0].point < zs[1].point else (zs[1], zs[0])
-        if not lo.usable_as_left():
-            return _fail(f"n={n}: K -> 0 at {lo!r} only from the wrong side for a left endpoint")
-        if not hi.usable_as_right():
-            return _fail(f"n={n}: K -> 0 at {hi!r} only from the wrong side for a right endpoint")
-        for pt in (lo.point, hi.point):
-            slow = _k_end_decay_ok(spec, pt, n)
-            if slow:
-                return _fail(f"n={n}: {slow}")
-        bad = _interior_continuity(spec, lo.point, hi.point)
-        if bad:
-            return _fail(f"n={n}: {bad}")
-        alphas.append(lo.point)
-        betas.append(hi.point)
-    chain = _chain_ok(alphas, betas, n_start=n_start)
-    if chain:
-        return _fail(chain)
-    gbad = _gamma_ok(gamma, alphas[0], betas[0]) if n_start == 1 else None
-    if gbad:
-        return _fail(gbad)
-    checklist = (
-        ChecklistItem("vanishing pattern (a): K = 0 exactly at both endpoints", True),
-        ChecklistItem("continuity/differentiability on each [alpha_n, beta_n]", True),
-        ChecklistItem("endpoint monotonicity alpha_(n+1) <= alpha_n < beta_n <= beta_(n+1)", True),
-        ChecklistItem("first root inside (alpha_1, beta_1)", True, format_scalar(gamma)),
-    )
-    containment = tuple((a, b, False, False) for a, b in zip(alphas, betas))
-    containment += ((alphas[-1], betas[-1], False, False),)
-    return CaseDecision("a", n_start, tuple(alphas), tuple(betas), checklist, True, True, containment)
-
-
-def _try_case_bc(case, orient, specs, gamma, n_start):
-    label = f"{case}/{orient}"
-    alphas, betas = [], []
-    for i, spec in enumerate(specs):
-        n = n_start + i
-        zs = spec.zeros_of_k
-        if len(zs) != 1:
-            return _fail(f"n={n}: K vanishes at {len(zs)} point(s), need exactly 1")
-        kz = zs[0]
-        slow = _k_end_decay_ok(spec, kz.point, n)
-        if slow:
-            return _fail(f"n={n}: {slow}")
-        # the opposite endpoint must be a finite A/K zero: the inductive step
-        # places a zero of the next member exactly there
-        if orient == "k-at-alpha":
-            if not kz.usable_as_left():
-                return _fail(f"n={n}: K zero at {kz!r} unusable as a left endpoint")
-            cands = [
-                z for z in spec.zeros_of_a_over_k
-                if z.usable_as_right() and is_finite(z.point) and kz.point < z.point
-            ]
-            cands.sort(key=lambda z: z.point)
+        if ak_lo != ak_hi:
+            e = _ends_bc(spec, n, gamma, ak_lo, closed, label)
         else:
-            if not kz.usable_as_right():
-                return _fail(f"n={n}: K zero at {kz!r} unusable as a right endpoint")
-            cands = [
-                z for z in spec.zeros_of_a_over_k
-                if z.usable_as_left() and is_finite(z.point) and z.point < kz.point
-            ]
-            cands.sort(key=lambda z: z.point, reverse=True)
-        chosen = None
-        for cand in cands:
-            side = "-" if orient == "k-at-alpha" else "+"
-            if _endpoint_finite(spec, cand.point, side):
-                continue
-            alpha, beta = (kz.point, cand.point) if orient == "k-at-alpha" else (cand.point, kz.point)
-            if _interior_continuity(spec, alpha, beta):
-                continue
-            if n == 1:
-                weak_high = case == "c" and orient == "k-at-alpha"
-                weak_low = case == "c" and orient == "k-at-beta"
-                if _gamma_ok(gamma, alpha, beta, weak_low, weak_high):
-                    continue
-            chosen = (alpha, beta)
-            break
-        if chosen is None:
-            return _fail(f"n={n} ({label}): no usable A/K vanishing point opposite the K zero")
-        alphas.append(chosen[0])
-        betas.append(chosen[1])
-    strict_beta = case == "b" and orient == "k-at-alpha"
-    strict_alpha = case == "b" and orient == "k-at-beta"
-    chain = _chain_ok(alphas, betas, strict_alpha, strict_beta, n_start=n_start)
-    if chain:
-        return _fail(f"({label}) {chain}")
-    if n_start == 1:
-        weak_high = case == "c" and orient == "k-at-alpha"
-        weak_low = case == "c" and orient == "k-at-beta"
-        gbad = _gamma_ok(gamma, alphas[0], betas[0], weak_low, weak_high)
-        if gbad:
-            return _fail(f"({label}) {gbad}")
-    if case == "b":
-        growth = "beta_n < beta_(n+1)" if strict_beta else "alpha_(n+1) < alpha_n"
-        checklist_growth = ChecklistItem(f"strict outer-endpoint growth ({growth})", True)
-        interlacing, real_simple = True, True
-        lo_closed = hi_closed = False
-    else:
-        checklist_growth = ChecklistItem("no growth requirement (case c)", True)
-        interlacing, real_simple = False, True
-        hi_closed = orient == "k-at-alpha"
-        lo_closed = orient == "k-at-beta"
-    checklist = (
-        ChecklistItem(f"vanishing pattern ({case}): K = 0 at one endpoint, A/K = 0 at the other", True, label),
+            e = (_ends_d if ak_lo else _ends_a)(spec, n)
+        if isinstance(e, str):
+            return e
+        ends.append(e)
+    alphas, betas = (tuple(x) for x in zip(*ends))
+    strict = (ak_lo, ak_hi) if case in "bd" else (False, False)
+    why = _chain_ok(alphas, betas, *strict, n_start=n_start)
+    if not why and n_start == 1:
+        why = _gamma_ok(gamma, alphas[0], betas[0], *closed)
+    if why:
+        return f"({label}) {why}" if label else why
+    checklist = [
+        ChecklistItem(f"vanishing pattern ({case}): {_VANISHING[case]}", True, label),
         ChecklistItem("continuity/differentiability on each [alpha_n, beta_n]", True),
-        checklist_growth,
-        ChecklistItem("endpoint monotonicity alpha_(n+1) <= alpha_n < beta_n <= beta_(n+1)", True),
-        ChecklistItem("first root location", True, format_scalar(gamma)),
-    )
-    containment = tuple((a, b, lo_closed, hi_closed) for a, b in zip(alphas, betas))
-    # one extra entry for the member past the last classified step: its
-    # extreme zero sits exactly on the A/K endpoint of that step
-    step_lo = lo_closed or orient == "k-at-beta"
-    step_hi = hi_closed or orient == "k-at-alpha"
-    containment += ((alphas[-1], betas[-1], step_lo, step_hi),)
-    return CaseDecision(case, n_start, tuple(alphas), tuple(betas), checklist, interlacing, real_simple, containment)
-
-
-def _try_case_d(specs, gamma, n_start):
-    alphas, betas = [], []
-    for i, spec in enumerate(specs):
-        n = n_start + i
-        if spec.zeros_of_k:
-            return _fail(f"n={n}: K vanishes at {spec.zeros_of_k[0]!r}, but case d needs K != 0 everywhere")
-        zs = spec.zeros_of_a_over_k
-        if len(zs) != 2:
-            return _fail(f"n={n}: A/K vanishes at {len(zs)} point(s), need exactly 2")
-        lo, hi = (zs[0], zs[1]) if zs[0].point < zs[1].point else (zs[1], zs[0])
-        if not is_finite(lo.point) or not is_finite(hi.point):
-            return _fail(f"n={n}: A/K endpoints must be finite (a zero of the next member sits on each)")
-        if not lo.usable_as_left() or not hi.usable_as_right():
-            return _fail(f"n={n}: A/K vanishing sides incompatible with endpoints")
-        if _endpoint_finite(spec, lo.point, "+") or _endpoint_finite(spec, hi.point, "-"):
-            return _fail(f"n={n}: K has no finite limit at an endpoint")
-        bad = _interior_continuity(spec, lo.point, hi.point)
-        if bad:
-            return _fail(f"n={n}: {bad}")
-        alphas.append(lo.point)
-        betas.append(hi.point)
-    chain = _chain_ok(alphas, betas, strict_alpha=True, strict_beta=True, n_start=n_start)
-    if chain:
-        return _fail(chain)
-    gbad = _gamma_ok(gamma, alphas[0], betas[0]) if n_start == 1 else None
-    if gbad:
-        return _fail(gbad)
-    checklist = (
-        ChecklistItem("vanishing pattern (d): K never 0, A/K = 0 at both endpoints", True),
-        ChecklistItem("continuity/differentiability on each [alpha_n, beta_n]", True),
-        ChecklistItem("strict two-sided endpoint growth", True),
-        ChecklistItem("first root inside (alpha_1, beta_1)", True, format_scalar(gamma)),
-    )
-    return CaseDecision("d", n_start, tuple(alphas), tuple(betas), checklist, True, False, None)
+    ]
+    if case != "a":
+        growth = "beta_n < beta_(n+1)" if ak_hi else "alpha_(n+1) < alpha_n"
+        checklist.append(ChecklistItem(_GROWTH[case].format(growth), True))
+    if case != "d":
+        checklist.append(ChecklistItem("endpoint monotonicity alpha_(n+1) <= alpha_n < beta_n <= beta_(n+1)", True))
+    root = "first root location" if label else "first root inside (alpha_1, beta_1)"
+    checklist.append(ChecklistItem(root, True, format_scalar(gamma)))
+    containment = None
+    if case != "d":
+        # one extra entry for the member past the last classified step: its
+        # extreme zero sits exactly on the A/K end of that step
+        containment = tuple((a, b, *closed) for a, b in ends) + ((alphas[-1], betas[-1], ak_lo, ak_hi),)
+    return CaseDecision(case, n_start, alphas, betas, tuple(checklist), case != "c", case != "d", containment,
+                        isinstance(gamma, mpmath.mpf))

@@ -18,7 +18,7 @@ import mpmath
 
 from .dde import generate, step
 from .families import FamilySpec, coefficient_source
-from .kfactor import SingularPointError, boundary_zeros, classify, decide_case, log_k_eval
+from .kfactor import SingularPointError, classify, log_k_eval, predict
 from .poly import (
     FLOAT,
     NEG_INF,
@@ -79,15 +79,6 @@ def _check_containment(p, bounds, iso=None):
     return None
 
 
-def _first_root(p1):
-    if p1.degree != 1:
-        raise ValueError(f"P_1 must have degree 1 to locate its root, got degree {p1.degree}")
-    if p1.kind == RATIONAL:
-        return -p1.coeffs[0] / p1.coeffs[1]
-    with mpmath.workprec(p1.prec or 256):
-        return -p1.coeffs[0] / p1.coeffs[1]
-
-
 def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     """Generate, predict, and empirically verify a sequence up to degree N.
 
@@ -118,24 +109,12 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
         return VerificationReport(family, N, None, (), False, tuple(failures), False,
                                   seq.collapsed, seq.truncated_at)
 
-    pairs = []
-    for n in range(1, usable + 1):
-        try:
-            pairs.append(source.pair(n))
-        except IndexError:
-            break  # table sources may stop at the last generation step
-    specs = [boundary_zeros(classify(c)) for c in pairs]
     numeric = any(p.kind == FLOAT for p in seq.polys[: usable + 1])
-    gamma = _first_root(seq[1])  # deg P_1 == 1 here, else n=1 was a collapse
-    decision = (
-        decide_case(specs, gamma, n_start=1, strict_extension=strict_extension) if specs else None
-    )
+    decision = predict(source, usable, strict_extension)[2]
     # one Sturm chain per rational member serves all of its exact checks
     isos = {n: _Isolator(seq[n]) for n in range(1, usable + 1) if seq[n].kind == RATIONAL}
-    if decision is None or not decision.ok:
-        if decision is not None:
-            for case, why in (decision.diagnosis or {}).items():
-                failures.append(f"case ({case}) hypothesis fails: {why}")
+    if not decision.ok:
+        failures.extend(f"case ({case}) hypothesis fails: {why}" for case, why in decision.diagnosis.items())
         records = tuple(_empirical_record(seq, n, usable, None, width, isos) for n in range(1, usable + 1))
         return VerificationReport(family, N, decision, records, False, tuple(failures), numeric,
                                   seq.collapsed, seq.truncated_at)

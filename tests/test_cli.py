@@ -133,19 +133,45 @@ def test_close_surd_roots_get_a_case_diagnosis(capsys, tmp_path, command):
     (["-4", "-9", "-16"], "-0.5", 0, "d"),
     (["-2", "-3", "-5"], "-0.5", 0, "d"),
     (["-2", "-3", "-5"], "-1.5", 1, "none"),
+    (["-4", "-9", "-16"], "-0.1", 0, "d"),
 ])
 def test_classify_decimal_first_root(capsys, tmp_path, a0s, b0, code, case):
-    # a decimal B_0 puts an mpf first root against exact (rational or surd)
-    # endpoints; it is compared as the dyadic rational it holds
+    # a decimal B_0 puts an mpf first root, divided at B_0's precision, against
+    # exact (rational or surd) endpoints; it is compared as the dyadic rational it holds
     pairs = [{"A": ["0"], "B": [b0, "1"]}] + [{"A": [a0, "0", "1"], "B": ["0"]} for a0 in a0s]
     path = tmp_path / "decimal_b0.json"
     path.write_text(json.dumps({"coefficients": pairs, "N": 3}))
     got, out = run(capsys, "classify", "--input", str(path), "--no-timestamp")
     doc = json.loads(out)
     assert got == code and doc["decision"]["case"] == case
-    assert doc["first_root"] == b0[1:]
+    assert doc["first_root"] == b0[1:] and doc["decision"]["numeric"] is True
     if case == "none":
         assert doc["decision"]["diagnosis"]["d"] == "first root 1.5 violates alpha_1 < root < beta_1"
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_table_without_n_is_decided_as_far_as_it_goes(capsys, tmp_path, command):
+    # three Hermite pairs generate P_0..P_3 and classify the steps n = 1, 2
+    path = tmp_path / "hermite_pairs.json"
+    path.write_text(json.dumps({"coefficients": [{"A": ["-1"], "B": ["0", "2"]}] * 3}))
+    code, out = run(capsys, command, "--input", str(path), "--no-timestamp")
+    doc = json.loads(out)
+    decision = doc["decision"] if command == "classify" else doc["report"]["decision"]
+    assert code == 0 and decision["case"] == "a" and len(decision["alphas"]) == 2
+
+
+@pytest.mark.parametrize("flag, code", [((), 0), (("--tolerance", "1e-12"), 1)])
+def test_admits_reads_the_document_tolerance(capsys, tmp_path, flag, code):
+    # float Hermite table with P_5's constant term moved from 0 to 0.5: the
+    # residuals at n = 4, 5 pass the document's tolerance 1, not 1e-12
+    hs = [[1], [0, 2], [-2, 0, 4], [0, -12, 0, 8], [12, 0, -48, 0, 16],
+          [0.5, 120, 0, -160, 0, 32], [-120, 0, 720, 0, -480, 0, 64]]
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps({"sequence": [[f"{c:.1f}" for c in h] for h in hs], "tolerance": 1.0}))
+    got, out = run(capsys, "admits", "--input", str(path), "--no-timestamp", *flag)
+    verdicts = {e["n"]: e["verdict"] for e in json.loads(out)["result"]["entries"]}
+    assert got == code
+    assert [verdicts[n] for n in (4, 5)] == (["admits"] * 2 if code == 0 else ["fails"] * 2)
 
 
 def test_freud_demo_tiny_negative_t(capsys):

@@ -43,6 +43,12 @@ def test_document_rejects_mixed_kinds():
         InputDocument.from_dict({"sequence": [["1"], ["0.5", "1"], ["1/2", "0", "1"]]})
 
 
+@pytest.mark.parametrize("extra", [{"N": 2.5}, {"N": 0}, {"tolerance": [1]}, {"tolerance": "loose"}])
+def test_coefficient_document_rejects_bad_n_and_tolerance(extra):
+    with pytest.raises(DocumentError):
+        InputDocument.from_dict({"coefficients": [{"A": ["-1"], "B": ["0", "2"]}] * 3, **extra})
+
+
 def test_coefficient_document_degree_bounds():
     with pytest.raises(DocumentError):
         InputDocument.from_dict({"coefficients": [{"A": ["0", "0", "0", "1"], "B": ["1"]}]})
