@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -176,6 +177,79 @@ def test_repeated_root_skip_matches_gcd_oracle():
             repeated_seen += repeated
             simple_seen += not repeated
     assert repeated_seen > 50 and simple_seen > 50
+
+
+def golden_tables(seed=29, count=360):
+    """Seeded rational tables: sequences of random small-rational pairs with
+    each member under a random scale, and in four of every five tables one
+    member changed: P_(m+1) perturbed below degree m (an inconsistent
+    equation), a planted double root in P_m, P_m of lower degree, or
+    P_(m+1) = B P_m with deg B = 2 (a forced deg B)."""
+    rng = random.Random(seed)
+
+    def q(k=4):
+        return Fraction(rng.randint(-k, k), rng.randint(1, 3))
+
+    tables = []
+    while len(tables) < count:
+        N = rng.randint(3, 10)
+        pairs = [CoefficientPair(Poly.zero(), P([q(), q() or 1]))]
+        pairs += [CoefficientPair(P([q(), q(), q()]), P([q(), q() or 1])) for _ in range(N)]
+        seq = generate(CoefficientTable(pairs), N)
+        if seq.collapsed or seq.truncated_at:
+            continue
+        table = [p.scale(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3, 7]))) if n else p
+                 for n, p in enumerate(seq.polys)]
+        kind, m = len(tables) % 5, rng.randint(2, N - 1)
+        if kind == 1:
+            table[m + 1] = table[m + 1] + P([q() for _ in range(rng.randint(1, m))])
+        elif kind == 2:
+            r = q()
+            table[m] = P([r * r, -2 * r, 1]) * P([q() for _ in range(m - 2)] + [q() or 1])
+        elif kind == 3:
+            table[m] = P([q() for _ in range(rng.randint(1, m))])
+        elif kind == 4:
+            table[m + 1] = P([q(), q(), q() or 1]) * table[m]
+        if not any(p.is_zero for p in table):
+            tables.append(table)
+    return tables
+
+
+def test_admits_golden_corpus():
+    # every verdict, pair, uniqueness flag and witness text of 360 tables
+    results = [repr(admits_dde(t)) for t in golden_tables()]
+    text = "\n".join(results)
+    for witness in ("inconsistent equation 0 = ", "forced deg B = 2", "has repeated roots", "deg P_"):
+        assert witness in text
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ADMITS
+
+
+GOLDEN_ADMITS = "5d7fb964b2a2d5672e47f6eaf5b2ca9d68afd1d9be868d9bbf48b3421d728428"
+
+MERSENNE = 2**61 - 1
+
+
+@pytest.mark.parametrize("p2", [P([0, -MERSENNE, 1]), P([-1, 0, MERSENNE])],
+                         ids=["double-root-mod-p", "lead-divisible-by-p"])
+def test_members_the_prime_cannot_certify_keep_their_verdict(monkeypatch, p2):
+    # x^2 - (2^61 - 1)x is x^2 modulo the prime, and (2^61 - 1)x^2 - 1 loses
+    # its lead there; both are squarefree, and only the exact chain says so
+    import ddepoly.poly as poly
+
+    chains = []
+    prs = poly._prs
+    monkeypatch.setattr(poly, "_prs", lambda a, b: chains.append(tuple(a)) or prs(a, b))
+    pairs = [CoefficientPair(P([1, 0, 1]), P([-2, 3])), CoefficientPair(P([0, 1, -1]), P([5, -1]))]
+    table = [P([1]), p2.derivative(), p2]
+    for c in pairs:
+        table.append(step(table[-1], c))
+    res = admits_dde(table)
+    assert res.all_admit
+    assert tuple(p2.primitive_int_coeffs()) in chains
+    for e in res.entries:
+        assert step(table[e.n], e.pair) == table[e.n + 1]
+        if e.n >= 3:
+            assert e.unique and e.pair == pairs[e.n - 2]
 
 
 def test_admits_exact_failure_at_four_roots():
