@@ -15,10 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 
-from .poly import DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, format_poly, to_mpf
+from .poly import (
+    DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, _dx, _prem, _quo, _squarefree, format_poly,
+    to_mpf,
+)
 from .roots import _exact_image, _Isolator, is_real_simple, isolate_roots
 
 
@@ -130,44 +134,6 @@ def generate(src, N):
     return PolySequence(tuple(polys), tuple(collapsed), truncated_at, diagnostic)
 
 
-def _solve_exact(rows, rhs, unknowns):
-    """Gauss-Jordan over Fraction.  Returns (solution | None, kernel_dim, witness).
-
-    solution is a particular solution with free variables set to 0;
-    witness describes the inconsistent pivot when no solution exists.
-    """
-    m = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(unknowns):
-        sel = None
-        for i in range(r, m):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][unknowns]:
-            return None, unknowns - len(pivots), f"inconsistent equation 0 = {aug[i][unknowns]}"
-    sol = [Fraction(0)] * unknowns
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][unknowns]
-    return sol, unknowns - len(pivots), None
-
-
 @dataclass(frozen=True)
 class AdmissibilityEntry:
     n: int
@@ -240,26 +206,78 @@ def _admit_at(polys, n, numeric, tolerance):
         A = Pn1.scale(1 / c)
         zero = Poly.zero(Pn.kind, Pn.prec)
         return AdmissibilityEntry(n, "admits", CoefficientPair(A, zero), unique=False, residual=0.0)
-    if Pn.kind == RATIONAL and _Isolator(Pn).gcd_degree > 0:
-        return AdmissibilityEntry(n, "skipped-degenerate", witness=f"P_{n} has repeated roots")
+    if Pn.kind == RATIONAL:
+        return _admit_exact(Pn, Pn1, n)
     dPn = Pn.derivative()
     cols = []
     for j in range(3):
-        xj = Poly.rational([0] * j + [1]) if Pn.kind == RATIONAL else Poly.floating([0] * j + [1], Pn.prec or DEFAULT_FLOAT_PREC)
+        xj = Poly.floating([0] * j + [1], Pn.prec or DEFAULT_FLOAT_PREC)
         cols.append((xj * dPn) % Pn)
-    rhs_poly = Pn1 % Pn
-    if Pn.kind == RATIONAL:
-        rows = [[cols[j].coeff(i) for j in range(3)] for i in range(n)]
-        rhs = [rhs_poly.coeff(i) for i in range(n)]
-        sol, kdim, witness = _solve_exact(rows, rhs, 3)
-        if sol is None:
-            return AdmissibilityEntry(n, "fails", witness=witness)
-        A = Poly.rational(sol)
-        B = (Pn1 - A * dPn).exact_div(Pn)
-        if B.degree > 1:
-            return AdmissibilityEntry(n, "fails", witness=f"forced deg B = {B.degree} > 1")
-        return AdmissibilityEntry(n, "admits", CoefficientPair(A, B), unique=(kdim == 0), residual=0.0)
-    return _admit_at_float(Pn, Pn1, dPn, cols, rhs_poly, n, tolerance)
+    return _admit_at_float(Pn, Pn1, dPn, cols, Pn1 % Pn, n, tolerance)
+
+
+def _admit_exact(Pn, Pn1, n):
+    """The rational decision on integer vectors.  With P_n = u p and
+    P_(n+1) = v q for primitive p and q, column j of the system is
+    s_j (x^j p' mod p) and its right side s (q mod p), integer
+    pseudo-remainders with s_j and s powers of lead(p).  Its solution z
+    gives A's coefficients (v s_j / (u s)) z_j, and the residual of an
+    equation is v / s times the integer one."""
+    p, q = Pn.primitive_int_coeffs(), Pn1.primitive_int_coeffs()
+    if not _squarefree(p):
+        return AdmissibilityEntry(n, "skipped-degenerate", witness=f"P_{n} has repeated roots")
+    u, v = Pn.lead / p[-1], Pn1.lead / q[-1] if q else Fraction(1)
+    dp = _dx(p)
+    c1 = [a - n * b for a, b in zip([0] + dp, p)][:n]  # x p' - n p = x p' mod p
+    scales, s = (1, 1, p[-1]), p[-1] ** max(len(q) - n, 0)
+    rhs = _prem(q, p)
+    rows = zip(dp, c1, _prem([0] + c1, p), rhs + [0] * (n - len(rhs)))
+    aug, pivots, d = _eliminate(rows, 3)
+    bad = next((row[3] for row in aug[len(pivots):] if row[3]), 0)
+    if bad:
+        return AdmissibilityEntry(n, "fails", witness=f"inconsistent equation 0 = {v * bad / (s * d)}")
+    a = [Fraction(0)] * 3
+    for row, col in zip(aug, pivots):
+        a[col] = Fraction(row[3] * scales[col], s * d)
+    A = Poly.rational([v / u * c for c in a])
+    # B = (P_(n+1) - A P_n') / P_n = v / (D u) * (D q - sum D a_j x^j p') / p
+    D = lcm(*(c.denominator for c in a))
+    rest = [D * c for c in q] + [0] * (n + 2 - len(q))
+    for j, c in enumerate(a):
+        c = int(D * c)
+        for i, b in enumerate(dp):
+            rest[i + j] -= c * b
+    B = Poly.rational([v / (D * u) * c for c in _quo(rest, p)])
+    if B.degree > 1:
+        return AdmissibilityEntry(n, "fails", witness=f"forced deg B = {B.degree} > 1")
+    return AdmissibilityEntry(n, "admits", CoefficientPair(A, B), unique=len(pivots) == 3, residual=0.0)
+
+
+def _eliminate(rows, unknowns):
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on integer rows
+    (coefficients, right side), pivoting as plain elimination does: in each
+    column, the first nonzero row from the next pivot position down.
+    Returns the rows, the pivot columns and the last pivot d.  Pivot row k
+    then reads d z[pivots[k]] + (free terms) = its right side; every later
+    row is zero but for its right side, d times its equation's residual at
+    the solution with free unknowns 0 (Sylvester's identity)."""
+    aug, pivots, d = [list(r) for r in rows], [], 1
+    for col in range(unknowns):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        top, pv = aug[r], aug[r][col]
+        for i, row in enumerate(aug):
+            if i != r:
+                f = row[col]
+                aug[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(col)
+        d = pv
+        if len(pivots) == len(aug):
+            break
+    return aug, pivots, d
 
 
 def _admit_at_float(Pn, Pn1, dPn, cols, rhs_poly, n, tolerance):

@@ -437,19 +437,55 @@ def _prs(a, b):
     chain = [_primitive(a), _primitive(b)]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        lc, b = (b[-1], b) if b[-1] > 0 else (-b[-1], [-v for v in b])
-        r, n = list(a), len(b) - 1
-        for k in range(len(a) - 1, n - 1, -1):  # r <- lc r - r_k x^(k-n) b
-            q = r.pop()
-            r = [lc * v for v in r]
-            for i in range(n):
-                r[k - n + i] -= q * b[i]
+        r = _prem(a, b if b[-1] > 0 else [-v for v in b])
         while r and not r[-1]:
             r.pop()
         if not r:
             break
         chain.append(tuple(-v for v in _primitive(r)))
     return chain if chain[1] else chain[:1]  # gcd(a, 0) = a
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(len a - len b + 1) (a mod b) of integer vectors,
+    untrimmed: len b - 1 entries, or a itself when it is the shorter."""
+    lc, r, n = b[-1], list(a), len(b) - 1
+    for k in range(len(a) - 1, n - 1, -1):  # r <- lc r - r_k x^(k-n) b
+        q = r.pop()
+        r = [lc * v for v in r]
+        for i in range(n):
+            r[k - n + i] -= q * b[i]
+    return r
+
+
+_PRIME = 2**61 - 1
+
+
+def _squarefree(a):
+    """Whether the integer vector a (degree >= 1) is squarefree.  Brown's
+    one-sided certificate comes first (JACM 1971): when the prime 2^61 - 1
+    does not divide lead(a), a repeated factor of a stays one modulo the
+    prime, so a constant gcd(a, a') there proves a squarefree.  Only a
+    non-constant one, or a lead the prime divides, builds the exact chain."""
+    m = _PRIME
+    if a[-1] % m:
+        f, g = [v % m for v in a], [v % m for v in _dx(a)]  # lead(a') = deg a lead(a) != 0
+        while len(g) > 1:
+            inv, n = pow(g[-1], -1, m), len(g) - 1
+            g = [v * inv % m for v in g]
+            for k in range(len(f) - 1, n - 1, -1):  # f <- f mod g, reduced lazily
+                c = f[k] % m
+                if c:
+                    f[k - n:k] = [x - c * y for x, y in zip(f[k - n:k], g)]
+            f = [v % m for v in f[:n]]
+            while f and not f[-1]:
+                f.pop()
+            if not f:
+                break
+            f, g = g, f
+        else:
+            return True
+    return len(_prs(a, _dx(a))[-1]) == 1
 
 
 def _dx(a):
@@ -470,12 +506,14 @@ def _quo(a, b):
     return q[::-1]
 
 
-def squarefree_decomposition(p):
+def squarefree_decomposition(p, g=None):
     """Yun decomposition of a rational polynomial: [(f_i, i)] with p ~ prod f_i^i.
 
     Factors are monic, squarefree and pairwise coprime.  Yun's loop (SYMSAC
     1976) runs on integer vectors: each gcd is the last entry of a `_prs`
     chain, primitive, so each division is exact over Z; monic on output.
+    `g`, when given, is gcd(p, p') as such an entry (that of p's own chain),
+    and Yun starts from it.
     """
     if p.kind != RATIONAL:
         raise KindMismatchError("squarefree decomposition requires rational coefficients")
@@ -484,7 +522,7 @@ def squarefree_decomposition(p):
     if p.degree == 0:
         return []
     a = p.primitive_int_coeffs()
-    g = _prs(a, _dx(a))[-1]
+    g = g or _prs(a, _dx(a))[-1]
     w, y = _quo(a, g), _quo(_dx(a), g)
     out, i = [], 1
     while len(w) > 1:

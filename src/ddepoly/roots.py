@@ -353,7 +353,7 @@ def isolate_roots(p, width, iso=None):
     iso = iso or _Isolator(_exact_image(p))
     squarefree = iso.gcd_degree == 0
     if not squarefree:
-        decomp = squarefree_decomposition(iso.poly)
+        decomp = squarefree_decomposition(iso.poly, iso.chain[-1])
         iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
     roots = tuple(

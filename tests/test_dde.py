@@ -142,7 +142,7 @@ def test_admits_skips_repeated_roots():
 
 
 def test_admits_builds_no_fraction_gcd(monkeypatch):
-    # the repeated-root test reads gcd(P_n, P_n') off the integer remainder chain
+    # the repeated-root test runs on integer vectors, never through Poly.gcd
     calls = []
     gcd = Poly.gcd
     monkeypatch.setattr(Poly, "gcd", lambda self, other: calls.append(self) or gcd(self, other))
@@ -150,6 +150,20 @@ def test_admits_builds_no_fraction_gcd(monkeypatch):
         seq = generate(coefficient_source(FamilySpec(kind)), 20)
         assert admits_dde(list(seq.polys)).all_admit, kind
     assert not calls
+
+
+def test_squarefree_members_build_no_chain(monkeypatch):
+    # gcd(P_n, P_n') modulo 2^61 - 1 is constant for every member, which
+    # proves it squarefree, so no remainder chain is built
+    import ddepoly.poly as poly
+
+    chains = []
+    prs = poly._prs
+    monkeypatch.setattr(poly, "_prs", lambda a, b: chains.append(a) or prs(a, b))
+    for kind in ("hermite", "bell"):
+        seq = generate(coefficient_source(FamilySpec(kind)), 20)
+        assert admits_dde(list(seq.polys)).all_admit, kind
+    assert not chains
 
 
 def test_repeated_root_skip_matches_gcd_oracle():

@@ -15,6 +15,8 @@ from ddepoly.poly import (
     Poly,
     Surd,
     _quo,
+    _remainders,
+    _squarefree,
     format_poly,
     format_scalar,
     squarefree_decomposition,
@@ -134,6 +136,25 @@ def test_squarefree_decomposition_matches_sympy_sqf_list():
         decomp = squarefree_decomposition(p)
         assert all(f.lead == 1 for f, _ in decomp)
         assert decomp == sqf_list(p)
+        assert squarefree_decomposition(p, _remainders(p, p.derivative())[-1]) == decomp
+
+
+def test_squarefree_certificate_matches_gcd_oracle():
+    # random products with and without a square factor; the factors x - m,
+    # x - m - 1, x and m x + 1 for m = 2^61 - 1 collide modulo m or lose
+    # their lead there, which sends the certificate to the exact chain
+    rng, m = random.Random(19), 2**61 - 1
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        p = P([rng.choice([1, -3, m, 2 * m])])
+        for _ in range(rng.randint(1, 4)):
+            f = random_factor(rng) if rng.random() < 0.7 else rng.choice([P([-m, 1]), P([-m - 1, 1]), P([0, 1]), P([1, m])])
+            p = p * f ** rng.choice([1, 1, 2])
+        a = p.primitive_int_coeffs()
+        squarefree = gcd(p, p.derivative()).degree == 0
+        assert _squarefree(a) == squarefree, p
+        seen[squarefree] += 1
+    assert min(seen.values()) > 50
 
 
 def test_yun_reassembles():

@@ -558,15 +558,19 @@ def test_exact_isolation_makes_no_divrem_or_gcd(monkeypatch):
 
 
 def test_squarefree_input_builds_one_chain_and_no_yun(monkeypatch):
+    import ddepoly.poly as poly
     import ddepoly.roots as roots
 
-    chains, yun = [], []
-    orig_chain, orig_yun = roots._remainders, roots.squarefree_decomposition
+    chains, prs, yun = [], [], []
+    orig_chain, orig_prs, orig_yun = roots._remainders, poly._prs, roots.squarefree_decomposition
     monkeypatch.setattr(roots, "_remainders", lambda f, g: chains.append(1) or orig_chain(f, g))
-    monkeypatch.setattr(roots, "squarefree_decomposition", lambda p: yun.append(1) or orig_yun(p))
+    monkeypatch.setattr(poly, "_prs", lambda a, b: prs.append(1) or orig_prs(a, b))
+    monkeypatch.setattr(roots, "squarefree_decomposition", lambda *a: yun.append(1) or orig_yun(*a))
     rs = isolate_roots(poly_from_roots([Fraction(-7, 3), 0, 2, 5]) * P([-3, 0, 1]), WIDTH)
     assert rs.count == 6 and rs.squarefree
-    assert (len(chains), len(yun)) == (1, 0)
+    assert (len(chains), len(prs), len(yun)) == (1, 1, 0)
     rs = isolate_roots(P([1, -2, 1]) * P([-3, 0, 1]), WIDTH)
     assert not rs.squarefree and [r.multiplicity for r in rs.roots] == [1, 2, 1]
-    assert (len(chains), len(yun)) == (3, 1)  # p's chain, then its squarefree part's
+    # p's chain, then its squarefree part's; Yun starts from the gcd that
+    # ends p's chain and builds one chain per factor, not p's chain again
+    assert (len(chains), len(prs), len(yun)) == (3, 5, 1)
