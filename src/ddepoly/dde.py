@@ -8,7 +8,10 @@ coefficients: a quadratic A must satisfy P_{n+1} - A P_n' == 0 modulo P_n,
 which is a linear system in A's three coefficients; B then falls out by
 exact division.  This avoids any arithmetic with the roots of P_n while
 being equivalent to interpolating A through (x_k, P_{n+1}(x_k)/P_n'(x_k))
-at the simple zeros x_k of P_n.
+at the simple zeros x_k of P_n.  On rational input the system is built
+from integer pseudo-remainders of primitive integer vectors and solved by
+fraction-free elimination, and P_n is proved squarefree by a gcd modulo
+a prime; no `Fraction` enters until A and B are scaled back.
 """
 
 from __future__ import annotations
@@ -166,10 +169,11 @@ def admits_dde(seq, tolerance=1e-12):
     seq is a list of Poly with seq[0] == 1.  Entries n with deg seq[n] != n
     are skipped as degenerate, as are n >= 2 where seq[n] has repeated
     roots (the decision procedure needs simple zeros); for rational input
-    gcd(P_n, P_n') is read off the integer remainder chain of the Sturm
-    kernel, with no Fraction gcd.  Rational input is
-    decided exactly; float input is decided by least squares against
-    `tolerance` (relative) and the result is tagged numeric.
+    a constant gcd(P_n, P_n') modulo 2^61 - 1 proves P_n squarefree, and
+    only a member it cannot certify builds the exact integer chain.
+    Rational input is decided exactly, on integers (`_admit_exact`); float
+    input is decided by least squares against `tolerance` (relative) and
+    the result is tagged numeric.
     """
     polys = [p if isinstance(p, Poly) else Poly.rational(p) for p in seq]
     if len(polys) < 2:

@@ -161,7 +161,8 @@ def as_fraction(x):
 
 
 def format_scalar(x, dps=17):
-    """Render a scalar for reports: exact 'p/q' for rationals, decimal otherwise."""
+    """Render a scalar for reports: exact 'p/q' for rationals, 'a + b*sqrt(d)'
+    for surds (a zero a left out), decimal otherwise."""
     if isinstance(x, _Infinity):
         return repr(x)
     if isinstance(x, (int,)):
@@ -170,8 +171,11 @@ def format_scalar(x, dps=17):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, mpmath.mpf):
         return mpmath.nstr(x, dps)
-    if isinstance(x, Surd):  # about 4 bits a digit, and a margin
-        return mpmath.nstr(to_mpf(x, 4 * dps + 64), dps)
+    if isinstance(x, Surd):
+        root = f"{format_scalar(abs(x.b))}*sqrt({x.d})"
+        if not x.a:
+            return root if x.b > 0 else f"-{root}"
+        return f"{format_scalar(x.a)} {'+' if x.b > 0 else '-'} {root}"
     return mpmath.nstr(mpmath.mpf(x), dps)
 
 

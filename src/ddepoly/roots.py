@@ -8,7 +8,8 @@ signs at p/q come from the homogenized integer sum c_i p^i q^(d-i).
 Isolation is one bisection tree over one chain per polynomial, that of
 its squarefree part.  p's own chain comes first: its last entry is
 gcd(p, p'), and only a non-constant one sends p through Yun's
-decomposition, whose factors' signs give the multiplicities.  The tree
+decomposition, which starts from it; the factors' signs give the
+multiplicities.  The tree
 starts from a dyadic bound 2^(e+2): Fujiwara's root bound read off
 coefficient bit lengths, then doubled, so no root lies on it.  A
 midpoint that is a root is kept as an exact point [m, m], and bisection
@@ -340,8 +341,8 @@ def isolate_roots(p, width, iso=None):
     One Sturm bisection tree over the chain of p's squarefree part,
     intervals refined to <= width.  p's own chain (`iso`, reused if
     given) comes first; when it shows p squarefree (gcd(p, p') constant)
-    no Yun decomposition runs, else multiplicities are read off the signs
-    of p's Yun factors.  A float p is isolated as the rational polynomial
+    no Yun decomposition runs, else Yun starts from that gcd and
+    multiplicities are read off the signs of p's Yun factors.  A float p is isolated as the rational polynomial
     it holds, so count, multiplicities and `squarefree` are certified for
     that polynomial; its interval ends are mpf (`_ends_of_kind`).
     """

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -126,7 +127,13 @@ def test_close_surd_roots_get_a_case_diagnosis(capsys, tmp_path, command):
     assert decision["case"] == "none" and not decision["numeric"]
     assert decision["diagnosis"]["a"] == "n=1: K vanishes at 1 point(s), need exactly 2"
     if command == "classify":
-        assert len(doc["classifications"][0]["exponents"]) == 2
+        # the two points print apart, each exactly as 1 +- b*sqrt(d) with b^2 d = 2 10^-160
+        points = [e["point"] for e in doc["classifications"][0]["exponents"]]
+        assert len(points) == 2 and points[0] != points[1]
+        for point, sign in zip(points, "+-"):
+            a, s, root = point.split(" ")
+            b, d = root.removesuffix(")").split("*sqrt(")
+            assert (a, s) == ("1", sign) and Fraction(b) ** 2 * int(d) == Fraction(2, 10**160)
 
 
 @pytest.mark.parametrize("a0s, b0, code, case", [

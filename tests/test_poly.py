@@ -254,7 +254,16 @@ def test_surd_to_mpf_keeps_digits_through_cancellation():
         want = -1 / (10**40 + mpmath.sqrt(10**80 + 1))
         assert abs(to_mpf(s, 256) / want - 1) < mpmath.mpf(2) ** -250
         want = mpmath.mpf(1) / 3 - mpmath.mpf(2) / 7 * mpmath.sqrt(5)
-    assert format_scalar(Surd(Fraction(1, 3), Fraction(-2, 7), 5), 30) == mpmath.nstr(want, 30)
+    assert mpmath.nstr(to_mpf(Surd(Fraction(1, 3), Fraction(-2, 7), 5), 184), 30) == mpmath.nstr(want, 30)
+
+
+def test_surds_print_exactly():
+    # 1 +- sqrt(2) 10^-80 printed both as "1.0" when a surd printed as a decimal
+    assert format_scalar(Surd(Fraction(1, 3), Fraction(-2, 7), 5), 30) == "1/3 - 2/7*sqrt(5)"
+    assert format_scalar(Surd(0, Fraction(-1, 2), 8)) == "-1/2*sqrt(8)"
+    assert format_scalar(Surd(0, 3, 2)) == "3*sqrt(2)"
+    near = [format_scalar(Surd(1, sign * Fraction(1, 10**80), 2)) for sign in (1, -1)]
+    assert near == [f"1 + 1/{10**80}*sqrt(2)", f"1 - 1/{10**80}*sqrt(2)"]
 
 
 def test_format_poly():

@@ -53,15 +53,15 @@ def test_case_c_rejects_zero_beyond_closed_endpoint():
     # surd endpoints (irrational roots of A) are compared exactly: sqrt(2) - 1/2
     # lies between the roots, and 1 - 10^-60 sqrt(2) just below 1
     mid, below_one = Surd(Fraction(-1, 2), 1, 2), Surd(1, Fraction(-1, 10**60), 2)
-    assert _check_containment(p, (NEG_INF, mid, False, False)) == "1 zero(s) beyond right endpoint 0.91421356237309505)"
-    assert _check_containment(p, (NEG_INF, below_one, False, True)) == "1 zero(s) beyond right endpoint 1.0]"
-    assert _check_containment(p, (mid, POS_INF, True, False)) == "1 zero(s) below left endpoint [0.91421356237309505"
+    assert _check_containment(p, (NEG_INF, mid, False, False)) == "1 zero(s) beyond right endpoint -1/2 + 1*sqrt(2))"
+    assert _check_containment(p, (NEG_INF, below_one, False, True)) == f"1 zero(s) beyond right endpoint 1 - 1/{10**60}*sqrt(2)]"
+    assert _check_containment(p, (mid, POS_INF, True, False)) == "1 zero(s) below left endpoint [-1/2 + 1*sqrt(2)"
     assert _check_containment(p, (Surd(0, -1, 2), Surd(1, Fraction(1, 10**60), 2), False, False)) is None
     # a surd endpoint that is a root of p counts as inside when closed
     q = P([-2, 0, 1]) * P([1, 1])  # roots -sqrt 2, -1, sqrt 2
     lo, hi = Surd(0, -1, 2), Surd(0, Fraction(1, 2), 8)
     assert _check_containment(q, (lo, hi, True, True)) is None
-    assert _check_containment(q, (lo, hi, True, False)) == "1 zero(s) beyond right endpoint 1.414213562373095)"
+    assert _check_containment(q, (lo, hi, True, False)) == "1 zero(s) beyond right endpoint 1/2*sqrt(8))"
 
 
 def test_hypergeometric_family_case_a_unit_interval():
@@ -208,7 +208,7 @@ GOLDEN_REPORTS = [
     ("laguerre", {"alpha": "1/2"}, 12, "f5d42140b062ba0c292e10011cca35d4daac8395071026d70146803a70f11268"),
     ("hyp2f1", {"b": "40", "c": "1"}, 12, "42e6eb32326047ea66b24987e7c5a92d2e0bf19f6819aa997a48e4336add7f82"),
     ("vertgeim", {"a": "1", "b": "2", "alpha": "1"}, 12,
-     "8b635c68b6755a1ba0e98510e881da7a59cd283bf488a6fd9353aa96d54ed019"),
+     "3566ba71718742cf05be77100efc929c7b77a8db7f6825d8acc79dbb2c72dbba"),
     ("hermite_like", {"kappa": "2"}, 12, "86d40b53bdd044e29acff03ac4735bf63c60d1d150e57acd4de597f8d6a0a547"),
     ("bell", {}, 22, "670fe75c34eae6ba40f52b4f331026b013029f296d430c5f39e719fd6fb45e02"),
     ("hermite", {}, 22, "141e27a0455c0ea3498649834ccd2304ecd87ba8341e60efa696b5162996ad28"),
