@@ -19,10 +19,11 @@ odd pairs running the parent first and even pairs the change first.  A
 scaling row times verify_sequence per family and degree by the stored
 command SCALING, run SCALING_RUNS times per side with the side that runs
 first alternating, and keeps the median and every run: one wall-clock
-run per cell spreads wider than the changes it should show.  The file
-also holds the machine facts and the commands.
-Only the standard library is used; the interpreter that runs this script
-runs perfbench too.
+run per cell spreads wider than the changes it should show.  The same
+row times admits_dde on each family's own table P_0..P_N at N = 20, 36
+and 60.  The file also holds the machine facts and the commands.  Only
+the standard library is used; the interpreter that runs this script runs
+perfbench too.
 """
 
 import argparse
@@ -38,7 +39,8 @@ from result_line import missing_metrics, strict_json
 
 SCALING = """\
 import json, time
-from ddepoly.families import FamilySpec
+from ddepoly.dde import admits_dde, generate
+from ddepoly.families import FamilySpec, coefficient_source
 from ddepoly.verify import verify_sequence
 F = [("bell", {}), ("hermite", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
      ("euler_frobenius", {"kappa": "1", "r": "n+1"})]
@@ -47,6 +49,10 @@ for k, p in F:
     for N in (10, 20, 30, 40, 60):
         t = time.perf_counter(); ok = verify_sequence(FamilySpec(k, p), N).agreement
         row[f"{k} N={N}"] = [round(time.perf_counter() - t, 3), ok]
+    for N in (20, 36, 60):
+        table = list(generate(coefficient_source(FamilySpec(k, p)), N).polys)
+        t = time.perf_counter(); ok = admits_dde(table).all_admit
+        row[f"admits {k} N={N}"] = [round(time.perf_counter() - t, 4), ok]
 print(json.dumps(row))
 """
 SCALING_RUNS = 3
@@ -142,7 +148,9 @@ def main():
                 doc["perfbench"].append({"side": side, "workload": w, "seed": args.seed, "trace": trace, "result": result})
 
     doc["scaling"] = {
-        "what": f"verify_sequence wall seconds (median and all {SCALING_RUNS} runs) and agreement, width 1e-9",
+        "what": f"verify_sequence wall seconds at width 1e-9 and admits_dde wall seconds on the family's own "
+                f"table P_0..P_N (cells 'admits ...'), median and all {SCALING_RUNS} runs; agreement is "
+                f"verify_sequence's agreement, or all_admit for admits_dde",
         "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING),
         "order": "odd runs run the parent first, even runs the change first",
     }
