@@ -16,6 +16,7 @@ a prime; no `Fraction` enters until A and B are scaled back.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -180,20 +181,13 @@ def admits_dde(seq, tolerance=1e-12):
         raise ValueError("need at least P_0 and P_1")
     if polys[0].degree != 0 or polys[0].coeffs[0] != 1:
         raise ValueError("seq[0] must be the constant polynomial 1")
-    numeric = any(p.kind == FLOAT for p in polys)
-    entries = []
-    if numeric:
-        prec = max((p.prec or DEFAULT_FLOAT_PREC) for p in polys if p.kind == FLOAT)
-        with mpmath.workprec(prec + 32):
-            for n in range(len(polys) - 1):
-                entries.append(_admit_at(polys, n, numeric, tolerance))
-    else:
-        for n in range(len(polys) - 1):
-            entries.append(_admit_at(polys, n, numeric, tolerance))
-    return AdmissibilityResult(tuple(entries), numeric)
+    prec = max((p.prec or DEFAULT_FLOAT_PREC for p in polys if p.kind == FLOAT), default=None)
+    with mpmath.workprec(prec + 32) if prec else nullcontext():
+        entries = tuple(_admit_at(polys, n, tolerance) for n in range(len(polys) - 1))
+    return AdmissibilityResult(entries, numeric=prec is not None)
 
 
-def _admit_at(polys, n, numeric, tolerance):
+def _admit_at(polys, n, tolerance):
     Pn, Pn1 = polys[n], polys[n + 1]
     if Pn.degree != n:
         return AdmissibilityEntry(n, "skipped-degenerate", witness=f"deg P_{n} = {Pn.degree} != {n}")

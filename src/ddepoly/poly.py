@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 
 import mpmath
 from mpmath import mpf
@@ -385,10 +386,8 @@ class Poly:
             raise KindMismatchError("integer normalization requires rational coefficients")
         if self.is_zero:
             return ()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return _primitive([int(c * den) for c in self.coeffs])
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return _primitive([c.numerator * (den // c.denominator) for c in self.coeffs])
 
     def to_float(self, prec=DEFAULT_FLOAT_PREC):
         if self.kind == FLOAT:
@@ -476,9 +475,8 @@ def _squarefree(a):
         f, g = [v % m for v in a], [v % m for v in _dx(a)]  # lead(a') = deg a lead(a) != 0
         while len(g) > 1:
             inv, n = pow(g[-1], -1, m), len(g) - 1
-            g = [v * inv % m for v in g]
             for k in range(len(f) - 1, n - 1, -1):  # f <- f mod g, reduced lazily
-                c = f[k] % m
+                c = f[k] * inv % m
                 if c:
                     f[k - n:k] = [x - c * y for x, y in zip(f[k - n:k], g)]
             f = [v % m for v in f[:n]]
