@@ -473,18 +473,13 @@ def _squarefree(a):
     m = _PRIME
     if a[-1] % m:
         f, g = [v % m for v in a], [v % m for v in _dx(a)]  # lead(a') = deg a lead(a) != 0
-        while len(g) > 1:
-            inv, n = pow(g[-1], -1, m), len(g) - 1
-            for k in range(len(f) - 1, n - 1, -1):  # f <- f mod g, reduced lazily
-                c = f[k] * inv % m
-                if c:
-                    f[k - n:k] = [x - c * y for x, y in zip(f[k - n:k], g)]
-            f = [v % m for v in f[:n]]
-            while f and not f[-1]:
-                f.pop()
-            if not f:
+        while len(g) > 1:  # a pseudo-remainder is a unit times the remainder mod m
+            r = [v % m for v in _prem(f, g)]
+            while r and not r[-1]:
+                r.pop()
+            if not r:
                 break
-            f, g = g, f
+            f, g = g, r
         else:
             return True
     return len(_prs(a, _dx(a))[-1]) == 1

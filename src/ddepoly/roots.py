@@ -9,13 +9,13 @@ Isolation is one bisection tree over one chain per polynomial, that of
 its squarefree part.  p's own chain comes first: its last entry is
 gcd(p, p'), and only a non-constant one sends p through Yun's
 decomposition, which starts from it; the factors' signs give the
-multiplicities.  The tree
-starts from a dyadic bound 2^(e+2): Fujiwara's root bound read off
-coefficient bit lengths, then doubled, so no root lies on it.  A
-midpoint that is a root is kept as an exact point [m, m], and bisection
-goes on over the same chain with counts that exclude it.  Refinement is
-quadratic interval refinement (Abbott, 2006) capped to the nodes of the
-same tree.  Interlacing is a Cauchy index read off a remainder sequence.
+multiplicities.  The tree starts from a dyadic bound 2^(e+2): Fujiwara's
+root bound read off coefficient bit lengths, then doubled, so no root
+lies on it.  A midpoint that is a root is kept as an exact point [m, m],
+and bisection goes on over the same chain with counts that exclude it.
+Refinement is quadratic interval refinement (Abbott, 2006) capped to the
+nodes of the same tree.  Interlacing is a Cauchy index read off a
+remainder sequence.
 
 A float polynomial is decided as the rational one it holds (mpf values
 are dyadic), by the same kernel, so its root count is certified for it.
