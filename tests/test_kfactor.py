@@ -275,6 +275,83 @@ def test_boundary_zeros_match_pointwise_limits():
     assert one_sided > 20 and singular > 100 and surds > 100
 
 
+def golden_boundary_pairs():
+    """3,300 seeded pairs in a fixed cycle of shapes: the four A kinds with a
+    random B, constant A, a double root with a pole, B = t A' (K = |A|^t),
+    linear A with B vanishing at its root or not, B vanishing at one of two
+    rational roots, the half-integer pairs and surd roots with a random B.
+    A is rarely monic."""
+    rng = random.Random(18)
+    small = [Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3)]
+    leads = [Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-1, 3), Fraction(5)]
+
+    def nz():
+        return rng.choice([s for s in small if s])
+
+    def scaled(a, lead):
+        return [lead * c for c in a]
+
+    def lin(m):
+        return P([-m, 1])
+
+    out = []
+    for i in range(3300):
+        shape, lead, m, t = i % 11, rng.choice(leads), rng.choice(small), rng.choice(small)
+        if shape < 4:
+            out.append(kind_pair(rng, ("linear", "complex", "rational", "surd")[shape]))
+            continue
+        if shape == 4:
+            a, b = [lead], rng.choice([[], [nz()], [t, nz()]])
+        elif shape == 5:  # equal roots with the pole -B(m)/lead != 0
+            a, b = list((lin(m) * lin(m)).coeffs), [nz() - t * m, t]
+        elif shape == 6:  # K = |A|^t at two rational or two surd roots; t = 0, 1 included
+            d = rng.choice([Fraction(1, 4), Fraction(9), Fraction(2), Fraction(3), Fraction(7, 4)])
+            a = [m * m - d, -2 * m, Fraction(1)]
+            t = rng.choice([Fraction(0), Fraction(1), Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), t])
+            b = [t * c for c in P(a).derivative().coeffs]
+        elif shape == 7:  # B vanishing at A's root, or not
+            a, b = list(lin(m).coeffs), rng.choice([[-t * m, t], [t - m, nz()], [nz()]])
+        elif shape == 8:  # B vanishing at one of two rational roots
+            a, b = list((lin(m) * lin(rng.choice(small))).coeffs), [-t * m, t]
+        elif shape == 9:
+            out.append(random_pair(rng))
+            continue
+        else:
+            d = rng.choice([2, 3, 5, 6, Fraction(7, 4), Fraction(1, 3)])
+            a, b = [m * m - d, -2 * m, Fraction(1)], [rng.choice(small), rng.choice(small)]
+        out.append(pair(scaled(a, lead), scaled(b, lead)))
+    return out
+
+
+def test_boundary_zeros_golden_corpus():
+    pairs = golden_boundary_pairs()
+    specs = [boundary_zeros(classify(c)) for c in pairs]
+    digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
+    assert digest == "02133f945f140fcb4c9df9c57d1b94ae49fde7c6eb70eb561f494ee020ac0bf8"
+    tags = {s.classification.tag for s in specs}
+    assert tags == {
+        "B-zero", "irreducible-quadratic-A", "constant-A-constant-B", "constant-A", "linear-A-constant-B",
+        "linear-A-equal", "linear-A-distinct", "equal-roots-constant-B", "equal-roots-linear-B",
+        "distinct-roots-constant-B", "distinct-roots-linear-B", "B-root-matches-A-root",
+    }
+    # equal roots with a pole, surd roots with e = 0 or 1 - e = 0, and points
+    # where the sided zeros of A/K and K differ, by the kind of root
+    seen = {"pole": 0, "surd-e-0": 0, "surd-e-1": 0, "non-monic": 0, "rational": 0, "surd": 0, "double": 0}
+    for s, c in zip(specs, pairs):
+        k = s.classification
+        seen["non-monic"] += c.A.lead != 1
+        kz = {z.point: z.sides for z in s.zeros_of_k}
+        az = {z.point: z.sides for z in s.zeros_of_a_over_k}
+        for r, mult in k.a_roots:
+            surd = isinstance(r, Surd)
+            seen["pole"] += mult == 2 and bool(k.form.pole_at(r))
+            seen["surd-e-0"] += surd and k.exponent_at(r) == 0
+            seen["surd-e-1"] += surd and k.exponent_at(r) == 1
+            if kz.get(r) != az.get(r):
+                seen["surd" if surd else ("double" if mult == 2 else "rational")] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_zero_count_bound_random():
     rng = random.Random(23)
     for _ in range(300):
