@@ -182,12 +182,13 @@ def admits_dde(seq, tolerance=1e-12):
     if polys[0].degree != 0 or polys[0].coeffs[0] != 1:
         raise ValueError("seq[0] must be the constant polynomial 1")
     prec = max((p.prec or DEFAULT_FLOAT_PREC for p in polys if p.kind == FLOAT), default=None)
+    ints = [p.primitive_int_coeffs() if p.kind == RATIONAL else None for p in polys]
     with mpmath.workprec(prec + 32) if prec else nullcontext():
-        entries = tuple(_admit_at(polys, n, tolerance) for n in range(len(polys) - 1))
+        entries = tuple(_admit_at(polys, ints, n, tolerance) for n in range(len(polys) - 1))
     return AdmissibilityResult(entries, numeric=prec is not None)
 
 
-def _admit_at(polys, n, tolerance):
+def _admit_at(polys, ints, n, tolerance):
     Pn, Pn1 = polys[n], polys[n + 1]
     if Pn.degree != n:
         return AdmissibilityEntry(n, "skipped-degenerate", witness=f"deg P_{n} = {Pn.degree} != {n}")
@@ -204,8 +205,8 @@ def _admit_at(polys, n, tolerance):
         A = Pn1.scale(1 / c)
         zero = Poly.zero(Pn.kind, Pn.prec)
         return AdmissibilityEntry(n, "admits", CoefficientPair(A, zero), unique=False, residual=0.0)
-    if Pn.kind == RATIONAL:
-        return _admit_exact(Pn, Pn1, n)
+    if ints[n] is not None and ints[n + 1] is not None:
+        return _admit_exact(Pn, Pn1, ints[n], ints[n + 1], n)
     dPn = Pn.derivative()
     cols = []
     for j in range(3):
@@ -214,14 +215,13 @@ def _admit_at(polys, n, tolerance):
     return _admit_at_float(Pn, Pn1, dPn, cols, Pn1 % Pn, n, tolerance)
 
 
-def _admit_exact(Pn, Pn1, n):
+def _admit_exact(Pn, Pn1, p, q, n):
     """The rational decision on integer vectors.  With P_n = u p and
-    P_(n+1) = v q for primitive p and q, column j of the system is
+    P_(n+1) = v q for the primitive p and q given, column j of the system is
     s_j (x^j p' mod p) and its right side s (q mod p), integer
     pseudo-remainders with s_j and s powers of lead(p).  Its solution z
     gives A's coefficients (v s_j / (u s)) z_j, and the residual of an
     equation is v / s times the integer one."""
-    p, q = Pn.primitive_int_coeffs(), Pn1.primitive_int_coeffs()
     if not _squarefree(p):
         return AdmissibilityEntry(n, "skipped-degenerate", witness=f"P_{n} has repeated roots")
     u, v = Pn.lead / p[-1], Pn1.lead / q[-1] if q else Fraction(1)

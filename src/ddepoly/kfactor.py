@@ -6,11 +6,12 @@ linear, B/A has an explicit partial-fraction decomposition and K a closed
 form built from powers of |x - s|, exponentials of polynomials, simple
 pole exponentials exp(d/(x - s)) and a bounded arctangent factor.  This
 module classifies that closed form from the coefficients, enumerates
-where K and A/K vanish on the extended real line, and matches the
-per-degree vanishing patterns against the four endpoint configurations
-(a)-(d) that force zeros of the generated polynomials to be real and
-simple, confined to an interval, interlacing with the next degree, or
-some combination.
+where K and A/K vanish on the extended real line (A/K read off K: at a
+root of A of multiplicity m where K has exponent e and pole d, A/K has
+m - e and -d), and matches the per-degree vanishing patterns against the
+four endpoint configurations (a)-(d) that force zeros of the generated
+polynomials to be real and simple, confined to an interval, interlacing
+with the next degree, or some combination.
 
 K is handled through |K|: all zero/limit analysis is insensitive to the
 sign convention between singular points, and real powers of negative
@@ -28,7 +29,8 @@ from math import isqrt
 
 import mpmath
 
-from .poly import NEG_INF, POS_INF, RATIONAL, Surd, as_exact, format_poly, format_scalar, is_finite, to_mpf
+from .poly import (NEG_INF, POS_INF, RATIONAL, Surd, _sign, _sign_surd, as_exact, format_poly, format_scalar,
+                   is_finite, to_mpf)
 from .dde import CoefficientPair
 
 ZERO = "zero"
@@ -90,17 +92,21 @@ def limit_class(form, point, side=None):
         if form.growth < 0:
             return ZERO
         return FINITE
-    d = form.pole_at(point)
-    if d:
-        if side == "+":
-            return INF if d > 0 else ZERO
-        return INF if d < 0 else ZERO
-    e = form.exponent_at(point)
-    if e > 0:
-        return ZERO
-    if e < 0:
-        return INF
-    return FINITE
+    below, above = _sided(_sign(form.exponent_at(point)), _sign(form.pole_at(point)))
+    return above if side == "+" else below
+
+
+def _sided(se, sd):
+    """(Class from below, class from above) at s of |x - s|^e exp(d/(x - s)),
+    from the signs of e and d: the pole decides when d != 0."""
+    if sd:
+        return (ZERO, INF) if sd > 0 else (INF, ZERO)
+    c = ZERO if se > 0 else INF if se < 0 else FINITE
+    return c, c
+
+
+# the sides of a SidedZero from (class from below, class from above)
+_ZERO_SIDES = {(ZERO, ZERO): "both", (ZERO, INF): "left", (INF, ZERO): "right"}
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,8 @@ class KClassification:
         return self.form.exponent_at(s)
 
     def a_over_k_form(self):
-        """log|A/K| has log-derivative A'/A - B/A = (A' - B)/A."""
+        """log|A/K| has log-derivative A'/A - B/A = (A' - B)/A: a second
+        partial-fraction form, kept as the oracle `boundary_zeros` is tested against."""
         A = self.pair.A
         return _log_form(A, A.derivative() - self.pair.B, self.a_roots)
 
@@ -252,25 +259,6 @@ class SidedZero:
         return f"{format_scalar(self.point)}{tag}"
 
 
-def _vanishing_points(form):
-    """Zeros of exp(form) on the extended real line, and the (point, class
-    from below, class from above) of each singular point they were read from."""
-    sided = tuple((s, limit_class(form, s, "-"), limit_class(form, s, "+")) for s in form.singular_points())
-    out = []
-    for s, left, right in sided:
-        if left == ZERO and right == ZERO:
-            out.append(SidedZero(s, "both"))
-        elif left == ZERO:
-            out.append(SidedZero(s, "left"))
-        elif right == ZERO:
-            out.append(SidedZero(s, "right"))
-    if limit_class(form, NEG_INF) == ZERO:
-        out.insert(0, SidedZero(NEG_INF, "right"))
-    if limit_class(form, POS_INF) == ZERO:
-        out.append(SidedZero(POS_INF, "left"))
-    return tuple(out), sided
-
-
 @dataclass(frozen=True)
 class BoundarySpec:
     """Vanishing sets of K and A/K on the extended real line for one pair,
@@ -291,15 +279,36 @@ class BoundarySpec:
 
 
 def boundary_zeros(k):
-    """Where K and A/K vanish, and where K blows up, for a classification."""
-    zeros_of_k, k_sided = _vanishing_points(k.form)
-    zeros_of_a_over_k, _ = _vanishing_points(k.a_over_k_form())
-    return BoundarySpec(
-        classification=k,
-        zeros_of_k=zeros_of_k,
-        zeros_of_a_over_k=zeros_of_a_over_k,
-        k_singular=tuple(s for s, left, right in k_sided if INF in (left, right)),
-    )
+    """Where K and A/K vanish, and where K blows up, for a classification.
+
+    One pass over A's real roots, the finite singular points of both: as
+    log|A/K| = log|A| - log|K|, A/K has exponent m - e and pole -d at a root
+    of multiplicity m where K has e and d, and -quad, -lin and growth
+    deg A - growth at +-inf."""
+    form = k.form
+    zeros_of_k, zeros_of_a_over_k, k_singular = [], [], []
+    for s, m in k.a_roots:
+        e, sd = form.exponent_at(s), _sign(form.pole_at(s))
+        # the signs of K's exponent e and of A/K's exponent m - e
+        if isinstance(e, Surd):
+            se, sa = _sign_surd(e.a, e.b, e.d), _sign_surd(m - e.a, -e.b, e.d)
+        else:
+            se, sa = _sign(e), _sign(m - e)
+        below, above = _sided(se, sd)
+        if INF in (below, above):
+            k_singular.append(s)
+        for out, sides in ((zeros_of_k, (below, above)), (zeros_of_a_over_k, _sided(sa, -sd))):
+            if sides in _ZERO_SIDES:
+                out.append(SidedZero(s, _ZERO_SIDES[sides]))
+    ends = ((zeros_of_k, form.quad, form.lin, form.growth),
+            (zeros_of_a_over_k, -form.quad, -form.lin, k.pair.A.degree - form.growth))
+    for out, quad, lin, growth in ends:  # the first nonzero of quad, lin and growth decides
+        lo, hi = (quad < 0, quad < 0) if quad else (lin > 0, lin < 0) if lin else (growth < 0, growth < 0)
+        if lo:
+            out.insert(0, SidedZero(NEG_INF, "right"))
+        if hi:
+            out.append(SidedZero(POS_INF, "left"))
+    return BoundarySpec(k, tuple(zeros_of_k), tuple(zeros_of_a_over_k), tuple(k_singular))
 
 
 def k_eval(k, x, prec=53):

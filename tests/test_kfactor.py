@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -228,15 +229,21 @@ def test_growth_at_infinity_matches_exact_exponent():
 
 def kind_pair(rng, kind):
     """A seeded pair whose A is linear, or quadratic with no real roots, two
-    rational roots (possibly equal) or two surd roots r +- sqrt(d)."""
+    rational roots (possibly equal) or two surd roots r +- sqrt(d); "pole"
+    is a double root r with B(r) != 0, and "B-zero" one of the four with B = 0."""
     def q():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     lead = q() or Fraction(1)
     r = q()
+    if kind == "B-zero":
+        return CoefficientPair(kind_pair(rng, rng.choice(("linear", "complex", "rational", "surd"))).A, P([]))
     if kind == "linear":
         A = [-r * lead, lead]
     elif kind == "rational":
         A = list((P([-r, 1]) * P([-rng.choice([r, q()]), 1]) * P([lead])).coeffs)
+    elif kind == "pole":
+        t = q()
+        return pair(list((P([-r, 1]) * P([-r, 1]) * P([lead])).coeffs), [(q() or 1) - t * r, t])
     else:
         d = rng.choice([2, 3, 5, Fraction(7, 4)]) * (1 if kind == "surd" else -1)
         A = [(r * r - d) * lead, -2 * r * lead, lead]
@@ -246,7 +253,7 @@ def kind_pair(rng, kind):
 
 def test_boundary_zeros_match_pointwise_limits():
     # the sided zeros and blow-up points assembled here from limit_class at
-    # each singular point and at +-inf
+    # each singular point and at +-inf, A/K's from its own partial-fraction form
     def sided_zeros(form):
         out = []
         for s in form.singular_points():
@@ -260,9 +267,11 @@ def test_boundary_zeros_match_pointwise_limits():
         return out
 
     rng = random.Random(29)
-    one_sided = singular = surds = 0
-    for i in range(800):
-        k = classify(kind_pair(rng, ("linear", "complex", "rational", "surd")[i % 4]))
+    one_sided = singular = surds = poles = 0
+    tags = Counter()
+    kinds = ("linear", "complex", "rational", "surd", "B-zero", "pole")
+    for i in range(1200):
+        k = classify(kind_pair(rng, kinds[i % len(kinds)]))
         b = boundary_zeros(k)
         form = k.form
         assert [(z.point, z.sides) for z in b.zeros_of_k] == sided_zeros(form)
@@ -272,7 +281,25 @@ def test_boundary_zeros_match_pointwise_limits():
         one_sided += any(z.sides != "both" for z in b.zeros_of_k if is_finite(z.point))
         singular += bool(want)
         surds += any(isinstance(r, Surd) for r, _ in k.a_roots)
+        poles += bool(form.poles)
+        tags[k.tag] += 1
     assert one_sided > 20 and singular > 100 and surds > 100
+    assert poles > 100 and tags["irreducible-quadratic-A"] > 100 and tags["B-zero"] > 100
+
+
+def test_boundary_zeros_reads_a_over_k_off_k(monkeypatch):
+    # one pass over A's roots: no second partial-fraction form, no limit_class
+    import ddepoly.kfactor as kf
+
+    calls = Counter()
+    for name in ("_log_form", "limit_class"):
+        monkeypatch.setattr(kf, name, lambda *a, f=getattr(kf, name), name=name: calls.update([name]) or f(*a))
+    rng = random.Random(30)
+    ks = [classify(kind_pair(rng, kind)) for kind in ("linear", "complex", "rational", "surd", "B-zero", "pole") * 20]
+    calls.clear()
+    for k in ks:
+        boundary_zeros(k)
+    assert not calls
 
 
 def golden_boundary_pairs():

@@ -38,9 +38,13 @@ import sys
 from result_line import missing_metrics, strict_json
 
 SCALING = """\
-import json, time
-from ddepoly.dde import admits_dde, generate
+import json, random, time
+from fractions import Fraction as Q
+from math import isqrt
+from ddepoly.dde import CoefficientPair, admits_dde, generate
 from ddepoly.families import FamilySpec, coefficient_source
+from ddepoly.kfactor import boundary_zeros, classify
+from ddepoly.poly import Poly
 from ddepoly.verify import verify_sequence
 F = [("bell", {}), ("hermite", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
      ("euler_frobenius", {"kappa": "1", "r": "n+1"})]
@@ -53,6 +57,22 @@ for k, p in F:
         table = list(generate(coefficient_source(FamilySpec(k, p)), N).polys)
         t = time.perf_counter(); ok = admits_dde(table).all_admit
         row[f"admits {k} N={N}"] = [round(time.perf_counter() - t, 4), ok]
+def pair(rng, kind):  # recover-classify's random pairs: A of the given kind, B of degree <= 1
+    q = lambda: Q(rng.randint(-6, 6), rng.randint(1, 4))
+    if kind == "linear":
+        A = [q(), q() or Q(1)]
+    elif kind == "rational":
+        A = list((Poly.rational([-q(), 1]) * Poly.rational([-q(), 1])).scale(q() or Q(1)).coeffs)
+    else:
+        while True:
+            A = [q(), q(), q()]; disc = A[1] ** 2 - 4 * A[0] * A[2]; r = disc.numerator * disc.denominator
+            if A[2] and (disc < 0 if kind == "complex" else disc > 0 and isqrt(r) ** 2 != r):
+                break
+    return CoefficientPair(Poly.rational(A), Poly.rational([q(), q()]))
+for kind in ("linear", "complex", "rational", "irrational"):
+    rng = random.Random(18); pairs = [pair(rng, kind) for _ in range(500)]
+    t = time.perf_counter(); ok = all(boundary_zeros(classify(c)).k_zero_count <= 2 for c in pairs)
+    row[f"classify+boundary {kind}"] = [round(time.perf_counter() - t, 4), ok]
 print(json.dumps(row))
 """
 SCALING_RUNS = 3
@@ -148,9 +168,12 @@ def main():
                 doc["perfbench"].append({"side": side, "workload": w, "seed": args.seed, "trace": trace, "result": result})
 
     doc["scaling"] = {
-        "what": f"verify_sequence wall seconds at width 1e-9 and admits_dde wall seconds on the family's own "
-                f"table P_0..P_N (cells 'admits ...'), median and all {SCALING_RUNS} runs; agreement is "
-                f"verify_sequence's agreement, or all_admit for admits_dde",
+        "what": f"verify_sequence wall seconds at width 1e-9, admits_dde wall seconds on the family's own "
+                f"table P_0..P_N (cells 'admits ...') and boundary_zeros(classify(c)) wall seconds over 500 "
+                f"seeded pairs whose A is linear, without real roots, with rational or with irrational roots "
+                f"(cells 'classify+boundary ...'), median and all {SCALING_RUNS} runs; agreement is "
+                f"verify_sequence's agreement, all_admit for admits_dde, or K's vanishing-point count "
+                f"within 2 on every pair",
         "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING),
         "order": "odd runs run the parent first, even runs the change first",
     }
