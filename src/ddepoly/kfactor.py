@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import mpmath
 
@@ -233,7 +233,32 @@ def _real_roots_of_a(A):
     s, b = isqrt(d), Fraction(1, 2 * disc.denominator)
     if s * s == d:
         return ((-p / 2 - s * b, 1), (-p / 2 + s * b, 1))
-    return ((Surd(-p / 2, -b, d), 1), (Surd(-p / 2, b, d), 1))
+    k, d = _square_out(d)
+    return ((Surd(-p / 2, -k * b, d), 1), (Surd(-p / 2, k * b, d), 1))
+
+
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+_PRIMORIAL = prod(_SMALL_PRIMES)
+
+
+def _square_out(d):
+    """(k, r) with d = k^2 r: the squares of primes below 1000 taken out,
+    then the cofactor free of those primes when it is itself a square."""
+    k, rest, g = 1, d, gcd(d, _PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if p > g:
+            break
+        if g % p == 0:
+            while d % (p * p) == 0:
+                d //= p * p
+                k *= p
+            while rest % p == 0:
+                rest //= p
+    t = isqrt(rest)
+    if t > 1 and t * t == rest:
+        d //= rest
+        k *= t
+    return k, d
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,7 @@ def test_boundary_zeros_golden_corpus():
     pairs = golden_boundary_pairs()
     specs = [boundary_zeros(classify(c)) for c in pairs]
     digest = hashlib.sha256("\n".join(map(repr, specs)).encode()).hexdigest()
-    assert digest == "02133f945f140fcb4c9df9c57d1b94ae49fde7c6eb70eb561f494ee020ac0bf8"
+    assert digest == "db92083c1537e445d1e1228caf50cd72c38c524941a066b98a806a08e58ea0b6"
     tags = {s.classification.tag for s in specs}
     assert tags == {
         "B-zero", "irreducible-quadratic-A", "constant-A-constant-B", "constant-A", "linear-A-constant-B",
@@ -526,6 +526,20 @@ def test_close_surd_roots_stay_two_singular_points():
     assert dec.diagnosis["a"] == "n=1: K vanishes at 1 point(s), need exactly 2"
 
 
+def test_surd_roots_carry_squarefree_radicands():
+    # sqrt(d) keeps no square factor: the squares of small primes come out,
+    # and so does a cofactor of large primes that is itself a square
+    def roots(c0):
+        return [r for r, _ in classify(pair([c0, 0, 1], [0, 1])).a_roots]
+
+    assert [(r.a, r.b, r.d) for r in roots(-8)] == [(0, -2, 2), (0, 2, 2)]
+    assert [(r.b, r.d) for r in roots(Fraction(-5, 12))] == [(Fraction(-1, 6), 15), (Fraction(1, 6), 15)]
+    assert [(r.b, r.d) for r in roots(-2 * 1009**2)] == [(-1009, 2), (1009, 2)]
+    assert [(r.b, r.d) for r in roots(-1009 * 1013 * 9)] == [(-3, 1009 * 1013), (3, 1009 * 1013)]
+    close = roots(1 - Fraction(2, 10**160) - 1)  # A = x^2 - 2 10^-160
+    assert [(r.b, r.d) for r in close] == [(Fraction(-1, 10**80), 2), (Fraction(1, 10**80), 2)]
+
+
 def bz(a, b):
     return boundary_zeros(classify(pair(a, b)))
 
@@ -631,6 +645,6 @@ def pair_coeffs(rng, small):
 def test_decide_case_golden_corpus():
     decisions = golden_decisions()
     digest = hashlib.sha256("\n".join(map(repr, decisions)).encode()).hexdigest()
-    assert digest == "5af6f9b1629819ecb339e50040bc4ac24bb3503b1dc1ae8906f7c21f1c173a8c"
+    assert digest == "2b1a1a4d921b854aa52bbcf982dd8c798f25e61f966f4696782887803a3543ec"
     labels = {d.checklist[0].detail or d.case if d.ok else "none" for d in decisions}
     assert labels >= {"a", "b/k-at-alpha", "b/k-at-beta", "c/k-at-alpha", "c/k-at-beta", "d", "none"}

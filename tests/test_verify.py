@@ -208,7 +208,7 @@ GOLDEN_REPORTS = [
     ("laguerre", {"alpha": "1/2"}, 12, "f5d42140b062ba0c292e10011cca35d4daac8395071026d70146803a70f11268"),
     ("hyp2f1", {"b": "40", "c": "1"}, 12, "42e6eb32326047ea66b24987e7c5a92d2e0bf19f6819aa997a48e4336add7f82"),
     ("vertgeim", {"a": "1", "b": "2", "alpha": "1"}, 12,
-     "3566ba71718742cf05be77100efc929c7b77a8db7f6825d8acc79dbb2c72dbba"),
+     "29d8178d3c54c855a27d1cb03b6f431b892fd3148a1a6c425b83be7205fb1a51"),
     ("hermite_like", {"kappa": "2"}, 12, "86d40b53bdd044e29acff03ac4735bf63c60d1d150e57acd4de597f8d6a0a547"),
     ("bell", {}, 22, "670fe75c34eae6ba40f52b4f331026b013029f296d430c5f39e719fd6fb45e02"),
     ("hermite", {}, 22, "141e27a0455c0ea3498649834ccd2304ecd87ba8341e60efa696b5162996ad28"),
