@@ -17,6 +17,18 @@ Refinement is quadratic interval refinement (Abbott, 2006) capped to the
 nodes of the same tree.  Interlacing is a Cauchy index read off a
 remainder sequence.
 
+A sequence needs no chain at all where each member's roots certify the
+next one's (`certify_next`).  The ends of P_n's isolating intervals and
++-M separate; P_{n+1}'s exact signs there bracket its roots, and when the
+brackets and the zeros among the separators number deg P_{n+1}, the
+intermediate value theorem and the degree prove it real-simple, one root
+per bracket (Fisk, Polynomials, roots, and interlacing, arXiv:math/0612833).
+Each root is then walked down P_{n+1}'s own bisection tree, with a sign
+taken only where a midpoint falls inside its bracket, and refined as
+above, so the zeros are those of the Sturm path.  The brackets' places
+among P_n's roots give the interlacing verdict.  When the count falls
+short the member goes to the Sturm path, which stays the oracle.
+
 A float polynomial is decided as the rational one it holds (mpf values
 are dyadic), by the same kernel, so its root count is certified for it.
 
@@ -225,52 +237,57 @@ class _Isolator:
         return self.variations(lo) - self.variations(hi)
 
     def refine(self, iv, width):
-        """Shrink an isolating interval of f to the node that bisection on
-        the sign of f returns: the first node no wider than `width`, or a
-        midpoint that is the root, as a point.  Quadratic interval
-        refinement takes 2^g cells at once: the secant through f's values
-        at the ends names a grid point, signs there pick a cell, and a hit
-        squares the cell count; a miss halves g and bisects once.  g is
-        capped at the steps left, so every cell is a tree node."""
-        if iv.is_point:
-            return iv
-        f, a, b = self.chain[0], iv.lo, iv.hi
-        n = len(f) - 1
-        den = lcm(a.denominator, b.denominator)
-        lo, hi = a.numerator * den // a.denominator, b.numerator * den // b.denominator
-        f_lo = _value_int_poly(f, lo, den)
-        if f_lo == 0:
-            raise InternalError(f"isolating interval {iv!r} has a root at its open end")
-        # bisection steps to a node no wider than width: bit length of ceil(ratio) - 1
-        depth = (-(-(hi - lo) * width.denominator // (width.numerator * den)) - 1).bit_length()
-        f_hi = _value_int_poly(f, hi, den) if depth else 0
-        g = after_bisect = 2
-        while depth:
-            g = min(g, depth)
-            cells, step, d = 1 << g, hi - lo, den << g
+        """`_refine` on f's integer vector."""
+        return _refine(self.chain[0], iv, width)
 
-            def at(i):  # d^n f at grid point i; the ends are known
-                if i in (0, cells):
-                    return (f_hi if i else f_lo) << (g * n)
-                return _value_int_poly(f, (lo << g) + i * step, d)
 
-            total = abs(f_lo) + abs(f_hi)
-            # the inner grid point nearest the secant's root; the midpoint when g = 1
-            i = min(max((2 * cells * abs(f_lo) + total) // (2 * total), 1), cells - 1)
-            v = at(i)
-            o = i + 1 if (v < 0) == (f_lo < 0) else i - 1  # the other end of the cell toward the root
-            w = at(o) if v else 0
-            if v == 0 or w == 0:
-                return _point(Fraction((lo << g) + (i if v == 0 else o) * step, d))
-            if (v < 0) == (w < 0):
-                g, after_bisect = 1, max(g // 2, 2)
-                continue
-            k = min(i, o)
-            lo, hi, den = (lo << g) + k * step, (lo << g) + (k + 1) * step, d
-            f_lo, f_hi = (v, w) if k == i else (w, v)
-            depth -= g
-            g = 2 * g if g > 1 else after_bisect
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+def _refine(f, iv, width):
+    """Shrink an isolating interval of the integer vector f to the node that
+    bisection on the sign of f returns: the first node no wider than
+    `width`, or a midpoint that is the root, as a point.  Quadratic interval
+    refinement takes 2^g cells at once: the secant through f's values at
+    the ends names a grid point, signs there pick a cell, and a hit squares
+    the cell count; a miss halves g and bisects once.  g is capped at the
+    steps left, so every cell is a tree node."""
+    if iv.is_point:
+        return iv
+    a, b = iv.lo, iv.hi
+    n = len(f) - 1
+    den = lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * den // a.denominator, b.numerator * den // b.denominator
+    f_lo = _value_int_poly(f, lo, den)
+    if f_lo == 0:
+        raise InternalError(f"isolating interval {iv!r} has a root at its open end")
+    # bisection steps to a node no wider than width: bit length of ceil(ratio) - 1
+    depth = (-(-(hi - lo) * width.denominator // (width.numerator * den)) - 1).bit_length()
+    f_hi = _value_int_poly(f, hi, den) if depth else 0
+    g = after_bisect = 2
+    while depth:
+        g = min(g, depth)
+        cells, step, d = 1 << g, hi - lo, den << g
+
+        def at(i):  # d^n f at grid point i; the ends are known
+            if i in (0, cells):
+                return (f_hi if i else f_lo) << (g * n)
+            return _value_int_poly(f, (lo << g) + i * step, d)
+
+        total = abs(f_lo) + abs(f_hi)
+        # the inner grid point nearest the secant's root; the midpoint when g = 1
+        i = min(max((2 * cells * abs(f_lo) + total) // (2 * total), 1), cells - 1)
+        v = at(i)
+        o = i + 1 if (v < 0) == (f_lo < 0) else i - 1  # the other end of the cell toward the root
+        w = at(o) if v else 0
+        if v == 0 or w == 0:
+            return _point(Fraction((lo << g) + (i if v == 0 else o) * step, d))
+        if (v < 0) == (w < 0):
+            g, after_bisect = 1, max(g // 2, 2)
+            continue
+        k = min(i, o)
+        lo, hi, den = (lo << g) + k * step, (lo << g) + (k + 1) * step, d
+        f_lo, f_hi = (v, w) if k == i else (w, v)
+        depth -= g
+        g = 2 * g if g > 1 else after_bisect
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def locate_real_roots(f, iso=None):
@@ -373,6 +390,212 @@ def _multiplicity(factors, iv):
         if lo == 0 if iv.is_point else lo != hi:
             return mult
     raise InternalError(f"no squarefree factor has the root in {iv!r}")
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The real roots of a real-simple q, certified from the isolating
+    intervals of a previous polynomial p by exact signs of q alone.
+
+    `zeros` are q's refined isolating intervals, as `isolate_roots` returns
+    them.  `places` holds one key per root of q: 2j when j roots of p lie
+    below it and none on it, 2j + 1 when it is p's root j, and None when
+    its place among p's roots is not settled.
+    """
+
+    zeros: tuple
+    places: tuple
+
+
+def certify_next(prev, q, width, p=None):
+    """Certify the rational q real-simple from `prev`, the sorted isolating
+    intervals of a real-simple p (the member before q), or return None.
+
+    The separators are -M, the ends of `prev` inside (-M, M) and M, for
+    M = `_dyadic_bound`.  A separator where q vanishes is a root of q, with
+    the one-sided signs -+sign q' there (None if q' vanishes too), and two
+    adjacent signs that differ bracket a root.  When the zeros and brackets
+    number deg q, each bracket holds exactly one simple root and q has no
+    other: q is real-simple.  Each root is then found in q's own bisection
+    tree, the one `locate_real_roots` walks, by `_descend` and refined by
+    `_refine`, so the zeros equal `isolate_roots(q, width)`'s.  The places
+    come from the separators; when p itself is given, a root whose bracket
+    holds one root of p is placed against it by `_order_in`.
+    """
+    if q.degree < 1:
+        return None
+    if q.degree == 1:
+        root = -q.coeffs[0] / q.coeffs[1]
+        return Certificate((_point(root),), (_place(prev, root),))
+    c = q.primitive_int_coeffs()
+    n, M = len(c) - 1, _dyadic_bound(c)
+    depth = (-(-2 * M // width) - 1).bit_length()  # `_refine`'s steps from (-M, M]
+    keys = {}  # separator -> its key, as in `places`; ascending, as prev is
+    for j, iv in enumerate(prev):
+        if iv.is_point:
+            keys[iv.lo] = 2 * j + 1
+        else:
+            keys.setdefault(iv.lo, 2 * j)
+            keys.setdefault(iv.hi, 2 * j + 2)
+    inside = [x for x in keys if -M < x < M]
+    if len(inside) == len(keys):  # else p has a root beyond +-M, below or above unknown
+        keys[-M], keys[M] = 0, 2 * len(prev)
+    lead = _sign(c[-1])
+    seps = [(-M, lead * (-1) ** n, lead * (-1) ** n)]  # (x, sign of q just left, just right)
+    dc = None
+    for x in inside:
+        s = _sign(_value_int_poly(c, x.numerator, x.denominator))
+        if s == 0:
+            dc = dc or [i * v for i, v in enumerate(c)][1:]
+            s = _sign(_value_int_poly(dc, x.numerator, x.denominator))
+            if s == 0:
+                return None
+            seps.append((x, -s, s))
+        else:
+            seps.append((x, s, s))
+    seps.append((M, lead, lead))
+    found = []  # (left, right, key): a bracket between two separators, or a zero of q as left is right
+    for left, right in zip(seps, seps[1:]):
+        if left[1] != left[2]:
+            found.append((left, left, keys.get(left[0])))
+        if left[2] != right[1]:
+            ka, kb = keys.get(left[0]), keys.get(right[0])
+            key = None
+            if ka is not None and kb is not None:
+                j = (ka + 1) // 2  # roots of p at or below left
+                if kb // 2 == j:  # none between
+                    key = 2 * j
+                elif p is not None and ka == 2 * j == kb - 2:  # p's root j alone between
+                    key = _order_in(p.primitive_int_coeffs(), c, left, right, j)
+            found.append((left, right, key))
+    if len(found) != n:
+        return None
+    zeros = []
+    for i, (left, right, _) in enumerate(found):
+        before, after = (found[i - 1][:2] if i else None), (found[i + 1][:2] if i + 1 < n else None)
+        zeros.append(_refine(c, _descend(c, (left, right), before, after, M, depth), width))
+    return Certificate(tuple(zeros), tuple(k for _, _, k in found))
+
+
+def _order_in(f, c, left, right, j):
+    """The key of c's one root in the bracket between `left` and `right`,
+    which holds f's root j and no other: bisection on the signs of both
+    until a midpoint parts the roots or meets one; None when 64 steps do
+    not (a shared irrational root never parts)."""
+    (a, _, qa), (b, _, _) = left, right
+    fa = _sign(f[-1]) * (-1) ** (len(f) - 1 + j)  # f's sign between its roots j - 1 and j
+    for _ in range(64):
+        m = (a + b) / 2
+        qm, fm = (_sign(_value_int_poly(v, m.numerator, m.denominator)) for v in (c, f))
+        q_right, f_right = qm == qa, fm == fa  # whether each root lies above m
+        if qm == 0:
+            return 2 * j + 1 if fm == 0 else 2 * j + 2 * (not f_right)
+        if fm == 0 or q_right != f_right:
+            return 2 * j + 2 * q_right
+        a, b = (m, b) if q_right else (a, m)
+    return None
+
+
+def _place(prev, x):
+    """x's key among the isolating intervals `prev` (see `Certificate`)."""
+    below = 0
+    for iv in prev:
+        if iv.is_point and iv.lo == x:
+            return 2 * below + 1
+        if x <= iv.lo:
+            break
+        if x < iv.hi:
+            return None
+        below += 1
+    return 2 * below
+
+
+def _descend(c, own, before, after, M, depth):
+    """The node of the tree over (-M, M] that `locate_real_roots` isolates
+    the root in `own` with, or the root as a point where a midpoint meets it.
+
+    `own` is a bracket, a pair of separators (x, sign of c just left, just
+    right) around one root of c, or one separator twice for a zero of c;
+    `before` and `after` are the neighbouring roots' brackets (None at the
+    ends).  Nodes are (P 2^t, (P + 2) 2^t] on integers P, t.  A midpoint
+    outside the bracket is passed by a comparison, one inside by the sign of
+    c there.  Above `depth` (`_refine`'s, from the top) the first node
+    inside the bracket is taken: `_refine` brings it to the same node as
+    `locate_real_roots`' own.  From `depth` on, a node is taken when it
+    holds no neighbouring root, which settles a sign at a node end lying
+    in a neighbour's bracket."""
+    (a, la, sa), (b, sb, rb) = own
+    is_zero = own[0] is own[1]
+    E = M.numerator.bit_length() - M.denominator.bit_length()
+
+    def cmp(X, x):  # sign of X 2^t - x
+        num, den = x.numerator, x.denominator
+        return _sign((X * den << t) - num if t >= 0 else X * den - (num << -t))
+
+    def sign_at(X):
+        return _sign(_value_int_poly(c, X << t, 1) if t >= 0 else _value_int_poly(c, X, 1 << -t))
+
+    def below(X):  # the root before lies below X 2^t
+        if before is None:
+            return True
+        (a2, _, s2), (b2, _, _) = before
+        if before[0] is before[1]:
+            return cmp(X, a2) > 0
+        if cmp(X, b2) >= 0:
+            return True
+        return cmp(X, a2) > 0 and sign_at(X) not in (0, s2)
+
+    def above(X):  # the root after lies above X 2^t
+        if after is None:
+            return True
+        (a2, _, s2), (b2, _, _) = after
+        if after[0] is after[1]:
+            return cmp(X, a2) < 0
+        if cmp(X, a2) <= 0:
+            return True
+        return cmp(X, b2) < 0 and sign_at(X) == s2
+
+    # nodes holding the whole bracket need no test: start at the deepest one
+    # (no deeper than `depth`), found on the integer grid floor(a / 2^s),
+    # ceil(b / 2^s) with 2^s coarsened from below b - a
+    level, wide = 0, E  # a node 2^(t + 1) wide with t >= wide is wider than the bracket
+    if not is_zero:
+        g = b - a
+        s = wide = g.numerator.bit_length() - g.denominator.bit_length() - 1  # 2^s < b - a < 2^(s + 2)
+        A, B = _floor_shifted(a, s), -_floor_shifted(-b, s)
+        while B - A > 1 and s <= E:
+            A, B, s = A >> 1, -(-B >> 1), s + 1
+        level, wide = max(min(E + 1 - s, depth), 0), wide + 1
+    t = E - level
+    P = 2 * -_floor_shifted(-b, t + 1) - 2 if level else -1  # the node (P 2^t, (P + 2) 2^t] holding b
+    while True:
+        inside = False
+        if t < wide:
+            lo_a, hi_b = cmp(P, a), cmp(P + 2, b)
+            inside = (lo_a > 0 or lo_a == 0 and la == sa) and (hi_b < 0 or hi_b == 0 and sb == rb)
+        if inside or level >= depth and below(P) and above(P + 2):
+            return Interval(_dyadic(P, t), _dyadic(P + 2, t))
+        m = P + 1
+        side = cmp(m, a)
+        if is_zero or side <= 0 or cmp(m, b) >= 0:
+            if side == 0 and is_zero:
+                return _point(a)
+            P = 2 * m if side <= 0 else 2 * P
+        else:
+            s = sign_at(m)
+            if s == 0:
+                return _point(_dyadic(m, t))
+            P = 2 * m if s == sa else 2 * P
+        t, level = t - 1, level + 1
+
+
+def _floor_shifted(x, s):
+    """floor(x / 2^s) for a Fraction x."""
+    return x.numerator // (x.denominator << s) if s >= 0 else (x.numerator << -s) // x.denominator
+
+
+def _dyadic(X, t):
+    return Fraction(X << t) if t >= 0 else Fraction(X, 1 << -t)
 
 
 @dataclass(frozen=True)

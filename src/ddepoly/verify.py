@@ -25,11 +25,23 @@ from .poly import (
     POS_INF,
     RATIONAL,
     Poly,
+    Surd,
+    _sign,
     format_scalar,
     is_finite,
     to_mpf,
 )
-from .roots import Interval, _Isolator, interlaces, is_real_simple, isolate_roots, sturm_count
+from .roots import (
+    Interval,
+    RealSimpleCheck,
+    _Isolator,
+    _signs_at,
+    certify_next,
+    interlaces,
+    is_real_simple,
+    isolate_roots,
+    sturm_count,
+)
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,14 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
 
     `spec` is a FamilySpec or any coefficient source exposing pair(n).
     Exact arithmetic throughout for rational input; irrational endpoints
-    are exact surds.  The report carries a numeric flag when the data are
+    are exact surds.  Each rational member is certified real-simple from
+    the zeros of the member before by its own exact signs
+    (`roots.certify_next`), which also isolates its zeros and places them
+    among the previous member's; containment and interlacing are read off
+    those places.  A member the certificate declines, a float member, and
+    every failing or unsettled verdict take the Sturm path (`is_real_simple`,
+    `isolate_roots`, `sturm_count`, `interlaces`), so each failure witness
+    is a Sturm count.  The report carries a numeric flag when the data are
     approximate, that is when a member has big-float coefficients; those
     are decided exactly as the dyadic rationals they hold.
     """
@@ -111,11 +130,10 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
 
     numeric = any(p.kind == FLOAT for p in seq.polys[: usable + 1])
     decision = predict(source, usable, strict_extension)[2]
-    # one Sturm chain per rational member serves all of its exact checks
-    isos = {n: _Isolator(seq[n]) for n in range(1, usable + 1) if seq[n].kind == RATIONAL}
+    members = _roots_of_members(seq, usable, width)
     if not decision.ok:
         failures.extend(f"case ({case}) hypothesis fails: {why}" for case, why in decision.diagnosis.items())
-        records = tuple(_empirical_record(seq, n, usable, None, width, isos) for n in range(1, usable + 1))
+        records = tuple(_empirical_record(seq, n, usable, None, members) for n in range(1, usable + 1))
         return VerificationReport(family, N, decision, records, False, tuple(failures), numeric,
                                   seq.collapsed, seq.truncated_at)
 
@@ -124,7 +142,7 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
         bounds = None
         if decision.containment is not None and n - 1 < len(decision.containment):
             bounds = decision.containment[n - 1]
-        rec = _empirical_record(seq, n, usable, bounds, width, isos)
+        rec = _empirical_record(seq, n, usable, bounds, members)
         records.append(rec)
         if not rec.real_simple:
             failures.append(f"P_{n} not real-simple: {rec.real_simple_witness}")
@@ -137,31 +155,108 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
                               numeric, seq.collapsed, seq.truncated_at)
 
 
-def _empirical_record(seq, n, usable, bounds, width, isos):
-    p, iso = seq[n], isos.get(n)
-    chk = is_real_simple(p, iso=iso)
-    zeros = ()
+@dataclass(frozen=True)
+class _MemberRoots:
+    check: object  # RealSimpleCheck
+    zeros: tuple
+    cert: object = None  # Certificate from the member before, or None
+    iso: object = None  # the Sturm isolator when the certificate declined
+
+
+def _roots_of_members(seq, usable, width):
+    """Each member's reality check and zeros, in order.  A rational member is
+    certified from the zeros of the one before (`certify_next`); where that
+    declines, or the member is float, one Sturm chain serves its checks."""
+    out = {}
+    prev = ()  # P_0 is constant
+    for n in range(1, usable + 1):
+        p = seq[n]
+        cert = certify_next(prev, p, width, seq[n - 1]) if p.kind == RATIONAL and prev is not None else None
+        if cert is not None:
+            out[n] = _MemberRoots(RealSimpleCheck(True), cert.zeros, cert)
+        else:
+            iso = _Isolator(p) if p.kind == RATIONAL else None
+            chk = is_real_simple(p, iso=iso)
+            zeros = tuple(r.interval for r in isolate_roots(p, width, iso=iso).roots) if chk.ok else ()
+            out[n] = _MemberRoots(chk, zeros, None, iso)
+        prev = out[n].zeros if out[n].check.ok and p.kind == RATIONAL else None
+    return out
+
+
+def _empirical_record(seq, n, usable, bounds, members):
+    p, own = seq[n], members[n]
     containment = "skipped"
     containment_witness = None
     interlace = None
     interlace_witness = None
-    if chk.ok:
-        if bounds is not None:
-            containment_witness = _check_containment(p, bounds, iso)
-            containment = "fail" if containment_witness else "ok"
-        else:
+    if own.check.ok:
+        if bounds is None:
             containment = "not-claimed"
-        zeros = tuple(r.interval for r in isolate_roots(p, width, iso=iso).roots)
+        elif own.cert is not None and _zeros_inside(p, own.zeros, bounds):
+            containment = "ok"
+        else:
+            containment_witness = _check_containment(p, bounds, own.iso)
+            containment = "fail" if containment_witness else "ok"
         if n < usable:
-            try:
-                rep = interlaces(p, seq[n + 1], p_iso=iso, q_iso=isos.get(n + 1))
-                interlace = rep.verdict
-                interlace_witness = rep.witness
-            except ValueError as exc:  # the next member may fail the preconditions
-                interlace = "fail"
-                interlace_witness = str(exc)
-    return SequenceRecord(n, p.degree, chk.ok, chk.witness, zeros, containment,
+            nxt = members[n + 1]
+            interlace = _interlace_from_places(nxt.cert.places, p.degree) if nxt.cert is not None else None
+            if interlace is None:  # unsettled or failing: the Sturm path decides and words it
+                try:
+                    rep = interlaces(p, seq[n + 1], p_iso=own.iso, q_iso=nxt.iso)
+                    interlace = rep.verdict
+                    interlace_witness = rep.witness
+                except ValueError as exc:  # the next member may fail the preconditions
+                    interlace = "fail"
+                    interlace_witness = str(exc)
+    return SequenceRecord(n, p.degree, own.check.ok, own.check.witness, own.zeros, containment,
                           containment_witness, interlace, interlace_witness)
+
+
+def _zeros_inside(p, zeros, bounds):
+    """Whether the zeros of the real-simple rational p, isolated by `zeros`,
+    lie in the claimed interval: the first against alpha and the last
+    against beta.  An endpoint inside an isolating interval is placed by
+    p's sign there, against p's sign just above the interval's lower end,
+    which is its sign at -infinity times (-1)^k for the k-th interval."""
+    alpha, beta, lo_closed, hi_closed = bounds
+    c = p.primitive_int_coeffs()
+
+    def side(k, x):  # sign of (root k) - x
+        iv = zeros[k]
+        lo = _order(iv.lo, x)
+        if iv.is_point:
+            return lo
+        if lo >= 0:
+            return 1
+        if _order(iv.hi, x) <= 0:
+            return -1
+        s = _signs_at([c], x)[0]
+        return s and (1 if s == _sign(c[-1]) * (-1) ** (len(c) - 1 + k) else -1)
+
+    # a zero on a closed end is inside, on an open one outside
+    if is_finite(alpha) and side(0, alpha) < (0 if lo_closed else 1):
+        return False
+    return not (is_finite(beta) and side(len(zeros) - 1, beta) > (0 if hi_closed else -1))
+
+
+def _order(x, end):
+    """Sign of x - end for a rational x and a rational or surd end."""
+    return -end._cmp(x) if isinstance(end, Surd) else _sign(x - end)
+
+
+def _interlace_from_places(places, m):
+    """The verdict `interlaces` gives for p of degree m and the next member q,
+    read off the places of q's roots among p's, or None when they do not
+    settle it or show a failure.  Shared roots are odd places; they may sit
+    only at q's first or last root, and the rest must alternate q p ... q."""
+    if None in places or any(k % 2 for k in places[1:-1]):
+        return None
+    shared = {k for k in places if k % 2}
+    labels = [label for _, label in sorted([(k, "q") for k in places if k % 2 == 0]
+                                           + [(2 * j + 1, "p") for j in range(m) if 2 * j + 1 not in shared])]
+    if labels != ["q", "p"] * (len(labels) // 2) + ["q"]:
+        return None
+    return "weak-shared-endpoint" if shared else "strict"
 
 
 def check_k_identity(c, k=None, samples=50, fd_step=Fraction(1, 10**6)):

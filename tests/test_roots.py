@@ -574,3 +574,63 @@ def test_squarefree_input_builds_one_chain_and_no_yun(monkeypatch):
     # p's chain, then its squarefree part's; Yun starts from the gcd that
     # ends p's chain and builds one chain per factor, not p's chain again
     assert (len(chains), len(prs), len(yun)) == (3, 5, 1)
+
+def certified_case(rng):
+    """A squarefree q with rational roots (some dyadic, some 10^-12 apart),
+    surd pairs and at times a complex pair, and a p of one degree less:
+    q', or q without one of its rational roots (every other root shared)."""
+    rational = {Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 7])) for _ in range(rng.randint(1, 4))}
+    if rng.random() < 0.4:
+        rational.add(min(rational) - Fraction(1, 10**12))
+    surds = {(rng.randint(-4, 4), rng.choice([2, 3, 5])) for _ in range(rng.randint(0, 1))}
+    complexes = [(rng.randint(-3, 3), rng.randint(1, 4))] if rng.random() < 0.2 else []
+    q = planted(sorted(rational), sorted(surds), complexes)
+    if q is None:
+        return None
+    q = q.scale(rng.choice([1, -3, Fraction(2, 5)]))
+    derivative = rng.random() < 0.6
+    p = q.derivative() if derivative else q.exact_div(P([-min(rational), 1]))
+    return p, q, not complexes, derivative
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**9), Fraction(1, 16)])
+def test_certify_next_gives_isolate_roots_zeros_and_the_interlacing_verdict(width):
+    # the certified zeros are isolate_roots' own, byte for byte; where the
+    # places settle a verdict it is interlaces'.  A complex pair or a p whose
+    # intervals part no pair of q's roots declines
+    from ddepoly.verify import _interlace_from_places
+
+    rng = random.Random(19)
+    certified = settled = close = 0
+    for _ in range(150):
+        case = certified_case(rng)
+        if case is None:
+            continue
+        p, q, real, derivative = case
+        prev = tuple(r.interval for r in isolate_roots(p, width).roots)
+        cert = roots.certify_next(prev, q, width, p)
+        if cert is None:
+            continue
+        assert real
+        certified += 1
+        zeros = tuple(r.interval for r in isolate_roots(q, width).roots)
+        assert cert.zeros == zeros and list(map(repr, cert.zeros)) == list(map(repr, zeros))
+        close += any(not iv.is_point and iv.hi - iv.lo < width / 2 for iv in zeros)
+        if derivative and real:  # Rolle: one root of q' in each gap between q's roots
+            assert cert.places == tuple(range(0, 2 * q.degree, 2))
+        verdict = _interlace_from_places(cert.places, p.degree)
+        if verdict is not None:
+            settled += 1
+            assert verdict == interlaces(p, q).verdict
+    assert certified > 60 and settled > 30 and close > 5
+
+
+def test_certify_next_places_zeros_on_separators_and_declines_a_double_one():
+    third = (Interval(Fraction(1, 3), Fraction(1, 3), False, False),)  # the root of 3x - 1, not dyadic
+    q = P([-1, 3]) * P([-2, 1])
+    cert = roots.certify_next(third, q, WIDTH)
+    assert cert.places == (1, 2)  # the shared 1/3, then 2 above it
+    assert cert.zeros == tuple(r.interval for r in isolate_roots(q, WIDTH).roots)
+    zero = (Interval(Fraction(0), Fraction(0), False, False),)
+    assert roots.certify_next(zero, P([0, 0, -1, 1]), WIDTH) is None  # x^2 (x - 1): q' vanishes at 0 too
+    assert roots.certify_next(zero, P([1, 0, 1]) * P([0, 1]), WIDTH) is None  # x (x^2 + 1): one root of three

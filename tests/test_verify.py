@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddepoly.dde import CoefficientPair, CoefficientRule
+from ddepoly.dde import CoefficientPair, CoefficientRule, CoefficientTable
 from ddepoly.documents import dump_report
 from ddepoly.families import FamilySpec
 from ddepoly.kfactor import classify
@@ -224,11 +224,12 @@ def test_verify_reports_byte_stable(kind, params, N, digest):
 
 
 def test_one_sturm_chain_per_member(monkeypatch):
-    # the six verify-families benchmark families at N=14: 84 members.  One
-    # chain per member, one remainder sequence per adjacent pair and Bell's
-    # 13 Tarski queries give 84 + 78 + 13 = 175; a rational root met by
-    # bisection rebuilds no chain.  A chain per check, as each check once
-    # built its own, gave 428
+    # the six verify-families benchmark families at N=14: 84 members.  Each
+    # member is certified from the zeros of the one before by signs of the
+    # member alone, and the places of its roots among them give the
+    # interlacing verdict, so no remainder sequence is built at all.  The
+    # Sturm path, a chain per member, one per adjacent pair and Bell's 13
+    # Tarski queries, built 175
     import ddepoly.roots as roots
 
     calls = []
@@ -236,4 +237,49 @@ def test_one_sturm_chain_per_member(monkeypatch):
     monkeypatch.setattr(roots, "_remainders", lambda f, g: calls.append(1) or orig(f, g))
     for kind, params, _, _ in GOLDEN_REPORTS[:6]:
         assert verify_sequence(FamilySpec(kind, params), 14).agreement
-    assert len(calls) <= 175
+    assert len(calls) == 0
+
+
+ORACLE_FAMILIES = [(k, p) for k, p, _, _ in GOLDEN_REPORTS[:6]] + [
+    ("jacobi", {"alpha": "-1/2", "beta": "3"}),
+    ("hermite_like", {"kappa": "n+1"}),
+    ("vertgeim", {"a": "1", "b": "2", "alpha": "1"}),
+]
+
+
+def failing_table(a0, a1, beta):
+    # P_1 = x, P_2 = x^2 - 1 and P_3 = 2x A_2 + (x + beta) P_2 with A_2 = a0 + a1 x:
+    # three real roots off P_2's gaps, or a double one; P_4 and P_5 have complex roots
+    return CoefficientTable([
+        CoefficientPair(P([1]), P([0, 1])), CoefficientPair(P([-1]), P([0, 1])),
+        CoefficientPair(P([a0, a1]), P([beta, 1])), CoefficientPair(P([10]), P([0, 1])),
+        CoefficientPair(P([-1]), P([0, 1])),
+    ])
+
+
+ORACLE_TABLES = [
+    failing_table(Fraction(27, 2), Fraction(-33, 2), 24),  # P_3 = (x - 2)(x - 3)(x - 4)
+    failing_table(Fraction(21, 2), -12, 16),  # P_3 = (x - 2)^2 (x - 4)
+]
+
+
+@pytest.mark.parametrize("source", [FamilySpec(k, dict(p)) for k, p in ORACLE_FAMILIES] + ORACLE_TABLES,
+                         ids=[k for k, _ in ORACLE_FAMILIES] + ["off-gap-roots", "double-root"])
+def test_certificate_reports_match_the_sturm_path(monkeypatch, source):
+    # every report is byte-identical to the one made with the certificate
+    # declining everywhere, so that each member takes the Sturm path
+    import ddepoly.verify as verify
+
+    N = 30 if isinstance(source, FamilySpec) else 5
+    sturm_calls = []
+    orig = verify.interlaces
+    monkeypatch.setattr(verify, "interlaces", lambda *a, **k: sturm_calls.append(1) or orig(*a, **k))
+    certified = dump_report({"command": "verify", "report": verify_sequence(source, N)}, timestamp=False)
+    monkeypatch.setattr(verify, "certify_next", lambda *args: None)
+    sturm = dump_report({"command": "verify", "report": verify_sequence(source, N)}, timestamp=False)
+    assert certified == sturm
+    if isinstance(source, FamilySpec):
+        assert '"agreement": true' in certified
+    else:  # the failures and their witnesses came from the Sturm path
+        assert "not real-simple" in certified and '"fail"' in certified
+        assert sturm_calls
