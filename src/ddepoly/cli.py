@@ -3,7 +3,9 @@
 Commands: generate, classify, verify, admits, freud-demo, zeros.
 Exit codes: 0 success; 1 verification disagreement or hypothesis failure;
 2 input/schema error; 3 numeric abort (the Freud recurrence exhausted its
-precision); 4 internal error (an exact-kernel invariant failed).
+precision); 4 internal error (an exact-kernel invariant failed, or a
+TypeError, ZeroDivisionError or IndexError escaped: a bug, since every
+input is parsed where it is read and refused there as a DocumentError).
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import mpmath
 from . import __version__
 from .dde import admits_dde, generate, sample_xy
 from .documents import DocumentError, InputDocument, dump_report, zeros_csv
-from .families import FAMILY_KINDS, FamilySpec, coefficient_source
+from .families import FAMILY_KINDS, FamilySpec, ParamRule, coefficient_source
 from .freud import PrecisionError, freud_recurrence_coeffs, freud_sequence, p5_invariants
 from .kfactor import predict
+from .poly import KindMismatchError
 from .roots import InternalError, isolate_roots
 from .verify import verify_sequence
 
@@ -54,8 +57,25 @@ def _family_from_args(args):
     for opt in _FAMILY_OPTS:
         v = getattr(args, opt, None)
         if v is not None:
+            _parsed(f"--{opt}", _scalar if opt == "t" else ParamRule.parse, v)
             params[opt] = v
     return FamilySpec.from_dict({"kind": args.family, "precision": args.precision, **params})
+
+
+def _parsed(location, parse, raw):
+    """parse(raw), with a malformed value refused as an input error."""
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(location, f"bad value {raw!r}: {exc}") from None
+
+
+def _scalar(raw):
+    """An exact rational, else a big float ('1e-30' is exact, 'inf' is not)."""
+    try:
+        return Fraction(raw)
+    except ValueError:
+        return mpmath.mpf(raw)
 
 
 def _resolve_input(args, need_n=True):
@@ -225,7 +245,7 @@ def cmd_freud_demo(args):
 
 def cmd_zeros(args):
     spec, table, N, doc = _resolve_input(args, need_n=False)
-    width = Fraction(1, 10**9) if args.width is None else Fraction(args.width)
+    width = Fraction(1, 10**9) if args.width is None else _parsed("--width", Fraction, args.width)
     if doc is not None and doc.sequence is not None:
         polys = doc.sequence
         start = 0
@@ -260,15 +280,10 @@ def cmd_zeros(args):
 
 
 def _parse_t(args, doc):
-    raw = getattr(args, "t", None)
+    raw, location = getattr(args, "t", None), "--t"
     if raw is None and doc is not None and doc.family is not None:
-        raw = doc.family.params.get("t")
-    if raw is None:
-        return Fraction(0)
-    try:
-        return Fraction(raw)
-    except ValueError:
-        return mpmath.mpf(raw)
+        raw, location = doc.family.params.get("t"), "$.family.t"
+    return Fraction(0) if raw is None else _parsed(location, _scalar, raw)
 
 
 def build_parser():
@@ -341,9 +356,12 @@ def main(argv=None):
     except PrecisionError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TypeError, ZeroDivisionError, IndexError) as exc:
+    except (ValueError, KindMismatchError) as exc:  # values the model refuses, kinds mixed in a table
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (TypeError, ZeroDivisionError, IndexError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -104,11 +104,14 @@ class InputDocument:
                 raise DocumentError("$.family", "family must be an object with a 'kind'")
             try:
                 spec = FamilySpec.from_dict({**fam, "precision": precision})
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise DocumentError("$.family", str(exc)) from None
             N = doc.get("N")
             if not isinstance(N, int) or N < 1:
                 raise DocumentError("$.N", "N must be an integer >= 1")
+            for key, v in fam.items():
+                if isinstance(v, list) and len(v) < N:
+                    raise DocumentError(f"$.family.{key}", f"a table of {len(v)} values; N = {N} needs {N}")
             return cls(family=spec, N=N, precision=precision, tolerance=tolerance)
         if kind == "sequence":
             seq = doc["sequence"]
@@ -136,6 +139,8 @@ class InputDocument:
         N = doc.get("N", len(pairs))
         if not isinstance(N, int) or N < 1:
             raise DocumentError("$.N", "N must be an integer >= 1")
+        if N > len(pairs):
+            raise DocumentError("$.N", f"N = {N} needs the coefficient pairs 0..{N - 1}; the table has {len(pairs)}")
         return cls(coefficients=CoefficientTable(pairs), N=N, precision=precision, tolerance=tolerance)
 
     @classmethod

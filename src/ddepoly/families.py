@@ -119,6 +119,12 @@ class FamilySpec:
 
 
 def _validate_params(kind, params):
+    for name, v in params.items():
+        if name != "t":  # freud's t may be a big float
+            try:
+                ParamRule.parse(v)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"parameter {name}: {exc}") from None
     if kind == "jacobi":
         a, b = as_fraction(params.get("alpha", 0)), as_fraction(params.get("beta", 0))
         if a <= -1 or b <= -1:

@@ -335,3 +335,41 @@ def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["verify", "--family", "jacobi", "--n", "4", "--alpha", "1/0"], "--alpha"),
+    (["verify", "--family", "euler_frobenius", "--n", "4", "--kappa", "1/0", "--r", "n+1"], "--kappa"),
+    (["zeros", "--family", "hermite", "--n", "3", "--width", "1/0"], "--width"),
+    (["freud-demo", "--t", "1/0"], "--t"),
+])
+def test_malformed_values_exit_two_naming_the_parameter(capsys, argv, where):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {where}: bad value '1/0'")
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"family": {"kind": "euler_frobenius", "kappa": "1/0"}, "N": 4}, "$.family"),
+    ({"family": {"kind": "hermite_like", "kappa": [1, 2]}, "N": 4}, "$.family.kappa"),
+    ({"coefficients": [{"A": ["-1"], "B": ["0", "2"]}] * 3, "N": 5}, "$.N"),
+])
+def test_malformed_documents_exit_two(capsys, tmp_path, doc, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+
+
+@pytest.mark.parametrize("exc", [TypeError("unsupported operand"), ZeroDivisionError("division by zero"),
+                                 IndexError("list index out of range")])
+def test_escaped_type_zero_division_and_index_errors_exit_internal(capsys, monkeypatch, exc):
+    # input is parsed where it is read, so these escaping a command are bugs
+    import ddepoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_sequence", broken)
+    assert main(["verify", "--family", "hermite", "--n", "4"]) == 4
+    assert capsys.readouterr().err == f"internal error: {type(exc).__name__}: {exc}\n"
