@@ -407,9 +407,9 @@ class Certificate:
     places: tuple
 
 
-def certify_next(prev, q, width, p=None):
+def certify_next(p, prev, q, width):
     """Certify the rational q real-simple from `prev`, the sorted isolating
-    intervals of a real-simple p (the member before q), or return None.
+    intervals of the real-simple p (the member before q), or return None.
 
     The separators are -M, the ends of `prev` inside (-M, M) and M, for
     M = `_dyadic_bound`.  A separator where q vanishes is a root of q, with
@@ -419,14 +419,9 @@ def certify_next(prev, q, width, p=None):
     other: q is real-simple.  Each root is then found in q's own bisection
     tree, the one `locate_real_roots` walks, by `_descend` and refined by
     `_refine`, so the zeros equal `isolate_roots(q, width)`'s.  The places
-    come from the separators; when p itself is given, a root whose bracket
-    holds one root of p is placed against it by `_order_in`.
+    come from the separators, and a root whose bracket holds one root of p
+    is placed against it by `_order_in`.
     """
-    if q.degree < 1:
-        return None
-    if q.degree == 1:
-        root = -q.coeffs[0] / q.coeffs[1]
-        return Certificate((_point(root),), (_place(prev, root),))
     c = q.primitive_int_coeffs()
     n, M = len(c) - 1, _dyadic_bound(c)
     depth = (-(-2 * M // width) - 1).bit_length()  # `_refine`'s steps from (-M, M]
@@ -465,13 +460,13 @@ def certify_next(prev, q, width, p=None):
                 j = (ka + 1) // 2  # roots of p at or below left
                 if kb // 2 == j:  # none between
                     key = 2 * j
-                elif p is not None and ka == 2 * j == kb - 2:  # p's root j alone between
+                elif ka == 2 * j == kb - 2:  # p's root j alone between
                     key = _order_in(p.primitive_int_coeffs(), c, left, right, j)
             found.append((left, right, key))
     if len(found) != n:
         return None
-    zeros = []
-    for i, (left, right, _) in enumerate(found):
+    zeros = [_point(Fraction(-c[0], c[1]))] if n == 1 else []  # as `locate_real_roots` has it
+    for i, (left, right, _) in enumerate(found if n > 1 else ()):
         before, after = (found[i - 1][:2] if i else None), (found[i + 1][:2] if i + 1 < n else None)
         zeros.append(_refine(c, _descend(c, (left, right), before, after, M, depth), width))
     return Certificate(tuple(zeros), tuple(k for _, _, k in found))
@@ -494,20 +489,6 @@ def _order_in(f, c, left, right, j):
             return 2 * j + 2 * q_right
         a, b = (m, b) if q_right else (a, m)
     return None
-
-
-def _place(prev, x):
-    """x's key among the isolating intervals `prev` (see `Certificate`)."""
-    below = 0
-    for iv in prev:
-        if iv.is_point and iv.lo == x:
-            return 2 * below + 1
-        if x <= iv.lo:
-            break
-        if x < iv.hi:
-            return None
-        below += 1
-    return 2 * below
 
 
 def _descend(c, own, before, after, M, depth):
@@ -558,21 +539,19 @@ def _descend(c, own, before, after, M, depth):
     # nodes holding the whole bracket need no test: start at the deepest one
     # (no deeper than `depth`), found on the integer grid floor(a / 2^s),
     # ceil(b / 2^s) with 2^s coarsened from below b - a
-    level, wide = 0, E  # a node 2^(t + 1) wide with t >= wide is wider than the bracket
+    level = 0
     if not is_zero:
         g = b - a
-        s = wide = g.numerator.bit_length() - g.denominator.bit_length() - 1  # 2^s < b - a < 2^(s + 2)
+        s = g.numerator.bit_length() - g.denominator.bit_length() - 1  # 2^s < b - a
         A, B = _floor_shifted(a, s), -_floor_shifted(-b, s)
         while B - A > 1 and s <= E:
             A, B, s = A >> 1, -(-B >> 1), s + 1
-        level, wide = max(min(E + 1 - s, depth), 0), wide + 1
+        level = max(min(E + 1 - s, depth), 0)
     t = E - level
     P = 2 * -_floor_shifted(-b, t + 1) - 2 if level else -1  # the node (P 2^t, (P + 2) 2^t] holding b
     while True:
-        inside = False
-        if t < wide:
-            lo_a, hi_b = cmp(P, a), cmp(P + 2, b)
-            inside = (lo_a > 0 or lo_a == 0 and la == sa) and (hi_b < 0 or hi_b == 0 and sb == rb)
+        lo_a, hi_b = cmp(P, a), cmp(P + 2, b)
+        inside = (lo_a > 0 or lo_a == 0 and la == sa) and (hi_b < 0 or hi_b == 0 and sb == rb)
         if inside or level >= depth and below(P) and above(P + 2):
             return Interval(_dyadic(P, t), _dyadic(P + 2, t))
         m = P + 1

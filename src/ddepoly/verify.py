@@ -171,7 +171,7 @@ def _roots_of_members(seq, usable, width):
     prev = ()  # P_0 is constant
     for n in range(1, usable + 1):
         p = seq[n]
-        cert = certify_next(prev, p, width, seq[n - 1]) if p.kind == RATIONAL and prev is not None else None
+        cert = certify_next(seq[n - 1], prev, p, width) if p.kind == RATIONAL and prev is not None else None
         if cert is not None:
             out[n] = _MemberRoots(RealSimpleCheck(True), cert.zeros, cert)
         else:

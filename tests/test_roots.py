@@ -608,7 +608,7 @@ def test_certify_next_gives_isolate_roots_zeros_and_the_interlacing_verdict(widt
             continue
         p, q, real, derivative = case
         prev = tuple(r.interval for r in isolate_roots(p, width).roots)
-        cert = roots.certify_next(prev, q, width, p)
+        cert = roots.certify_next(p, prev, q, width)
         if cert is None:
             continue
         assert real
@@ -628,9 +628,9 @@ def test_certify_next_gives_isolate_roots_zeros_and_the_interlacing_verdict(widt
 def test_certify_next_places_zeros_on_separators_and_declines_a_double_one():
     third = (Interval(Fraction(1, 3), Fraction(1, 3), False, False),)  # the root of 3x - 1, not dyadic
     q = P([-1, 3]) * P([-2, 1])
-    cert = roots.certify_next(third, q, WIDTH)
+    cert = roots.certify_next(P([-1, 3]), third, q, WIDTH)
     assert cert.places == (1, 2)  # the shared 1/3, then 2 above it
     assert cert.zeros == tuple(r.interval for r in isolate_roots(q, WIDTH).roots)
     zero = (Interval(Fraction(0), Fraction(0), False, False),)
-    assert roots.certify_next(zero, P([0, 0, -1, 1]), WIDTH) is None  # x^2 (x - 1): q' vanishes at 0 too
-    assert roots.certify_next(zero, P([1, 0, 1]) * P([0, 1]), WIDTH) is None  # x (x^2 + 1): one root of three
+    assert roots.certify_next(P([0, 1]), zero, P([0, 0, -1, 1]), WIDTH) is None  # x^2 (x - 1): q' vanishes at 0
+    assert roots.certify_next(P([0, 1]), zero, P([1, 0, 1]) * P([0, 1]), WIDTH) is None  # x (x^2 + 1): 1 root of 3
