@@ -159,8 +159,8 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
 class _MemberRoots:
     check: object  # RealSimpleCheck
     zeros: tuple
-    cert: object = None  # Certificate from the member before, or None
-    iso: object = None  # the Sturm isolator when the certificate declined
+    places: tuple | None = None  # `Certificate.places`; None on the Sturm path
+    iso: object = None  # the Sturm isolator there
 
 
 def _roots_of_members(seq, usable, width):
@@ -173,7 +173,7 @@ def _roots_of_members(seq, usable, width):
         p = seq[n]
         cert = certify_next(seq[n - 1], prev, p, width) if p.kind == RATIONAL and prev is not None else None
         if cert is not None:
-            out[n] = _MemberRoots(RealSimpleCheck(True), cert.zeros, cert)
+            out[n] = _MemberRoots(RealSimpleCheck(True), cert.zeros, cert.places)
         else:
             iso = _Isolator(p) if p.kind == RATIONAL else None
             chk = is_real_simple(p, iso=iso)
@@ -192,14 +192,14 @@ def _empirical_record(seq, n, usable, bounds, members):
     if own.check.ok:
         if bounds is None:
             containment = "not-claimed"
-        elif own.cert is not None and _zeros_inside(p, own.zeros, bounds):
+        elif own.places is not None and _zeros_inside(p, own.zeros, bounds):
             containment = "ok"
         else:
             containment_witness = _check_containment(p, bounds, own.iso)
             containment = "fail" if containment_witness else "ok"
         if n < usable:
             nxt = members[n + 1]
-            interlace = _interlace_from_places(nxt.cert.places, p.degree) if nxt.cert is not None else None
+            interlace = _interlace_from_places(nxt.places, p.degree) if nxt.places is not None else None
             if interlace is None:  # unsettled or failing: the Sturm path decides and words it
                 try:
                     rep = interlaces(p, seq[n + 1], p_iso=own.iso, q_iso=nxt.iso)
