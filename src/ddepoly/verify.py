@@ -25,7 +25,6 @@ from .poly import (
     POS_INF,
     RATIONAL,
     Poly,
-    Surd,
     _sign,
     format_scalar,
     is_finite,
@@ -223,12 +222,12 @@ def _zeros_inside(p, zeros, bounds):
 
     def side(k, x):  # sign of (root k) - x
         iv = zeros[k]
-        lo = _order(iv.lo, x)
+        lo = (iv.lo > x) - (iv.lo < x)
         if iv.is_point:
             return lo
         if lo >= 0:
             return 1
-        if _order(iv.hi, x) <= 0:
+        if iv.hi <= x:
             return -1
         s = _signs_at([c], x)[0]
         return s and (1 if s == _sign(c[-1]) * (-1) ** (len(c) - 1 + k) else -1)
@@ -237,11 +236,6 @@ def _zeros_inside(p, zeros, bounds):
     if is_finite(alpha) and side(0, alpha) < (0 if lo_closed else 1):
         return False
     return not (is_finite(beta) and side(len(zeros) - 1, beta) > (0 if hi_closed else -1))
-
-
-def _order(x, end):
-    """Sign of x - end for a rational x and a rational or surd end."""
-    return -end._cmp(x) if isinstance(end, Surd) else _sign(x - end)
 
 
 def _interlace_from_places(places, m):
