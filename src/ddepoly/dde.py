@@ -27,7 +27,7 @@ from .poly import (
     DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, _dx, _prem, _quo, _squarefree, format_poly,
     to_mpf,
 )
-from .roots import _exact_image, _Isolator, is_real_simple, isolate_roots
+from .roots import real_simple_zeros
 
 
 class NonSimpleZerosError(ValueError):
@@ -315,11 +315,9 @@ def sample_xy(Pn, Pn1, width):
     to `width` and returned in increasing order as big floats.
     """
     prec = Pn.prec or DEFAULT_FLOAT_PREC
-    iso = _Isolator(_exact_image(Pn))
-    chk = is_real_simple(Pn, iso=iso)
+    chk, rs = real_simple_zeros(Pn, width)
     if not chk:
         raise NonSimpleZerosError(f"P_n must have real simple zeros: {chk.witness}")
-    rs = isolate_roots(Pn, width, iso=iso)
     if rs.count == 0:
         return []
     out = []

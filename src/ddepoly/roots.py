@@ -236,10 +236,6 @@ class _Isolator:
         """Distinct roots in (lo, hi]; lo/hi are Fractions, Surds or infinity tags."""
         return self.variations(lo) - self.variations(hi)
 
-    def refine(self, iv, width):
-        """`_refine` on f's integer vector."""
-        return _refine(self.chain[0], iv, width)
-
 
 def _refine(f, iv, width):
     """Shrink an isolating interval of the integer vector f to the node that
@@ -319,11 +315,12 @@ def locate_real_roots(f, iso=None):
     return out
 
 
-def sturm_count(p, iv, iso=None):
+def sturm_count(p, iv):
     """Exact number of distinct real roots of a squarefree rational
-    polynomial inside `iv`, honoring the interval's openness flags.
-    `iso` is an isolator already built for p."""
-    iso = iso or _Isolator(p)
+    polynomial inside `iv`, honoring the interval's openness flags.  The
+    package reads counts off isolated zeros instead; this stays as public
+    API and as the tests' oracle for them."""
+    iso = _Isolator(p)
     if iso.gcd_degree > 0:
         raise ValueError("sturm_count requires a squarefree polynomial; deflate via gcd(p, p') first")
     n = iso.count_half_open(iv.lo, iv.hi)
@@ -352,30 +349,33 @@ def _ends_of_kind(p, iv):
     return Interval(lo, hi, iv.lo_open, iv.hi_open)
 
 
-def isolate_roots(p, width, iso=None):
+def isolate_roots(p, width):
     """Disjoint sorted isolating intervals for the real roots of p.
 
     One Sturm bisection tree over the chain of p's squarefree part,
-    intervals refined to <= width.  p's own chain (`iso`, reused if
-    given) comes first; when it shows p squarefree (gcd(p, p') constant)
-    no Yun decomposition runs, else Yun starts from that gcd and
-    multiplicities are read off the signs of p's Yun factors.  A float p is isolated as the rational polynomial
+    intervals refined to <= width.  p's own chain comes first; when it
+    shows p squarefree (gcd(p, p') constant) no Yun decomposition runs,
+    else Yun starts from that gcd and multiplicities are read off the signs
+    of p's Yun factors.  A float p is isolated as the rational polynomial
     it holds, so count, multiplicities and `squarefree` are certified for
     that polynomial; its interval ends are mpf (`_ends_of_kind`).
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
+    return _isolate(p, _Isolator(_exact_image(p)), width)
+
+
+def _isolate(p, iso, width):
+    """`isolate_roots` on `iso`, the isolator of p's exact image."""
     if isinstance(width, _Infinity) or not width > 0:
         raise ValueError("width must be positive")
     width = as_exact(width)
-    iso = iso or _Isolator(_exact_image(p))
     squarefree = iso.gcd_degree == 0
     if not squarefree:
         decomp = squarefree_decomposition(iso.poly, iso.chain[-1])
         iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
     roots = tuple(
-        RootInterval(_ends_of_kind(p, iso.refine(iv, width)), 1 if squarefree else _multiplicity(factors, iv))
+        RootInterval(_ends_of_kind(p, _refine(iso.chain[0], iv, width)),
+                     1 if squarefree else _multiplicity(factors, iv))
         for iv in locate_real_roots(iso.poly, iso)
     )
     return RootSet(roots=roots, count=len(roots), squarefree=squarefree)
@@ -586,11 +586,21 @@ class RealSimpleCheck:
         return self.ok
 
 
-def is_real_simple(p, iso=None):
+def is_real_simple(p):
     """True iff p is squarefree with as many real roots as its degree; a
-    float p is checked as the rational polynomial it holds.  `iso` is an
-    isolator already built for p."""
-    iso = iso or _Isolator(_exact_image(p))
+    float p is checked as the rational polynomial it holds."""
+    return _real_simple(p, _Isolator(_exact_image(p)))
+
+
+def real_simple_zeros(p, width):
+    """`is_real_simple(p)` and, when it holds, `isolate_roots(p, width)`
+    (else None), both on one Sturm chain."""
+    iso = _Isolator(_exact_image(p))
+    chk = _real_simple(p, iso)
+    return chk, (_isolate(p, iso, width) if chk else None)
+
+
+def _real_simple(p, iso):
     if iso.gcd_degree > 0:
         return RealSimpleCheck(False, f"repeated factor of degree {iso.gcd_degree}: gcd(p, p') is not constant")
     n = iso.count_half_open(NEG_INF, POS_INF)
@@ -606,7 +616,7 @@ class InterlaceReport:
     numeric: bool = False
 
 
-def interlaces(p, q, p_iso=None, q_iso=None):
+def interlaces(p, q):
     """Decide whether the real roots of p and q (deg q = deg p + 1) alternate.
 
     Verdict "strict": between consecutive roots of q lies exactly one root
@@ -618,8 +628,8 @@ def interlaces(p, q, p_iso=None, q_iso=None):
     and the shared ones sit at the ends iff deg g <= 2 and g has one sign at
     all roots of q/g, that of -lead(g) when deg g = 2.  Float input is
     decided exactly on the dyadic rationals it holds; the report is numeric.
-    `p_iso` and `q_iso`, isolators already built for rational p and q,
-    serve the real-simple precondition.
+    The real-simple precondition builds p's and q's own chains, and only
+    for a pair the Cauchy index does not settle as strict.
     """
     if q.degree != p.degree + 1:
         raise ValueError(f"degree mismatch: deg q = {q.degree}, expected deg p + 1 = {p.degree + 1}")
@@ -631,8 +641,8 @@ def interlaces(p, q, p_iso=None, q_iso=None):
     # deg q = 0 only for a zero p, which the precondition below rejects
     if not shared and abs(index) == q.degree > 0:
         return InterlaceReport("strict", None, numeric)
-    for name, poly, iso in (("p", p, p_iso), ("q", q, q_iso)):
-        chk = is_real_simple(poly, iso=iso)
+    for name, poly in (("p", p), ("q", q)):
+        chk = is_real_simple(poly)
         if not chk:
             raise ValueError(f"{name} is not real-simple: {chk.witness}")
     g = Poly.rational(chain[-1])

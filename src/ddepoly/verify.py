@@ -3,10 +3,12 @@ configuration predicts?
 
 `verify_sequence` generates a family, classifies its damping factors,
 decides which endpoint configuration applies, then independently computes
-every member's zeros (exactly, in rational mode) and checks reality,
-simplicity, containment (honoring closed endpoints) and interlacing.
-Disagreement is reported, never patched over: the prediction side is a
-proved statement, so any mismatch points at an implementation bug.
+every member's zeros exactly and checks reality, simplicity, containment
+(honoring closed endpoints) and interlacing.  Containment is read off the
+isolated zeros, interlacing off their places among the previous member's
+where those settle it.  Disagreement is reported, never patched over: the
+prediction side is a proved statement, so any mismatch points at an
+implementation bug.
 """
 
 from __future__ import annotations
@@ -19,28 +21,8 @@ import mpmath
 from .dde import generate, step
 from .families import FamilySpec, coefficient_source
 from .kfactor import SingularPointError, classify, log_k_eval, predict
-from .poly import (
-    FLOAT,
-    NEG_INF,
-    POS_INF,
-    RATIONAL,
-    Poly,
-    _sign,
-    format_scalar,
-    is_finite,
-    to_mpf,
-)
-from .roots import (
-    Interval,
-    RealSimpleCheck,
-    _Isolator,
-    _signs_at,
-    certify_next,
-    interlaces,
-    is_real_simple,
-    isolate_roots,
-    sturm_count,
-)
+from .poly import RATIONAL, Poly, _sign, format_scalar, is_finite, to_mpf
+from .roots import RealSimpleCheck, _signs_at, certify_next, interlaces, real_simple_zeros
 
 
 @dataclass(frozen=True)
@@ -71,40 +53,22 @@ class VerificationReport:
     truncated_at: int | None = None
 
 
-def _check_containment(p, bounds, iso=None):
-    """Witness for zeros of the real-simple p outside the claimed interval,
-    or None.  Counts the zeros beyond each finite endpoint exactly, at a
-    Fraction or a Surd endpoint alike.  `iso` is an isolator already built
-    for p."""
-    alpha, beta, lo_closed, hi_closed = bounds
-    if is_finite(beta):
-        n = sturm_count(p, Interval(beta, POS_INF, lo_open=hi_closed), iso=iso)
-        if n:
-            end = "]" if hi_closed else ")"
-            return f"{n} zero(s) beyond right endpoint {format_scalar(beta)}{end}"
-    if is_finite(alpha):
-        n = sturm_count(p, Interval(NEG_INF, alpha, hi_open=lo_closed), iso=iso)
-        if n:
-            end = "[" if lo_closed else "("
-            return f"{n} zero(s) below left endpoint {end}{format_scalar(alpha)}"
-    return None
-
-
 def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     """Generate, predict, and empirically verify a sequence up to degree N.
 
     `spec` is a FamilySpec or any coefficient source exposing pair(n).
-    Exact arithmetic throughout for rational input; irrational endpoints
-    are exact surds.  Each rational member is certified real-simple from
-    the zeros of the member before by its own exact signs
-    (`roots.certify_next`), which also isolates its zeros and places them
-    among the previous member's; containment and interlacing are read off
-    those places.  A member the certificate declines, a float member, and
-    every failing or unsettled verdict take the Sturm path (`is_real_simple`,
-    `isolate_roots`, `sturm_count`, `interlaces`), so each failure witness
-    is a Sturm count.  The report carries a numeric flag when the data are
-    approximate, that is when a member has big-float coefficients; those
-    are decided exactly as the dyadic rationals they hold.
+    The data must be rational: `predict` refuses float pairs (ValueError)
+    and `generate` a float B_0 before rational pairs (KindMismatchError),
+    so the report's numeric flag is always false.  Arithmetic is exact
+    throughout, and irrational endpoints are exact surds.  Each member is
+    certified real-simple from the zeros of the member before by its own
+    exact signs (`roots.certify_next`), which also isolates its zeros and
+    places them among the previous member's; a member the certificate
+    declines gets its check and zeros from one Sturm chain
+    (`roots.real_simple_zeros`).  Containment is counted off the zeros on
+    both paths (`_containment_witness`).  Interlacing is read off the
+    places; an unsettled or failing pair goes to `roots.interlaces`, so
+    its witness is a remainder-sequence count.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -124,17 +88,16 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
         usable = min(usable, m - 1)
         failures.append(f"degree collapse at P_{m}; verification truncated to n <= {usable}")
     if usable < 1:
-        return VerificationReport(family, N, None, (), False, tuple(failures), False,
-                                  seq.collapsed, seq.truncated_at)
+        return VerificationReport(family, N, None, (), False, tuple(failures),
+                                  collapsed=seq.collapsed, truncated_at=seq.truncated_at)
 
-    numeric = any(p.kind == FLOAT for p in seq.polys[: usable + 1])
     decision = predict(source, usable, strict_extension)[2]
     members = _roots_of_members(seq, usable, width)
     if not decision.ok:
         failures.extend(f"case ({case}) hypothesis fails: {why}" for case, why in decision.diagnosis.items())
         records = tuple(_empirical_record(seq, n, usable, None, members) for n in range(1, usable + 1))
-        return VerificationReport(family, N, decision, records, False, tuple(failures), numeric,
-                                  seq.collapsed, seq.truncated_at)
+        return VerificationReport(family, N, decision, records, False, tuple(failures),
+                                  collapsed=seq.collapsed, truncated_at=seq.truncated_at)
 
     records = []
     for n in range(1, usable + 1):
@@ -151,7 +114,7 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
             failures.append(f"P_{n} / P_{n + 1} interlacing: {rec.interlace_witness}")
     agreement = not failures
     return VerificationReport(family, N, decision, tuple(records), agreement, tuple(failures),
-                              numeric, seq.collapsed, seq.truncated_at)
+                              collapsed=seq.collapsed, truncated_at=seq.truncated_at)
 
 
 @dataclass(frozen=True)
@@ -159,26 +122,23 @@ class _MemberRoots:
     check: object  # RealSimpleCheck
     zeros: tuple
     places: tuple | None = None  # `Certificate.places`; None on the Sturm path
-    iso: object = None  # the Sturm isolator there
 
 
 def _roots_of_members(seq, usable, width):
-    """Each member's reality check and zeros, in order.  A rational member is
+    """Each member's reality check and zeros, in order.  A member is
     certified from the zeros of the one before (`certify_next`); where that
-    declines, or the member is float, one Sturm chain serves its checks."""
+    declines, one Sturm chain serves its check and its zeros."""
     out = {}
     prev = ()  # P_0 is constant
     for n in range(1, usable + 1):
         p = seq[n]
-        cert = certify_next(seq[n - 1], prev, p, width) if p.kind == RATIONAL and prev is not None else None
+        cert = certify_next(seq[n - 1], prev, p, width) if prev is not None else None
         if cert is not None:
             out[n] = _MemberRoots(RealSimpleCheck(True), cert.zeros, cert.places)
         else:
-            iso = _Isolator(p) if p.kind == RATIONAL else None
-            chk = is_real_simple(p, iso=iso)
-            zeros = tuple(r.interval for r in isolate_roots(p, width, iso=iso).roots) if chk.ok else ()
-            out[n] = _MemberRoots(chk, zeros, None, iso)
-        prev = out[n].zeros if out[n].check.ok and p.kind == RATIONAL else None
+            chk, rs = real_simple_zeros(p, width)
+            out[n] = _MemberRoots(chk, tuple(r.interval for r in rs.roots) if rs else ())
+        prev = out[n].zeros if out[n].check.ok else None
     return out
 
 
@@ -191,17 +151,15 @@ def _empirical_record(seq, n, usable, bounds, members):
     if own.check.ok:
         if bounds is None:
             containment = "not-claimed"
-        elif own.places is not None and _zeros_inside(p, own.zeros, bounds):
-            containment = "ok"
         else:
-            containment_witness = _check_containment(p, bounds, own.iso)
+            containment_witness = _containment_witness(p, own.zeros, bounds)
             containment = "fail" if containment_witness else "ok"
         if n < usable:
             nxt = members[n + 1]
             interlace = _interlace_from_places(nxt.places, p.degree) if nxt.places is not None else None
             if interlace is None:  # unsettled or failing: the Sturm path decides and words it
                 try:
-                    rep = interlaces(p, seq[n + 1], p_iso=own.iso, q_iso=nxt.iso)
+                    rep = interlaces(p, seq[n + 1])
                     interlace = rep.verdict
                     interlace_witness = rep.witness
                 except ValueError as exc:  # the next member may fail the preconditions
@@ -211,12 +169,15 @@ def _empirical_record(seq, n, usable, bounds, members):
                           containment_witness, interlace, interlace_witness)
 
 
-def _zeros_inside(p, zeros, bounds):
-    """Whether the zeros of the real-simple rational p, isolated by `zeros`,
-    lie in the claimed interval: the first against alpha and the last
-    against beta.  An endpoint inside an isolating interval is placed by
-    p's sign there, against p's sign just above the interval's lower end,
-    which is its sign at -infinity times (-1)^k for the k-th interval."""
+def _containment_witness(p, zeros, bounds):
+    """Witness for zeros of the real-simple rational p outside the claimed
+    interval, or None.  `zeros` are all of p's isolating intervals, sorted;
+    the zeros beyond each finite endpoint are counted by scanning in from
+    that end to the first zero inside, so a member inside costs one
+    comparison per end.  An endpoint (a Fraction or a Surd) inside an
+    isolating interval is placed by p's exact sign there, against p's sign
+    just above the interval's lower end, which is its sign at -infinity
+    times (-1)^k for the k-th interval."""
     alpha, beta, lo_closed, hi_closed = bounds
     c = p.primitive_int_coeffs()
 
@@ -232,10 +193,21 @@ def _zeros_inside(p, zeros, bounds):
         s = _signs_at([c], x)[0]
         return s and (1 if s == _sign(c[-1]) * (-1) ** (len(c) - 1 + k) else -1)
 
+    def beyond(ks, outside):  # zeros from one end up to the first inside
+        return next((i for i, k in enumerate(ks) if not outside(k)), len(zeros))
+
     # a zero on a closed end is inside, on an open one outside
-    if is_finite(alpha) and side(0, alpha) < (0 if lo_closed else 1):
-        return False
-    return not (is_finite(beta) and side(len(zeros) - 1, beta) > (0 if hi_closed else -1))
+    if is_finite(beta):
+        n = beyond(reversed(range(len(zeros))), lambda k: side(k, beta) > (0 if hi_closed else -1))
+        if n:
+            end = "]" if hi_closed else ")"
+            return f"{n} zero(s) beyond right endpoint {format_scalar(beta)}{end}"
+    if is_finite(alpha):
+        n = beyond(range(len(zeros)), lambda k: side(k, alpha) < (0 if lo_closed else 1))
+        if n:
+            end = "[" if lo_closed else "("
+            return f"{n} zero(s) below left endpoint {end}{format_scalar(alpha)}"
+    return None
 
 
 def _interlace_from_places(places, m):

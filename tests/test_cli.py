@@ -99,14 +99,13 @@ def test_freud_demo_reproduces_negative_result(capsys):
 
 
 def test_freud_demo_isolates_p5_once(capsys, monkeypatch):
-    # quintic_zero_mismatch reads the zeros that sample_xy isolated
-    import ddepoly.cli as cli
-    import ddepoly.dde as dde
+    # quintic_zero_mismatch reads the zeros that sample_xy isolated; every
+    # isolation, by isolate_roots or real_simple_zeros, goes through _isolate
+    import ddepoly.roots as roots
 
     calls = []
-    for mod in (cli, dde):
-        orig = mod.isolate_roots
-        monkeypatch.setattr(mod, "isolate_roots", lambda *a, orig=orig, **k: calls.append(1) or orig(*a, **k))
+    orig = roots._isolate
+    monkeypatch.setattr(roots, "_isolate", lambda *a: calls.append(1) or orig(*a))
     code, out = run(capsys, "freud-demo", "--no-timestamp")
     assert code == 0 and json.loads(out)["quintic_zero_mismatch"] < 1e-30
     assert len(calls) == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import mpmath
@@ -15,6 +16,7 @@ from ddepoly.roots import (
     InternalError,
     Interval,
     _Isolator,
+    _refine,
     _remainders,
     interlaces,
     is_real_simple,
@@ -464,12 +466,12 @@ def test_sign_refinement_matches_variation_bisection(rational, surds, complexes,
         return
     iso = _Isolator(p)
     for iv in locate_real_roots(p, iso):
-        assert iso.refine(iv, width) == variation_refine(p, iv, width)
+        assert _refine(iso.chain[0], iv, width) == variation_refine(p, iv, width)
 
 
 def bisection_refine(iso, iv, width):
-    """Plain bisection on the sign of f, the refinement `_Isolator.refine`
-    must reproduce node for node."""
+    """Plain bisection on the sign of f, the refinement `_refine` must
+    reproduce node for node."""
     if iv.is_point:
         return iv
     f, a, b = iso.chain[0], iv.lo, iv.hi
@@ -525,7 +527,7 @@ def test_quadratic_refinement_needs_under_half_the_evaluations(monkeypatch):
         _, sqf, _ = seeded_product(rng)
         iso = _Isolator(sqf)
         for iv in locate_real_roots(sqf, iso):
-            for i, refine in enumerate((iso.refine, lambda iv, w: bisection_refine(iso, iv, w))):
+            for i, refine in enumerate((partial(_refine, iso.chain[0]), partial(bisection_refine, iso))):
                 calls.clear()
                 refine(iv, width)
                 counts[i] += len(calls)
@@ -533,13 +535,13 @@ def test_quadratic_refinement_needs_under_half_the_evaluations(monkeypatch):
 
 
 def test_refine_returns_a_rational_root_hit_as_a_point():
-    iso = _Isolator(P([-3, 4]) * P([-2, 0, 1]))  # roots 3/4, +-sqrt(2)
+    f = _Isolator(P([-3, 4]) * P([-2, 0, 1])).chain[0]  # roots 3/4, +-sqrt(2)
     hit = Interval(Fraction(3, 4), Fraction(3, 4), False, False)
-    assert iso.refine(Interval(Fraction(0), Fraction(1)), Fraction(1, 100)) == hit
+    assert _refine(f, Interval(Fraction(0), Fraction(1)), Fraction(1, 100)) == hit
     # a width of exactly the target stops the bisection
-    assert iso.refine(Interval(Fraction(1), Fraction(2)), Fraction(1, 4)) == Interval(Fraction(5, 4), Fraction(3, 2))
+    assert _refine(f, Interval(Fraction(1), Fraction(2)), Fraction(1, 4)) == Interval(Fraction(5, 4), Fraction(3, 2))
     with pytest.raises(InternalError):
-        iso.refine(Interval(Fraction(3, 4), Fraction(1)), Fraction(1, 100))
+        _refine(f, Interval(Fraction(3, 4), Fraction(1)), Fraction(1, 100))
 
 
 def test_exact_isolation_makes_no_divrem_or_gcd(monkeypatch):
@@ -574,6 +576,25 @@ def test_squarefree_input_builds_one_chain_and_no_yun(monkeypatch):
     # p's chain, then its squarefree part's; Yun starts from the gcd that
     # ends p's chain and builds one chain per factor, not p's chain again
     assert (len(chains), len(prs), len(yun)) == (3, 5, 1)
+
+
+def test_real_simple_zeros_checks_and_isolates_on_one_chain(monkeypatch):
+    # the check is is_real_simple's and the zeros isolate_roots', or None
+    # when the check fails; a real-simple p costs one chain, a float p is
+    # taken as the rational polynomial it holds
+    import ddepoly.roots as roots
+
+    cases = [poly_from_roots([Fraction(-7, 3), 0, 2]) * P([-3, 0, 1]), P([1, 0, 1]) * P([0, 1]),
+             P([1, -2, 1]) * P([-3, 4]), P([-2, 0, 1]).to_float(128)]
+    want = [(is_real_simple(p), isolate_roots(p, WIDTH)) for p in cases]
+    chains = []
+    orig = roots._remainders
+    monkeypatch.setattr(roots, "_remainders", lambda f, g: chains.append(1) or orig(f, g))
+    got = [roots.real_simple_zeros(p, WIDTH) for p in cases]
+    assert got == [(chk, rs if chk else None) for chk, rs in want]
+    assert [chk.ok for chk, _ in got] == [True, False, False, True]
+    assert len(chains) == 4
+
 
 def certified_case(rng):
     """A squarefree q with rational roots (some dyadic, some 10^-12 apart),

@@ -1,14 +1,18 @@
 import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from ddepoly.cli import main
 from ddepoly.dde import CoefficientPair, CoefficientRule, CoefficientTable
 from ddepoly.documents import dump_report
 from ddepoly.families import FamilySpec
 from ddepoly.kfactor import classify
-from ddepoly.poly import NEG_INF, POS_INF, Poly, Surd
-from ddepoly.verify import check_k_identity, verify_sequence
+from ddepoly.poly import NEG_INF, POS_INF, KindMismatchError, Poly, Surd, format_scalar, is_finite
+from ddepoly.roots import Interval, certify_next, isolate_roots, sturm_count
+from ddepoly.verify import _containment_witness, check_k_identity, verify_sequence
 
 P = Poly.rational
 
@@ -35,33 +39,111 @@ def test_bell_family_case_c_closed_endpoint():
         assert r.containment == "ok"
 
 
+def zeros_of(p, width):
+    return tuple(r.interval for r in isolate_roots(p, width).roots)
+
+
+def containment(p, bounds):
+    return _containment_witness(p, zeros_of(p, Fraction(1)), bounds)
+
+
 def test_case_c_rejects_zero_beyond_closed_endpoint():
     # containment is decided by counting the zeros beyond each claimed end:
-    # bounds are (alpha, beta, lo_closed, hi_closed)
-    from ddepoly.verify import _check_containment
-
+    # bounds are (alpha, beta, lo_closed, hi_closed); zeros isolated to width
+    # 1 are exact points for p, and intervals holding the surd endpoints for q
     p = P([0, 1]) * P([-1, 1])  # roots 0 and 1
-    assert _check_containment(p, (NEG_INF, Fraction(0), False, True)) == "1 zero(s) beyond right endpoint 0]"
-    assert _check_containment(p, (NEG_INF, Fraction(1), False, True)) is None
-    assert _check_containment(p, (NEG_INF, Fraction(1), False, False)) == "1 zero(s) beyond right endpoint 1)"
-    assert _check_containment(p, (NEG_INF, Fraction(-1), False, True)) == "2 zero(s) beyond right endpoint -1]"
+    assert containment(p, (NEG_INF, Fraction(0), False, True)) == "1 zero(s) beyond right endpoint 0]"
+    assert containment(p, (NEG_INF, Fraction(1), False, True)) is None
+    assert containment(p, (NEG_INF, Fraction(1), False, False)) == "1 zero(s) beyond right endpoint 1)"
+    assert containment(p, (NEG_INF, Fraction(-1), False, True)) == "2 zero(s) beyond right endpoint -1]"
     # a zero below an open left end
-    assert _check_containment(p, (Fraction(1, 2), POS_INF, False, False)) == "1 zero(s) below left endpoint (1/2"
+    assert containment(p, (Fraction(1, 2), POS_INF, False, False)) == "1 zero(s) below left endpoint (1/2"
     # a zero exactly on the left end: fine when closed, outside when open
-    assert _check_containment(p, (Fraction(0), Fraction(1), True, True)) is None
-    assert _check_containment(p, (Fraction(0), POS_INF, False, False)) == "1 zero(s) below left endpoint (0"
+    assert containment(p, (Fraction(0), Fraction(1), True, True)) is None
+    assert containment(p, (Fraction(0), POS_INF, False, False)) == "1 zero(s) below left endpoint (0"
     # surd endpoints (irrational roots of A) are compared exactly: sqrt(2) - 1/2
     # lies between the roots, and 1 - 10^-60 sqrt(2) just below 1
     mid, below_one = Surd(Fraction(-1, 2), 1, 2), Surd(1, Fraction(-1, 10**60), 2)
-    assert _check_containment(p, (NEG_INF, mid, False, False)) == "1 zero(s) beyond right endpoint -1/2 + 1*sqrt(2))"
-    assert _check_containment(p, (NEG_INF, below_one, False, True)) == f"1 zero(s) beyond right endpoint 1 - 1/{10**60}*sqrt(2)]"
-    assert _check_containment(p, (mid, POS_INF, True, False)) == "1 zero(s) below left endpoint [-1/2 + 1*sqrt(2)"
-    assert _check_containment(p, (Surd(0, -1, 2), Surd(1, Fraction(1, 10**60), 2), False, False)) is None
+    assert containment(p, (NEG_INF, mid, False, False)) == "1 zero(s) beyond right endpoint -1/2 + 1*sqrt(2))"
+    assert containment(p, (NEG_INF, below_one, False, True)) == f"1 zero(s) beyond right endpoint 1 - 1/{10**60}*sqrt(2)]"
+    assert containment(p, (mid, POS_INF, True, False)) == "1 zero(s) below left endpoint [-1/2 + 1*sqrt(2)"
+    assert containment(p, (Surd(0, -1, 2), Surd(1, Fraction(1, 10**60), 2), False, False)) is None
     # a surd endpoint that is a root of p counts as inside when closed
     q = P([-2, 0, 1]) * P([1, 1])  # roots -sqrt 2, -1, sqrt 2
     lo, hi = Surd(0, -1, 2), Surd(0, Fraction(1, 2), 8)
-    assert _check_containment(q, (lo, hi, True, True)) is None
-    assert _check_containment(q, (lo, hi, True, False)) == "1 zero(s) beyond right endpoint 1/2*sqrt(8))"
+    assert containment(q, (lo, hi, True, True)) is None
+    assert containment(q, (lo, hi, True, False)) == "1 zero(s) beyond right endpoint 1/2*sqrt(8))"
+
+
+def sturm_witness(p, bounds):
+    """The containment witness as Sturm counts word it: the oracle."""
+    alpha, beta, lo_closed, hi_closed = bounds
+    if is_finite(beta):
+        n = sturm_count(p, Interval(beta, POS_INF, lo_open=hi_closed))
+        if n:
+            return f"{n} zero(s) beyond right endpoint {format_scalar(beta)}{']' if hi_closed else ')'}"
+    if is_finite(alpha):
+        n = sturm_count(p, Interval(NEG_INF, alpha, hi_open=lo_closed))
+        if n:
+            return f"{n} zero(s) below left endpoint {'[' if lo_closed else '('}{format_scalar(alpha)}"
+    return None
+
+
+def test_containment_witness_matches_sturm_counts():
+    # seeded real-simple products of rational roots and surd pairs a +- sqrt(d),
+    # leads of both signs; endpoints on a root, just beside one, anywhere, or
+    # infinite, each end closed or open; zeros from isolate_roots at widths
+    # that leave endpoints inside isolating intervals, and from certify_next
+    # off the derivative's zeros
+    rng = random.Random(20)
+    certified = 0
+    for _ in range(120):
+        rational = {Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))}
+        surds = {(rng.randint(-4, 4), rng.choice([2, 3, 5])) for _ in range(rng.randint(0, 1))}
+        p = P([rng.choice([-1, 1]) * Fraction(rng.randint(1, 5), rng.randint(1, 3))])
+        for r in rational:
+            p = p * P([-r, 1])
+        for a, d in surds:
+            p = p * P([a * a - d, -2 * a, 1])
+        roots = sorted(rational) + [Surd(a, s, d) for a, d in surds for s in (-1, 1)]
+        ends = [Fraction(rng.randint(-40, 40), rng.randint(1, 4))]
+        for x in rng.sample(roots, min(2, len(roots))):
+            tiny = Fraction(rng.choice([-1, 1]), 10 ** rng.randint(1, 30))
+            ends += [x, x + tiny] if isinstance(x, Fraction) else [x, Surd(x.a + tiny, x.b, x.d)]
+        ends.append(Surd(Fraction(rng.randint(-40, 40), rng.randint(1, 4)), Fraction(1, rng.randint(1, 9)), 7))
+        width = rng.choice([Fraction(4), Fraction(1, 2), Fraction(1, 10**9)])
+        sources = [zeros_of(p, width)]
+        dp = p.derivative()
+        cert = certify_next(dp, zeros_of(dp, Fraction(1, 10**6)), p, width) if dp.degree else None
+        if cert is not None:
+            certified += 1
+            sources.append(cert.zeros)
+        for _ in range(8):
+            alpha = rng.choice(ends + [NEG_INF])
+            beta = rng.choice(ends + [POS_INF])
+            bounds = (alpha, beta, rng.random() < 0.5, rng.random() < 0.5)
+            want = sturm_witness(p, bounds)
+            for zeros in sources:
+                assert _containment_witness(p, zeros, bounds) == want, (p, zeros, bounds)
+    assert certified >= 60
+
+
+def test_verify_takes_rational_data_only(capsys, tmp_path):
+    # members are rational wherever verify checks them: float pairs are
+    # refused by the classification, and a float B_0 before rational pairs
+    # by generation
+    F = lambda c: Poly.floating(c, prec=128)  # noqa: E731
+    floats = CoefficientTable([CoefficientPair(F([1]), F([0, 1]))] + [CoefficientPair(F([-1]), F([0, 1]))] * 2)
+    with pytest.raises(ValueError, match="classification requires rational coefficients"):
+        verify_sequence(floats, 3)
+    mixed = CoefficientTable([CoefficientPair(F([1]), F([0.5, 1]))] + [CoefficientPair(P([-1]), P([0, 1]))] * 2)
+    with pytest.raises(KindMismatchError):
+        verify_sequence(mixed, 3)
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps({"coefficients": [{"A": ["1.0"], "B": ["0.0", "1.0"]}]
+                                + [{"A": ["-1.5"], "B": ["0.0", "1.0"]}] * 2, "N": 3}))
+    assert main(["verify", "--input", str(path), "--no-timestamp"]) == 2
+    assert "classification requires rational coefficients" in capsys.readouterr().err
 
 
 def test_hypergeometric_family_case_a_unit_interval():
