@@ -5,13 +5,15 @@ Exit codes: 0 success; 1 verification disagreement or hypothesis failure;
 2 input/schema error; 3 numeric abort (the Freud recurrence exhausted its
 precision); 4 internal error (an exact-kernel invariant failed, or a
 TypeError, ZeroDivisionError or IndexError escaped: a bug, since every
-input is parsed where it is read and refused there as a DocumentError).
+input is parsed where it is read and refused there as a DocumentError);
+--debug adds the traceback of an internal error to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 import mpmath
@@ -45,6 +47,7 @@ def _add_common(p, family=True):
     p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field (byte-stable output)")
     p.add_argument("--strict-extension", action="store_true",
                    help="refuse coefficient pairs whose quadratic A has no real roots")
+    p.add_argument("--debug", action="store_true", help="print the traceback of an internal error (exit 4)")
     if family:
         p.add_argument("--family", choices=FAMILY_KINDS)
         p.add_argument("--n", type=int, help="largest degree N")
@@ -348,8 +351,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(args, str(exc))
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -360,8 +362,15 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TypeError, ZeroDivisionError, IndexError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(args, f"{type(exc).__name__}: {exc}")
+
+
+def _internal_error(args, text):
+    """Report a fault of the program, with its traceback under --debug."""
+    if args.debug:
+        traceback.print_exc()
+    print(f"internal error: {text}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

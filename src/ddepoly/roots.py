@@ -134,13 +134,26 @@ class RootSet:
 
 
 def _value_int_poly(coeffs, num, den):
-    """sum_i c_i num^i den^(d-i), i.e. den^d f(num/den) for f = sum c_i x^i."""
-    acc = coeffs[-1]
-    power = 1
-    for i in range(len(coeffs) - 2, -1, -1):
-        power *= den
-        acc = acc * num + coeffs[i] * power
-    return acc
+    """sum_i c_i num^i den^(d-i), i.e. den^d f(num/den) for f = sum c_i x^i.
+
+    A vector with parity, every other coefficient from the top zero, is
+    Horner in num^2 over its nonzero half, times num when d is odd; c[-2]
+    is tested first, so the test costs a generic vector O(1).  When den is
+    a power of two, den^(d-i) is a shift: acc * num + (c_i << k (d-i))."""
+    d = len(coeffs) - 1
+    step = 2 if d > 1 and coeffs[-2] == 0 and not any(coeffs[-2::-2]) else 1
+    x, acc = num**step, coeffs[-1]
+    if den & (den - 1):
+        power, y = 1, den**step
+        for c in coeffs[-1 - step::-step]:
+            power *= y
+            acc = acc * x + c * power
+    else:
+        k, shift = (den.bit_length() - 1) * step, 0
+        for c in coeffs[-1 - step::-step]:
+            shift += k
+            acc = acc * x + (c << shift)
+    return acc * num if d % step else acc
 
 
 def _signs_at(chain, x):
@@ -286,10 +299,13 @@ def _refine(f, iv, width):
     return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-def locate_real_roots(f, iso=None):
+def locate_real_roots(f, iso=None, half=False):
     """Sorted isolating intervals for the real roots of a squarefree rational
     polynomial: exact points [m, m], and half-open (a, b] holding one root
-    with f nonzero at both ends.  `iso` is an isolator already built for f."""
+    with f nonzero at both ends.  `iso` is an isolator already built for f.
+    With `half` no node below 0 is walked, so only the intervals in [0, M]
+    come back, or (-M, M] itself when it holds f's one root; for f with
+    parity `_mirror` gives the rest."""
     if f.degree == 1:
         return [_point(-f.coeffs[0] / f.coeffs[1])]
     iso = iso or _Isolator(f)
@@ -309,10 +325,26 @@ def locate_real_roots(f, iso=None):
         if hit:
             points.add(m)
             out.append(_point(m))
-        stack.append((a, m, va, vm + hit))  # at a root m, V(m) = V(m+) = V(m-) - 1
+        if m > 0 or not half:
+            stack.append((a, m, va, vm + hit))  # at a root m, V(m) = V(m+) = V(m-) - 1
         stack.append((m, b, vm, vb))
     out.sort(key=lambda iv: iv.lo)
     return out
+
+
+def _parity(c):
+    """Whether the integer vector c, of degree 2 or more, has parity:
+    c(-x) = +-c(x), so its roots are symmetric about 0."""
+    return len(c) > 2 and c[-2] == 0 and not any(c[-2::-2])
+
+
+def _mirror(ivs):
+    """All sorted isolating intervals of a polynomial with parity, from
+    `ivs`, those of its roots in [0, M]: each interval above 0 adds its
+    mirror, (-b, -a] for (a, b] with the default flags, [-r, -r] for [r, r].
+    The tree over (-M, M] is symmetric, so these are its own nodes."""
+    low = [_point(-iv.lo) if iv.is_point else Interval(-iv.hi, -iv.lo) for iv in reversed(ivs) if iv.hi > 0 <= iv.lo]
+    return low + list(ivs)
 
 
 def sturm_count(p, iv):
@@ -373,10 +405,12 @@ def _isolate(p, iso, width):
         decomp = squarefree_decomposition(iso.poly, iso.chain[-1])
         iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
+    c = iso.chain[0]
+    half = _parity(c)  # only the roots in [0, M] are refined, the rest mirrored
+    ivs = [_refine(c, iv, width) for iv in locate_real_roots(iso.poly, iso, half)]
     roots = tuple(
-        RootInterval(_ends_of_kind(p, _refine(iso.chain[0], iv, width)),
-                     1 if squarefree else _multiplicity(factors, iv))
-        for iv in locate_real_roots(iso.poly, iso)
+        RootInterval(_ends_of_kind(p, iv), 1 if squarefree else _multiplicity(factors, iv))
+        for iv in (_mirror(ivs) if half else ivs)
     )
     return RootSet(roots=roots, count=len(roots), squarefree=squarefree)
 
@@ -465,11 +499,14 @@ def certify_next(p, prev, q, width):
             found.append((left, right, key))
     if len(found) != n:
         return None
-    zeros = [_point(Fraction(-c[0], c[1]))] if n == 1 else []  # as `locate_real_roots` has it
-    for i, (left, right, _) in enumerate(found if n > 1 else ()):
+    if n == 1:
+        return Certificate((_point(Fraction(-c[0], c[1])),), (found[0][2],))  # as `locate_real_roots` has it
+    half = _parity(c)  # the roots from index n // 2 on are refined, the rest mirrored
+    zeros = []
+    for i in range(n // 2 if half else 0, n):
         before, after = (found[i - 1][:2] if i else None), (found[i + 1][:2] if i + 1 < n else None)
-        zeros.append(_refine(c, _descend(c, (left, right), before, after, M, depth), width))
-    return Certificate(tuple(zeros), tuple(k for _, _, k in found))
+        zeros.append(_refine(c, _descend(c, found[i][:2], before, after, M, depth), width))
+    return Certificate(tuple(_mirror(zeros) if half else zeros), tuple(k for _, _, k in found))
 
 
 def _order_in(f, c, left, right, j):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ddepoly.cli import main
+from ddepoly.roots import InternalError
 
 
 def run(capsys, *argv):
@@ -327,13 +328,14 @@ def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
 
     import ddepoly.roots as roots
 
-    monkeypatch.setattr(roots, "locate_real_roots", lambda f, iso=None: [roots.Interval(Fraction(0), Fraction(1))])
+    monkeypatch.setattr(roots, "locate_real_roots",
+                        lambda f, iso=None, half=False: [roots.Interval(Fraction(0), Fraction(1))])
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"sequence": [["1"], ["-1", "2"], ["0", "-1", "2"]]}))
     code = main(["zeros", "--input", str(path)])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.startswith("internal error: ")
+    assert err == "internal error: isolating interval (0, 1] has a root at its open end\n"
 
 
 @pytest.mark.parametrize("argv, where", [
@@ -372,3 +374,24 @@ def test_escaped_type_zero_division_and_index_errors_exit_internal(capsys, monke
     monkeypatch.setattr(cli, "verify_sequence", broken)
     assert main(["verify", "--family", "hermite", "--n", "4"]) == 4
     assert capsys.readouterr().err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_debug_adds_the_traceback_of_an_internal_error(capsys, monkeypatch):
+    # stderr without --debug is the one line; with it the traceback comes first
+    import ddepoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise InternalError("kernel invariant")
+
+    monkeypatch.setattr(cli, "verify_sequence", broken)
+    argv = ["verify", "--family", "hermite", "--n", "4"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "internal error: kernel invariant\n"
+    assert main([*argv, "--debug"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in err and err.endswith("InternalError: kernel invariant\ninternal error: kernel invariant\n")
+    monkeypatch.setattr(cli, "verify_sequence", lambda *a, **k: 1 / 0)
+    assert main([*argv, "--debug"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("internal error: ZeroDivisionError: division by zero\n")

@@ -655,3 +655,141 @@ def test_certify_next_places_zeros_on_separators_and_declines_a_double_one():
     zero = (Interval(Fraction(0), Fraction(0), False, False),)
     assert roots.certify_next(P([0, 1]), zero, P([0, 0, -1, 1]), WIDTH) is None  # x^2 (x - 1): q' vanishes at 0
     assert roots.certify_next(P([0, 1]), zero, P([1, 0, 1]) * P([0, 1]), WIDTH) is None  # x (x^2 + 1): 1 root of 3
+
+
+def test_value_int_poly_is_the_homogenized_sum():
+    # shift form (den a power of two, den = 1 too), product form (odd den),
+    # Horner in x^2 (parity vectors): all give sum c_i num^i den^(d-i)
+    rng = random.Random(21)
+    for _ in range(3000):
+        d = rng.randint(0, 14)
+        c = [rng.randint(-10**6, 10**6) for _ in range(d + 1)]
+        if rng.random() < 0.5:  # parity: every other coefficient from the top is zero
+            c[d - 1::-2] = [0] * len(c[d - 1::-2])
+        c[-1] = c[-1] or 1
+        num = rng.choice([0, 1, -1, rng.randint(-2**70, 2**70)])
+        den = rng.choice([1, 2, 2**rng.randint(1, 90), 3, 2 * rng.randint(0, 10**9) + 1, rng.randint(1, 10**12)])
+        assert roots._value_int_poly(c, num, den) == sum(ci * num**i * den**(d - i) for i, ci in enumerate(c))
+
+
+def tree_walk(iso):
+    """The isolating intervals of the whole bisection tree over (-M, M],
+    walked node by node in order, without `locate_real_roots` and without
+    any mirror: a node is kept when it holds one root and neither end is a
+    root, and a midpoint that is a root is kept as a point."""
+    out = []
+
+    def walk(a, b):
+        n = iso.count_half_open(a, b) - (iso.sign(b) == 0)  # roots in (a, b)
+        if n == 0:
+            return
+        if n == 1 and iso.sign(a) != 0 and iso.sign(b) != 0:
+            out.append(Interval(a, b))
+            return
+        m = (a + b) / 2
+        walk(a, m)
+        if iso.sign(m) == 0:
+            out.append(Interval(m, m, False, False))
+        walk(m, b)
+
+    walk(-iso.bound, iso.bound)
+    return out
+
+
+def parity_product(rng, repeated):
+    """x^k times an even product of x^2 - r^2, x^2 - d (surds) and x^2 + c
+    (complex) factors, scaled: (product, its squarefree part, [(side of a
+    planted real root, its multiplicity)]).  k is 0 or 2 for an even
+    product, 1 or 3 for an odd one; multiplicities above 1 when `repeated`."""
+    mult = (lambda: rng.randint(1, 3)) if repeated else (lambda: 1)
+    rational = {Fraction(rng.randint(1, 30), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))}
+    surds = {rng.choice([2, 3, 5, 7, 13, 60]) for _ in range(rng.randint(0, 2))}
+    factors = [(P([-r * r, 0, 1]), [lambda x, r=r: (x > r) - (x < r), lambda x, r=r: (x > -r) - (x < -r)])
+               for r in rational]
+    factors += [(P([-d, 0, 1]), [surd_side(0, 1, d), surd_side(0, -1, d)]) for d in surds]
+    factors += [(P([rng.randint(1, 9), 0, 1]), []) for _ in range(rng.randint(0, 2))]
+    k = rng.choice([0, 1, 2, 3] if repeated else [0, 1])
+    if k:
+        factors.append((P([0, 1]), [lambda x: (x > 0) - (x < 0)]))
+    p, sqf, planted = P([rng.choice([1, -2, Fraction(7, 3)])]), Poly.one(), []
+    for f, sides in factors:
+        m = k if f == P([0, 1]) else mult()
+        p, sqf = p * f**m, sqf * f
+        planted += [(side, m) for side in sides]
+    return p, sqf, planted
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**9), Fraction(1, 2**256), Fraction(1, 3), Fraction(64)])
+@pytest.mark.parametrize("repeated", [False, True])
+def test_parity_products_match_the_whole_tree(monkeypatch, width, repeated):
+    # isolate_roots refines only the roots in [0, M] of a product with parity
+    # and mirrors the rest; the zeros are the whole tree's, refined by plain
+    # bisection, and the multiplicities the planted ones
+    refined = []
+    orig = roots._refine
+    monkeypatch.setattr(roots, "_refine", lambda f, iv, w: refined.append(iv) or orig(f, iv, w))
+    rng, odd = random.Random(2021 + repeated), 0
+    for _ in range(40):
+        p, sqf, planted = parity_product(rng, repeated)
+        if sqf.degree < 2:
+            continue
+        iso = _Isolator(sqf)
+        assert roots._parity(iso.chain[0])
+        odd += sqf.degree % 2
+        want = []
+        for iv in tree_walk(iso):
+            (m,) = [m for side, m in planted if inside(iv, side)]
+            want.append((bisection_refine(iso, iv, width), m))
+        refined.clear()
+        rs = isolate_roots(p, width)
+        assert [(r.interval, r.multiplicity) for r in rs.roots] == want
+        assert list(map(repr, (r.interval for r in rs.roots))) == list(map(repr, (iv for iv, _ in want)))
+        assert len(refined) == sum(iv.hi > 0 or iv.lo == 0 for iv, _ in want)  # none below 0 is refined
+    assert odd > 5
+
+
+def test_odd_member_with_one_real_root_keeps_the_top_node():
+    # x (x^2 + 1): the whole tree keeps (-M, M] and refines it, to [0, 0]
+    # or, when the width allows, not at all
+    p = P([0, 1]) * P([1, 0, 1])
+    M = _Isolator(p).bound
+    for width in (Fraction(1, 10**6), 2 * M, 3 * M):
+        want = bisection_refine(_Isolator(p), Interval(-M, M), width)
+        assert [r.interval for r in isolate_roots(p, width).roots] == [want]
+    assert [r.interval for r in isolate_roots(p, WIDTH).roots] == [Interval(Fraction(0), Fraction(0), False, False)]
+
+
+def test_float_freud_members_match_the_whole_tree():
+    from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
+
+    seq = freud_sequence(freud_recurrence_coeffs(Fraction(-1, 3), 16, 192), 16)
+    for n in range(2, 17):
+        iso = _Isolator(roots._exact_image(seq[n]))
+        assert roots._parity(iso.chain[0])
+        want = [roots._ends_of_kind(seq[n], bisection_refine(iso, iv, WIDTH)) for iv in tree_walk(iso)]
+        rs = isolate_roots(seq[n], WIDTH)
+        assert rs.count == n and [r.interval for r in rs.roots] == want
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("hermite", {}),
+    ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
+    ("jacobi", {"alpha": "3", "beta": "3"}),
+    ("euler_frobenius", {"kappa": "1", "r": "n+1"}),
+    ("hermite_like", {"kappa": "2"}),
+    ("vertgeim", {"a": "2", "b": "3", "alpha": "1/2"}),
+])
+def test_certify_next_on_parity_sequences_gives_the_whole_trees_zeros(kind, params):
+    from ddepoly.dde import generate
+    from ddepoly.families import FamilySpec, coefficient_source
+
+    seq = generate(coefficient_source(FamilySpec(kind, params)), 16)
+    prev = ()
+    for n in range(1, 17):
+        iso = _Isolator(seq[n])
+        for width in (Fraction(1, 7), Fraction(1, 2**200), WIDTH):
+            cert = roots.certify_next(seq[n - 1], prev, seq[n], width)
+            want = tuple(bisection_refine(iso, iv, width) for iv in tree_walk(iso))
+            assert cert.zeros == want == tuple(r.interval for r in isolate_roots(seq[n], width).roots)
+            assert list(map(repr, cert.zeros)) == list(map(repr, want))
+        prev = cert.zeros

@@ -50,7 +50,7 @@ F = [("bell", {}), ("hermite", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
      ("euler_frobenius", {"kappa": "1", "r": "n+1"})]
 row = {}
 for k, p in F:
-    for N in (10, 20, 30, 40, 60):
+    for N in (10, 20, 30, 40, 60, 100, 200):
         t = time.perf_counter(); ok = verify_sequence(FamilySpec(k, p), N).agreement
         row[f"{k} N={N}"] = [round(time.perf_counter() - t, 3), ok]
     for N in (20, 36, 60):
