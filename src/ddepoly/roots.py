@@ -133,15 +133,21 @@ class RootSet:
         return out
 
 
+def _parity(c):
+    """Whether the integer vector c, of degree 2 or more, has parity:
+    c(-x) = +-c(x), so its roots are symmetric about 0.  c[-2] is tested
+    first, so the test costs a generic vector O(1)."""
+    return len(c) > 2 and c[-2] == 0 and not any(c[-2::-2])
+
+
 def _value_int_poly(coeffs, num, den):
     """sum_i c_i num^i den^(d-i), i.e. den^d f(num/den) for f = sum c_i x^i.
 
     A vector with parity, every other coefficient from the top zero, is
-    Horner in num^2 over its nonzero half, times num when d is odd; c[-2]
-    is tested first, so the test costs a generic vector O(1).  When den is
-    a power of two, den^(d-i) is a shift: acc * num + (c_i << k (d-i))."""
+    Horner in num^2 over its nonzero half, times num when d is odd.  When
+    den is a power of two, den^(d-i) is a shift: acc * num + (c_i << k (d-i))."""
     d = len(coeffs) - 1
-    step = 2 if d > 1 and coeffs[-2] == 0 and not any(coeffs[-2::-2]) else 1
+    step = 2 if _parity(coeffs) else 1
     x, acc = num**step, coeffs[-1]
     if den & (den - 1):
         power, y = 1, den**step
@@ -332,19 +338,13 @@ def locate_real_roots(f, iso=None, half=False):
     return out
 
 
-def _parity(c):
-    """Whether the integer vector c, of degree 2 or more, has parity:
-    c(-x) = +-c(x), so its roots are symmetric about 0."""
-    return len(c) > 2 and c[-2] == 0 and not any(c[-2::-2])
-
-
 def _mirror(ivs):
     """All sorted isolating intervals of a polynomial with parity, from
     `ivs`, those of its roots in [0, M]: each interval above 0 adds its
     mirror, (-b, -a] for (a, b] with the default flags, [-r, -r] for [r, r].
     The tree over (-M, M] is symmetric, so these are its own nodes."""
     low = [_point(-iv.lo) if iv.is_point else Interval(-iv.hi, -iv.lo) for iv in reversed(ivs) if iv.hi > 0 <= iv.lo]
-    return low + list(ivs)
+    return low + ivs
 
 
 def sturm_count(p, iv):
