@@ -3,7 +3,10 @@
 Rational mode is exact and runs on Python ints.  Signed remainder
 sequences are `poly._remainders`, primitive pseudo-remainder sequences
 (Brown & Traub, JACM 1971) and the one exact gcd routine.  Values and
-signs at p/q come from the homogenized integer sum c_i p^i q^(d-i).
+signs at p/q come from the homogenized integer sum c_i p^i q^(d-i).  Every
+tree node, grid point and separator is dyadic, and at q = 2^k the sum is
+taken in shift form, acc * p + (c_i << k(d-i)); a vector with parity is
+Horner in p^2 over its nonzero half.
 
 Isolation is one bisection tree over one chain per polynomial, that of
 its squarefree part.  p's own chain comes first: its last entry is
@@ -16,6 +19,14 @@ and bisection goes on over the same chain with counts that exclude it.
 Refinement is quadratic interval refinement (Abbott, 2006) capped to the
 nodes of the same tree.  Interlacing is a Cauchy index read off a
 remainder sequence.
+
+A polynomial with parity, P(-x) = +-P(x), has roots symmetric about 0:
+the members of hermite, jacobi(a, a), euler_frobenius, hermite_like,
+vertgeim and Freud (Szegő, Orthogonal Polynomials, 2.3).  The tree over
+(-M, M] is symmetric too, so only the roots in [0, M] are isolated and
+refined, on both paths below, and each other root is the mirror (-b, -a]
+of a node (a, b], itself a node of the tree with the same flags
+(`_mirror`).
 
 A sequence needs no chain at all where each member's roots certify the
 next one's (`certify_next`).  The ends of P_n's isolating intervals and
@@ -452,7 +463,8 @@ def certify_next(p, prev, q, width):
     number deg q, each bracket holds exactly one simple root and q has no
     other: q is real-simple.  Each root is then found in q's own bisection
     tree, the one `locate_real_roots` walks, by `_descend` and refined by
-    `_refine`, so the zeros equal `isolate_roots(q, width)`'s.  The places
+    `_refine`, so the zeros equal `isolate_roots(q, width)`'s; for q with
+    parity only the roots from index n // 2 on, the rest mirrored.  The places
     come from the separators, and a root whose bracket holds one root of p
     is placed against it by `_order_in`.
     """

@@ -743,7 +743,6 @@ def test_parity_products_match_the_whole_tree(monkeypatch, width, repeated):
         refined.clear()
         rs = isolate_roots(p, width)
         assert [(r.interval, r.multiplicity) for r in rs.roots] == want
-        assert list(map(repr, (r.interval for r in rs.roots))) == list(map(repr, (iv for iv, _ in want)))
         assert len(refined) == sum(iv.hi > 0 or iv.lo == 0 for iv, _ in want)  # none below 0 is refined
     assert odd > 5
 
@@ -791,5 +790,4 @@ def test_certify_next_on_parity_sequences_gives_the_whole_trees_zeros(kind, para
             cert = roots.certify_next(seq[n - 1], prev, seq[n], width)
             want = tuple(bisection_refine(iso, iv, width) for iv in tree_walk(iso))
             assert cert.zeros == want == tuple(r.interval for r in isolate_roots(seq[n], width).roots)
-            assert list(map(repr, cert.zeros)) == list(map(repr, want))
         prev = cert.zeros
