@@ -19,6 +19,10 @@ bases never arise.
 
 Points and exponents are exact (Fractions, or `poly.Surd`s at irrational
 roots of A) and are ordered with plain `<`; only `log_k_eval` uses floats.
+They are computed on the integer numerators and denominators of the
+coefficients, one Fraction per output field, and every sign is read off
+integers; a surd's radicand is the product of the squarefree parts of the
+discriminant's numerator and denominator.
 """
 
 from __future__ import annotations
@@ -61,19 +65,28 @@ class LogDerivativeForm:
     growth: Fraction = Fraction(0)
 
     def exponent_at(self, s):
-        for p, e in self.log_terms:
-            if p == s:
-                return e
-        return Fraction(0)
+        e = _term_at(self.log_terms, s)
+        return Fraction(0) if e is None else e
 
     def pole_at(self, s):
-        for p, d in self.poles:
-            if p == s:
-                return d
-        return Fraction(0)
+        d = _term_at(self.poles, s)
+        return Fraction(0) if d is None else d
 
     def singular_points(self):
         return tuple(sorted({s for s, e in self.log_terms if e} | {s for s, d in self.poles if d}))
+
+
+def _term_at(terms, s):
+    """The coefficient of the term at the point s, or None.  A point is
+    found by identity first: `classify` puts A's root objects themselves in
+    the form, and `==` on surds costs a squaring."""
+    for p, v in terms:
+        if p is s:
+            return v
+    for p, v in terms:
+        if p == s:
+            return v
+    return None
 
 
 def limit_class(form, point, side=None):
@@ -133,13 +146,19 @@ class KClassification:
 
 
 def normalize(c):
-    """Scale the pair so A is monic; K is unchanged since it sees only B/A."""
+    """Scale the pair so A is monic; K is unchanged since it sees only B/A.
+    Each rational coefficient x/lc is one Fraction of x's and lc's integers."""
     if c.A.is_zero:
         raise ValueError("A must be nonzero")
     lc = c.A.lead
     if lc == 1:
         return c
-    return CoefficientPair(c.A.monic(), c.B.scale(1 / lc if c.A.kind != RATIONAL else Fraction(1) / lc))
+    if c.A.kind != RATIONAL:
+        return CoefficientPair(c.A.monic(), c.B.scale(1 / lc))
+    n, d = lc.denominator, lc.numerator
+    A = [Fraction(x.numerator * n, x.denominator * d) for x in c.A.coeffs[:-1]] + [Fraction(1)]
+    B = [Fraction(x.numerator * n, x.denominator * d) for x in c.B.coeffs]
+    return CoefficientPair(c.A._wrap(A), c.B._wrap(B))
 
 
 def classify(c):
@@ -169,10 +188,22 @@ def _tag(A, B, roots):
         return f"{shape}-constant-B"
     if A.degree == 0:
         return shape
-    matches = any(isinstance(r, Fraction) and B(r) == 0 for r, _ in roots)
+    b0, b1 = B.coeffs
+    matches = any(isinstance(r, Fraction) and not _value_at(b0, b1, r)[0] for r, _ in roots)
     if A.degree == 1:
         return "linear-A-equal" if matches else "linear-A-distinct"
     return "B-root-matches-A-root" if matches else f"{shape}-linear-B"
+
+
+def _value_at(r0, r1, x):
+    """(num, den) with r0 + r1 x = num/den and den > 0, for Fractions r0, r1
+    and x, not reduced."""
+    r0d, r1d, xd = r0.denominator, r1.denominator, x.denominator
+    return r0.numerator * r1d * xd + r1.numerator * x.numerator * r0d, r0d * r1d * xd
+
+
+def _half(x):
+    return Fraction(x.numerator, 2 * x.denominator)
 
 
 def _log_form(A, R, roots):
@@ -181,60 +212,77 @@ def _log_form(A, R, roots):
 
     K is the case R = B and A/K the case R = A' - B.  The growth exponent
     at +-inf is the exact residue sum: r1 for quadratic A, R(lam) for
-    linear A.
+    linear A.  Each field is one Fraction built from the integers of A, R
+    and the roots.
     """
     r0, r1 = R.coeff(0), R.coeff(1)
     if A.degree == 0:  # r0 + r1 x
-        return LogDerivativeForm(lin=r0, quad=r1 / 2)
+        return LogDerivativeForm(lin=r0, quad=_half(r1))
     if A.degree == 1:  # r1 + R(lam)/(x - lam)
         lam = roots[0][0]
-        e = R(lam)
+        e = Fraction(*_value_at(r0, r1, lam))
         return LogDerivativeForm(log_terms=((lam, e),) if e else (), lin=r1, growth=e)
     if not roots:  # (r1/2) A'/A + (r0 - r1 p/2)/A
-        p, q = A.coeffs[1], A.coeffs[0]
-        g, cc = r1 / 2, r0 - r1 * p / 2
+        q, p = A.coeffs[0], A.coeffs[1]
+        r0d, r1d, pd = r0.denominator, r1.denominator, p.denominator
+        cc = Fraction(2 * r0.numerator * r1d * pd - r1.numerator * p.numerator * r0d, 2 * r0d * r1d * pd)
         return LogDerivativeForm(
-            quad_logs=((p, q, g),) if g else (),
+            quad_logs=((p, q, _half(r1)),) if r1 else (),
             atans=((cc, p, q),) if cc else (),
             growth=r1,
         )
     if len(roots) == 1:  # r1/(x - lam) + R(lam)/(x - lam)^2
         lam = roots[0][0]
-        d = -R(lam)
+        num, den = _value_at(r0, r1, lam)
         return LogDerivativeForm(
             log_terms=((lam, r1),) if r1 else (),
-            poles=((lam, d),) if d else (),
+            poles=((lam, Fraction(-num, den)),) if num else (),
             growth=r1,
         )
     # R(lam)/(lam - xi) / (x - lam) + R(xi)/(xi - lam) / (x - xi); at surd roots
     # a +- b sqrt(d), R/A' = (R(a) +- r1 b sqrt(d)) / (+-2b sqrt(d)) = r1/2 +- (R(a)/(2bd)) sqrt(d)
     (xi, _), (lam, _) = roots
     if isinstance(lam, Surd):
-        ra = R(lam.a)
-        logs = tuple((s, Surd(r1 / 2, ra / (2 * s.b * s.d), s.d) if ra else r1 / 2) for s in (lam, xi))
-    else:
-        logs = ((lam, R(lam) / (lam - xi)), (xi, R(xi) / (xi - lam)))
+        num, den = _value_at(r0, r1, lam.a)
+        half = _half(r1)
+        if num:
+            t = Fraction(num * lam.b.denominator, 2 * den * lam.b.numerator * lam.d)
+            logs = ((lam, Surd(half, t, lam.d)), (xi, Surd(half, -t, lam.d)))
+        else:
+            logs = ((lam, half), (xi, half))
+    else:  # R(s) / (s - s') over the common denominator of R and the roots
+        (r_lam, _), (r_xi, _) = _value_at(r0, r1, lam), _value_at(r0, r1, xi)
+        ld, xd = lam.denominator, xi.denominator
+        gap = (lam.numerator * xd - xi.numerator * ld) * r0.denominator * r1.denominator
+        logs = ((lam, Fraction(r_lam * xd, gap)), (xi, Fraction(-r_xi * ld, gap)))
     return LogDerivativeForm(log_terms=tuple((s, e) for s, e in logs if e), growth=r1)
 
 
 def _real_roots_of_a(A):
-    """Real roots of monic A (degree <= 2), ascending, with multiplicities."""
+    """Real roots of monic A (degree <= 2), ascending, with multiplicities.
+
+    The discriminant p^2 - 4q is num/den in lowest terms, and each of num
+    and den is squared out on its own: sqrt(num/den) = kn sqrt(rn rd) / (kd rd)
+    for num = kn^2 rn and den = kd^2 rd."""
     if A.degree == 0:
         return ()
     if A.degree == 1:
         return ((-A.coeffs[0], 1),)
-    p, q = A.coeffs[1], A.coeffs[0]
-    disc = p * p - 4 * q
-    if disc < 0:
+    q, p = A.coeffs[0], A.coeffs[1]
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    num, den = pn * pn * qd - 4 * qn * pd * pd, pd * pd * qd
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    if num < 0:
         return ()
-    if disc == 0:
-        return ((-p / 2, 2),)
-    d = disc.numerator * disc.denominator  # sqrt(disc) = sqrt(d) / denominator
-    s, b = isqrt(d), Fraction(1, 2 * disc.denominator)
-    if s * s == d:
-        return ((-p / 2 - s * b, 1), (-p / 2 + s * b, 1))
-    k, d = _square_out(d)
-    return ((Surd(-p / 2, -k * b, d), 1), (Surd(-p / 2, k * b, d), 1))
+    if num == 0:
+        return ((Fraction(-pn, 2 * pd), 2),)
+    kn, kd = isqrt(num), isqrt(den)
+    if kn * kn == num and kd * kd == den:  # -p/2 -+ kn / (2 kd)
+        return ((Fraction(-pn * kd - kn * pd, 2 * pd * kd), 1), (Fraction(-pn * kd + kn * pd, 2 * pd * kd), 1))
+    (kn, rn), (kd, rd) = _square_out(num), _square_out(den)
+    a, b = Fraction(-pn, 2 * pd), Fraction(kn, 2 * kd * rd)
+    return ((Surd(a, -b, rn * rd), 1), (Surd(a, b, rn * rd), 1))
 
 
 _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
@@ -244,11 +292,12 @@ _PRIMORIAL = prod(_SMALL_PRIMES)
 def _square_out(d):
     """(k, r) with d = k^2 r: the squares of primes below 1000 taken out,
     then the cofactor free of those primes when it is itself a square."""
-    k, rest, g = 1, d, gcd(d, _PRIMORIAL)
+    k, rest, g = 1, d, gcd(d, _PRIMORIAL)  # g: the small primes dividing d, each once
     for p in _SMALL_PRIMES:
         if p > g:
             break
         if g % p == 0:
+            g //= p
             while d % (p * p) == 0:
                 d //= p * p
                 k *= p
@@ -309,26 +358,32 @@ def boundary_zeros(k):
     One pass over A's real roots, the finite singular points of both: as
     log|A/K| = log|A| - log|K|, A/K has exponent m - e and pole -d at a root
     of multiplicity m where K has e and d, and -quad, -lin and growth
-    deg A - growth at +-inf."""
+    deg A - growth at +-inf.  Every sign is read off integers: sign e from
+    e's numerator, sign(m - e) from m den - num, and a surd's by one squaring."""
     form = k.form
     zeros_of_k, zeros_of_a_over_k, k_singular = [], [], []
     for s, m in k.a_roots:
-        e, sd = form.exponent_at(s), _sign(form.pole_at(s))
+        e, pole = _term_at(form.log_terms, s), _term_at(form.poles, s)
+        sd = _sign(pole.numerator) if pole is not None else 0
         # the signs of K's exponent e and of A/K's exponent m - e
-        if isinstance(e, Surd):
-            se, sa = _sign_surd(e.a, e.b, e.d), _sign_surd(m - e.a, -e.b, e.d)
+        if e is None:
+            se, sa = 0, 1
+        elif isinstance(e, Surd):  # u + v sqrt(d) has the sign of u_num v_den + v_num u_den sqrt(d)
+            un, ud, vn, vd = e.a.numerator, e.a.denominator, e.b.numerator, e.b.denominator
+            se, sa = _sign_surd(un * vd, vn * ud, e.d), _sign_surd((m * ud - un) * vd, -vn * ud, e.d)
         else:
-            se, sa = _sign(e), _sign(m - e)
+            se, sa = _sign(e.numerator), _sign(m * e.denominator - e.numerator)
         below, above = _sided(se, sd)
         if INF in (below, above):
             k_singular.append(s)
         for out, sides in ((zeros_of_k, (below, above)), (zeros_of_a_over_k, _sided(sa, -sd))):
             if sides in _ZERO_SIDES:
                 out.append(SidedZero(s, _ZERO_SIDES[sides]))
-    ends = ((zeros_of_k, form.quad, form.lin, form.growth),
-            (zeros_of_a_over_k, -form.quad, -form.lin, k.pair.A.degree - form.growth))
-    for out, quad, lin, growth in ends:  # the first nonzero of quad, lin and growth decides
-        lo, hi = (quad < 0, quad < 0) if quad else (lin > 0, lin < 0) if lin else (growth < 0, growth < 0)
+    sq, sl, g = _sign(form.quad.numerator), _sign(form.lin.numerator), form.growth
+    ends = ((zeros_of_k, sq, sl, _sign(g.numerator)),
+            (zeros_of_a_over_k, -sq, -sl, _sign(k.pair.A.degree * g.denominator - g.numerator)))
+    for out, sq, sl, sg in ends:  # the first nonzero sign of quad, lin and growth decides
+        lo, hi = (sq < 0, sq < 0) if sq else (sl > 0, sl < 0) if sl else (sg < 0, sg < 0)
         if lo:
             out.insert(0, SidedZero(NEG_INF, "right"))
         if hi:

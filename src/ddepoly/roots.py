@@ -459,7 +459,9 @@ def certify_next(p, prev, q, width):
     The separators are -M, the ends of `prev` inside (-M, M) and M, for
     M = `_dyadic_bound`.  A separator where q vanishes is a root of q, with
     the one-sided signs -+sign q' there (None if q' vanishes too), and two
-    adjacent signs that differ bracket a root.  When the zeros and brackets
+    adjacent signs that differ bracket a root.  For q with parity, the signs
+    at a negative separator x whose mirror -x is a separator are those at -x
+    times (-1)^n, the one-sided pair swapped.  When the zeros and brackets
     number deg q, each bracket holds exactly one simple root and q has no
     other: q is real-simple.  Each root is then found in q's own bisection
     tree, the one `locate_real_roots` walks, by `_descend` and refined by
@@ -481,20 +483,23 @@ def certify_next(p, prev, q, width):
     inside = [x for x in keys if -M < x < M]
     if len(inside) == len(keys):  # else p has a root beyond +-M, below or above unknown
         keys[-M], keys[M] = 0, 2 * len(prev)
-    lead = _sign(c[-1])
-    seps = [(-M, lead * (-1) ** n, lead * (-1) ** n)]  # (x, sign of q just left, just right)
-    dc = None
-    for x in inside:
+    lead, half = _sign(c[-1]), _parity(c)
+    sided, dc = {}, None  # separator -> (sign of q just left, just right)
+    for x in reversed(inside) if half else inside:  # with parity, the ends above 0 first
+        if half and x < 0 and -x in sided:  # q(x +- h) = (-1)^n q(-x -+ h)
+            below, above = sided[-x]
+            sided[x] = (-1) ** n * above, (-1) ** n * below
+            continue
         s = _sign(_value_int_poly(c, x.numerator, x.denominator))
         if s == 0:
             dc = dc or [i * v for i, v in enumerate(c)][1:]
             s = _sign(_value_int_poly(dc, x.numerator, x.denominator))
             if s == 0:
                 return None
-            seps.append((x, -s, s))
+            sided[x] = -s, s
         else:
-            seps.append((x, s, s))
-    seps.append((M, lead, lead))
+            sided[x] = s, s
+    seps = [(-M, lead * (-1) ** n, lead * (-1) ** n), *((x, *sided[x]) for x in inside), (M, lead, lead)]
     found = []  # (left, right, key): a bracket between two separators, or a zero of q as left is right
     for left, right in zip(seps, seps[1:]):
         if left[1] != left[2]:
@@ -513,8 +518,7 @@ def certify_next(p, prev, q, width):
         return None
     if n == 1:
         return Certificate((_point(Fraction(-c[0], c[1])),), (found[0][2],))  # as `locate_real_roots` has it
-    half = _parity(c)  # the roots from index n // 2 on are refined, the rest mirrored
-    zeros = []
+    zeros = []  # with parity, the roots from index n // 2 on are refined, the rest mirrored
     for i in range(n // 2 if half else 0, n):
         before, after = (found[i - 1][:2] if i else None), (found[i + 1][:2] if i + 1 < n else None)
         zeros.append(_refine(c, _descend(c, found[i][:2], before, after, M, depth), width))

@@ -13,15 +13,14 @@ implementation bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .dde import generate, step
 from .families import FamilySpec, coefficient_source
-from .kfactor import SingularPointError, classify, log_k_eval, predict
-from .poly import RATIONAL, Poly, _sign, format_scalar, is_finite, to_mpf
+from .kfactor import classify, predict
+from .poly import RATIONAL, Poly, Surd, _sign, format_scalar, is_finite
 from .roots import RealSimpleCheck, _signs_at, certify_next, interlaces, real_simple_zeros
 
 
@@ -226,13 +225,13 @@ def _interlace_from_places(places, m):
 
 
 def check_k_identity(c, k=None, samples=50, fd_step=Fraction(1, 10**6)):
-    """Validate the damping factor numerically and the step identity exactly.
+    """Check the damping factor and the step identity exactly.
 
-    (i) at `samples` points per maximal smooth interval, a centered finite
-    difference of log|K| must match B/A (relative error, with an absolute
-    floor below magnitude 1); (ii) the recurrence step must equal
-    A P' + B P coefficientwise on probe polynomials.  Returns the largest
-    error seen; raises if every sample point lands on a singularity.
+    (i) The derivative of the closed form of log|K|, a rational function
+    N/D, must equal B/A: N A == B D as polynomials.  (ii) The recurrence
+    step must equal A P' + B P coefficientwise on probe polynomials.
+    Returns 0.0 when (i) holds and inf when it does not; raises if (ii)
+    fails.  `samples` and `fd_step` are ignored: nothing is sampled.
     """
     if k is None:
         k = classify(c)
@@ -241,50 +240,33 @@ def check_k_identity(c, k=None, samples=50, fd_step=Fraction(1, 10**6)):
         if c.A.kind == RATIONAL:
             if step(P, c) != c.A * P.derivative() + c.B * P:
                 raise AssertionError("step output differs from A P' + B P")
-    cuts = sorted(
-        {to_mpf(s, 64) for s, _ in k.a_roots} | {to_mpf(s, 64) for s, _ in k.form.log_terms} | {to_mpf(s, 64) for s, _ in k.form.poles},
-        key=float,
-    )
-    if cuts:
-        lo = min(cuts) - 4
-        hi = max(cuts) + 4
-        edges = [lo] + list(cuts) + [hi]
-    else:
-        edges = [mpmath.mpf(-4), mpmath.mpf(4)]
-    worst = 0.0
-    sampled = 0
-    with mpmath.workdps(45):
-        h = to_mpf(fd_step, mpmath.mp.prec)
-        for a, b in zip(edges, edges[1:]):
-            span = b - a
-            if span <= 0:
-                continue
-            for j in range(samples):
-                x = a + span * (j + 1) / (samples + 1)
-                bx = _eval_num(c.B, x)
-                ax = _eval_num(c.A, x)
-                if ax == 0:
-                    continue
-                if bx == 0 and not c.B.is_zero:
-                    x += span / (3 * (samples + 1))
-                    bx = _eval_num(c.B, x)
-                    ax = _eval_num(c.A, x)
-                    if ax == 0:
-                        continue
-                try:
-                    fd = (log_k_eval(k, x + h, 120) - log_k_eval(k, x - h, 120)) / (2 * h)
-                except SingularPointError:
-                    continue
-                val = bx / ax
-                err = float(abs(fd - val) / max(abs(val), mpmath.mpf(1)))
-                worst = max(worst, err)
-                sampled += 1
-    if sampled == 0:
-        raise ValueError("all sample points degenerate (landed on singularities)")
-    return worst
+    nd = _log_derivative(k.form)
+    return 0.0 if nd and nd[0] * c.A == c.B * nd[1] else math.inf
 
 
-def _eval_num(p, x):
-    if p.is_zero:
-        return mpmath.mpf(0)
-    return p(x)
+def _log_derivative(form):
+    """(N, D) with N/D the derivative of log|K| = `form`, summed term by term:
+    e/(x - s) per log term, g(2x + p)/(x^2 + px + q) per quadratic log,
+    lin + 2 quad x, -d/(x - s)^2 per pole and c/(x^2 + px + q) per arctan.
+    The terms at two conjugate surds a +- b sqrt(d), with exponents u +- v sqrt(d),
+    sum to (2u(x - a) + 2vbd) / ((x - a)^2 - b^2 d).  None when a surd term
+    has no conjugate partner in the form."""
+    P = Poly.rational
+    terms = [(P([form.lin, 2 * form.quad]), P([1]))]
+    by_point = dict(form.log_terms)
+    for s, e in form.log_terms:
+        if not isinstance(s, Surd):
+            terms.append((P([e]), P([-s, 1])))
+            continue
+        u, v = (e.a, e.b) if isinstance(e, Surd) else (e, 0)
+        if (v and e.d != s.d) or by_point.get(Surd(s.a, -s.b, s.d)) != (Surd(u, -v, s.d) if v else u):
+            return None
+        if s.b > 0:
+            terms.append((P([2 * v * s.b * s.d - 2 * u * s.a, 2 * u]), P([s.a * s.a - s.b * s.b * s.d, -2 * s.a, 1])))
+    terms += [(P([g * p, 2 * g]), P([q, p, 1])) for p, q, g in form.quad_logs]
+    terms += [(P([cc]), P([q, p, 1])) for cc, p, q in form.atans]
+    terms += [(P([-d]), P([s * s, -2 * s, 1])) for s, d in form.poles]
+    num, den = P([]), P([1])
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
+    return num, den

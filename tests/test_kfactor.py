@@ -18,7 +18,7 @@ from ddepoly.kfactor import (
     normalize,
 )
 from ddepoly.poly import NEG_INF, POS_INF, Poly, Surd, is_finite
-from ddepoly.verify import check_k_identity
+from ddepoly.verify import _log_derivative, check_k_identity
 
 P = Poly.rational
 
@@ -251,21 +251,28 @@ def kind_pair(rng, kind):
     return pair(A, B)
 
 
-def test_boundary_zeros_match_pointwise_limits():
-    # the sided zeros and blow-up points assembled here from limit_class at
-    # each singular point and at +-inf, A/K's from its own partial-fraction form
-    def sided_zeros(form):
-        out = []
-        for s in form.singular_points():
-            below, above = limit_class(form, s, "-") == "zero", limit_class(form, s, "+") == "zero"
-            if below or above:
-                out.append((s, "both" if below and above else ("left" if below else "right")))
-        if limit_class(form, NEG_INF) == "zero":
-            out.insert(0, (NEG_INF, "right"))
-        if limit_class(form, POS_INF) == "zero":
-            out.append((POS_INF, "left"))
-        return out
+def sided_zeros(form):
+    """The (point, sides) zeros of exp(form), ascending, assembled from
+    limit_class at each singular point and at +-inf."""
+    out = []
+    for s in form.singular_points():
+        below, above = limit_class(form, s, "-") == "zero", limit_class(form, s, "+") == "zero"
+        if below or above:
+            out.append((s, "both" if below and above else ("left" if below else "right")))
+    if limit_class(form, NEG_INF) == "zero":
+        out.insert(0, (NEG_INF, "right"))
+    if limit_class(form, POS_INF) == "zero":
+        out.append((POS_INF, "left"))
+    return out
 
+
+def blow_ups(form):
+    return [s for s in form.singular_points() if "inf" in (limit_class(form, s, "-"), limit_class(form, s, "+"))]
+
+
+def test_boundary_zeros_match_pointwise_limits():
+    # the sided zeros and blow-up points of the oracle above, A/K's from its
+    # own partial-fraction form
     rng = random.Random(29)
     one_sided = singular = surds = poles = 0
     tags = Counter()
@@ -276,7 +283,7 @@ def test_boundary_zeros_match_pointwise_limits():
         form = k.form
         assert [(z.point, z.sides) for z in b.zeros_of_k] == sided_zeros(form)
         assert [(z.point, z.sides) for z in b.zeros_of_a_over_k] == sided_zeros(k.a_over_k_form())
-        want = [s for s in form.singular_points() if "inf" in (limit_class(form, s, "-"), limit_class(form, s, "+"))]
+        want = blow_ups(form)
         assert list(b.k_singular) == want
         one_sided += any(z.sides != "both" for z in b.zeros_of_k if is_finite(z.point))
         singular += bool(want)
@@ -285,6 +292,60 @@ def test_boundary_zeros_match_pointwise_limits():
         tags[k.tag] += 1
     assert one_sided > 20 and singular > 100 and surds > 100
     assert poles > 100 and tags["irreducible-quadratic-A"] > 100 and tags["B-zero"] > 100
+
+
+def wide_pair(rng, kind):
+    """A pair whose numerators and denominators reach 2^64, with a lead of
+    either sign: A constant, linear, or quadratic with two rational, equal,
+    surd or no real roots (a surd's d at times carries 1009^2 or 1013^-2);
+    B zero, constant, linear, vanishing at a root of A, or t A' (K = |A|^t)."""
+    def q(bits=64):
+        return Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+
+    lead, r, x = q() or Fraction(1), q(), P([0, 1])
+    if kind == "constant":
+        A = P([lead])
+    elif kind == "linear":
+        A = P([-r, 1]) * P([lead])
+    elif kind in ("rational", "double"):
+        A = P([-r, 1]) * P([-(q() if kind == "rational" else r), 1]) * P([lead])
+    else:
+        d = Fraction(rng.randint(1, 2**64), rng.randint(1, 2**64)) * rng.choice([1, 1009**2, Fraction(1, 1013**2)])
+        A = ((x - P([r])) ** 2 + P([d if kind == "complex" else -d])) * P([lead])
+    B = rng.choice([P([]), P([q() or 1]), P([q(), q() or 1]), P([q(8), q(8) or 1])])
+    if A.degree and rng.random() < 0.2:
+        B = A.derivative().scale(rng.choice([0, 1, 2, -1, Fraction(1, 2), q(8)]))
+    elif A.degree and rng.random() < 0.2:
+        B = P([-r, 1]) * P([q() or 1])
+    return CoefficientPair(A, B)
+
+
+def test_integer_kernel_on_wide_coefficients():
+    # ~2,000 pairs with 64-bit numerators and denominators: the K identity
+    # holds exactly for K's form (R = B) and for A/K's (R = A' - B), and
+    # boundary_zeros agrees with the pointwise oracle
+    rng = random.Random(64)
+    kinds = ("constant", "linear", "rational", "double", "surd", "complex")
+    pairs = [wide_pair(rng, kinds[i % len(kinds)]) for i in range(1980)]
+    pairs += [pair([Fraction(-2025, 4 * 1009**2) * s, Fraction(s, 1009), s], [0, s]) for s in (1, -3)]
+    tags, surds, negative = Counter(), 0, 0
+    for c in pairs:
+        k = classify(c)
+        form, a_over_k = k.form, k.a_over_k_form()
+        for f, R in ((form, c.B), (a_over_k, c.A.derivative() - c.B)):
+            num, den = _log_derivative(f)  # f' = R/A for the pair as given, cross-multiplied
+            assert num * c.A == R * den, c
+        b = boundary_zeros(k)
+        assert [(z.point, z.sides) for z in b.zeros_of_k] == sided_zeros(form), c
+        assert [(z.point, z.sides) for z in b.zeros_of_a_over_k] == sided_zeros(a_over_k), c
+        assert list(b.k_singular) == blow_ups(form), c
+        shared = c.B.degree == 1 and any(isinstance(r, Fraction) and c.B(r) == 0 for r, _ in k.a_roots)
+        assert (k.tag in ("linear-A-equal", "B-root-matches-A-root")) == shared, c
+        tags[k.tag] += 1
+        surds += any(isinstance(r, Surd) for r, _ in k.a_roots)
+        negative += c.A.lead < 0
+    assert len(tags) == 12 and min(tags.values()) > 10, tags
+    assert surds > 300 and negative > 900
 
 
 def test_boundary_zeros_reads_a_over_k_off_k(monkeypatch):
@@ -538,6 +599,11 @@ def test_surd_roots_carry_squarefree_radicands():
     assert [(r.b, r.d) for r in roots(-1009 * 1013 * 9)] == [(-3, 1009 * 1013), (3, 1009 * 1013)]
     close = roots(1 - Fraction(2, 10**160) - 1)  # A = x^2 - 2 10^-160
     assert [(r.b, r.d) for r in close] == [(Fraction(-1, 10**80), 2), (Fraction(1, 10**80), 2)]
+    # the discriminant 2026/1009^2 is squared out in its numerator and its
+    # denominator apart, so 1009 > 1000 leaves the radicand
+    k = classify(pair([Fraction(-2025, 4 * 1009**2), Fraction(1, 1009), 1], [0, 1]))
+    half = Fraction(1, 2018)
+    assert [(r.a, r.b, r.d) for r, _ in k.a_roots] == [(-half, -half, 2026), (-half, half, 2026)]
 
 
 def bz(a, b):

@@ -791,3 +791,47 @@ def test_certify_next_on_parity_sequences_gives_the_whole_trees_zeros(kind, para
             want = tuple(bisection_refine(iso, iv, width) for iv in tree_walk(iso))
             assert cert.zeros == want == tuple(r.interval for r in isolate_roots(seq[n], width).roots)
         prev = cert.zeros
+
+
+def test_certify_next_mirrors_the_separator_signs_of_a_member_with_parity(monkeypatch):
+    # for q with parity, q's sign at a negative separator x whose mirror -x
+    # is a separator too is read off -x, also where q vanishes (the one-sided
+    # pair swapped); p may lack parity.  The certificate is the one computed
+    # with parity ignored, and its zeros are the whole tree's
+    value, parity, seen = roots._value_int_poly, roots._parity, set()
+
+    def record(c, num, den):
+        seen.add(Fraction(num, den))
+        return value(c, num, den)
+
+    rng = random.Random(22)
+    certified = mirrored = mirrored_zeros = without_parity = 0
+    for _ in range(80):
+        rs = sorted({Fraction(rng.randint(1, 40), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
+        q_roots = sorted([-r for r in rs] + rs + ([Fraction(0)] * rng.randint(0, 1)))
+        q = poly_from_roots(q_roots).scale(rng.choice([1, -2, Fraction(3, 7)]))
+        if rng.random() < 0.5:  # p = q' has parity too
+            p = q.derivative()
+        else:  # one root of p in each gap of q, or on a root of q, with no symmetry
+            picks = {rng.choice([a, a + (b - a) * Fraction(rng.randint(1, 9), 10)]) for a, b in zip(q_roots, q_roots[1:])}
+            p = poly_from_roots(sorted(picks))
+        symmetric = p.degree < 2 or parity(p.primitive_int_coeffs())
+        prev = tuple(r.interval for r in isolate_roots(p, WIDTH).roots)
+        ends = {x for iv in prev for x in (iv.lo, iv.hi)}
+        mirror = {x for x in ends if x < 0 and -x in ends}
+        seen.clear()
+        monkeypatch.setattr(roots, "_value_int_poly", record)
+        cert = roots.certify_next(p, prev, q, WIDTH)
+        monkeypatch.setattr(roots, "_value_int_poly", value)
+        monkeypatch.setattr(roots, "_parity", lambda c: False)
+        assert cert == roots.certify_next(p, prev, q, WIDTH)
+        monkeypatch.setattr(roots, "_parity", parity)
+        assert not seen & mirror
+        if cert is not None:
+            iso = _Isolator(q)
+            assert cert.zeros == tuple(bisection_refine(iso, iv, WIDTH) for iv in tree_walk(iso))
+            certified += 1
+            mirrored += len(mirror)
+            mirrored_zeros += sum(q(x) == 0 for x in mirror)
+            without_parity += bool(mirror) and not symmetric
+    assert certified > 60 and mirrored > 100 and mirrored_zeros > 3 and without_parity > 10

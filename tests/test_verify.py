@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -271,6 +273,29 @@ def test_check_k_identity_matches_precomputed_classification():
     c = CoefficientPair(P([1, 0, -1]), P([0, -6]))
     k = classify(c)
     assert check_k_identity(c, k, samples=30) < 1e-5
+
+
+def test_check_k_identity_is_exact():
+    # the identity holds exactly at surd roots, a double root and an
+    # irreducible A; an exponent or a pole off by 10^-40, or a surd term
+    # without its conjugate, fails
+    tiny = Fraction(1, 10**40)
+    for a, b in (([-1, -1, 1], [1, 1]), ([1, -2, 1], [-6, 2]), ([3, 0, 1], [1, 2])):
+        c = CoefficientPair(P(a), P(b))
+        k = classify(c)
+        assert check_k_identity(c, k) == 0.0
+        form = k.form
+        if form.poles:
+            (s, d), = form.poles
+            wrong = [replace(form, poles=((s, d + tiny),))]
+        elif form.log_terms:
+            (s, e), rest = form.log_terms[0], form.log_terms[1:]
+            wrong = [replace(form, log_terms=((s, Surd(e.a + tiny, e.b, e.d)),) + rest), replace(form, log_terms=rest)]
+        else:
+            (cc, p, q), = form.atans
+            wrong = [replace(form, atans=((cc + tiny, p, q),))]
+        for f in wrong:
+            assert check_k_identity(c, replace(k, form=f)) == math.inf
 
 
 def test_verify_rejects_small_n():

@@ -57,8 +57,9 @@ for k, p in F:
         table = list(generate(coefficient_source(FamilySpec(k, p)), N).polys)
         t = time.perf_counter(); ok = admits_dde(table).all_admit
         row[f"admits {k} N={N}"] = [round(time.perf_counter() - t, 4), ok]
-def pair(rng, kind):  # recover-classify's random pairs: A of the given kind, B of degree <= 1
-    q = lambda: Q(rng.randint(-6, 6), rng.randint(1, 4))
+def pair(rng, kind, bits=0):  # recover-classify's random pairs: A of the given kind, B of degree <= 1
+    q = lambda: (Q(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)) if bits  # up to 2^bits
+                 else Q(rng.randint(-6, 6), rng.randint(1, 4)))
     if kind == "linear":
         A = [q(), q() or Q(1)]
     elif kind == "rational":
@@ -73,6 +74,9 @@ for kind in ("linear", "complex", "rational", "irrational"):
     rng = random.Random(18); pairs = [pair(rng, kind) for _ in range(500)]
     t = time.perf_counter(); ok = all(boundary_zeros(classify(c)).k_zero_count <= 2 for c in pairs)
     row[f"classify+boundary {kind}"] = [round(time.perf_counter() - t, 4), ok]
+rng = random.Random(18); pairs = [pair(rng, kind, 64) for kind in ("linear", "complex", "rational", "irrational") * 125]
+t = time.perf_counter(); ok = all(boundary_zeros(classify(c)).k_zero_count <= 2 for c in pairs)
+row["classify+boundary wide"] = [round(time.perf_counter() - t, 4), ok]
 print(json.dumps(row))
 """
 SCALING_RUNS = 3
@@ -171,7 +175,8 @@ def main():
         "what": f"verify_sequence wall seconds at width 1e-9, admits_dde wall seconds on the family's own "
                 f"table P_0..P_N (cells 'admits ...') and boundary_zeros(classify(c)) wall seconds over 500 "
                 f"seeded pairs whose A is linear, without real roots, with rational or with irrational roots "
-                f"(cells 'classify+boundary ...'), median and all {SCALING_RUNS} runs; agreement is "
+                f"(cells 'classify+boundary ...'; in the 'wide' cell 125 of each kind, with numerators and "
+                f"denominators up to 2^64 instead of 6 and 4), median and all {SCALING_RUNS} runs; agreement is "
                 f"verify_sequence's agreement, all_admit for admits_dde, or K's vanishing-point count "
                 f"within 2 on every pair",
         "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING),
