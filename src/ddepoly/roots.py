@@ -9,16 +9,16 @@ taken in shift form, acc * p + (c_i << k(d-i)); a vector with parity is
 Horner in p^2 over its nonzero half.
 
 Isolation is one bisection tree over one chain per polynomial, that of
-its squarefree part.  p's own chain comes first: its last entry is
-gcd(p, p'), and only a non-constant one sends p through Yun's
-decomposition, which starts from it; the factors' signs give the
-multiplicities.  The tree starts from a dyadic bound 2^(e+2): Fujiwara's
-root bound read off coefficient bit lengths, then doubled, so no root
-lies on it.  A midpoint that is a root is kept as an exact point [m, m],
-and bisection goes on over the same chain with counts that exclude it.
-Refinement is quadratic interval refinement (Abbott, 2006) capped to the
-nodes of the same tree.  Interlacing is a Cauchy index read off a
-remainder sequence.
+its squarefree part.  p's own chain comes first (but see parity below):
+its last entry is gcd(p, p'), and only a non-constant one sends p
+through Yun's decomposition, which starts from it; the factors' signs
+give the multiplicities.  The tree starts from a dyadic bound 2^(e+2):
+Fujiwara's root bound read off coefficient bit lengths, then doubled, so
+no root lies on it.  A midpoint that is a root is kept as an exact point
+[m, m], and bisection goes on over the same chain with counts that
+exclude it.  Refinement is quadratic interval refinement (Abbott, 2006)
+capped to the nodes of the same tree.  Interlacing is a Cauchy index
+read off a remainder sequence.
 
 A polynomial with parity, P(-x) = +-P(x), has roots symmetric about 0:
 the members of hermite, jacobi(a, a), euler_frobenius, hermite_like,
@@ -26,7 +26,13 @@ vertgeim and Freud (Szegő, Orthogonal Polynomials, 2.3).  The tree over
 (-M, M] is symmetric too, so only the roots in [0, M] are isolated and
 refined, on both paths below, and each other root is the mirror (-b, -a]
 of a node (a, b], itself a node of the tree with the same flags
-(`_mirror`).
+(`_mirror`).  Such a P is x^s r(x^2) with r(0) != 0 and r of half the
+degree (Chihara, An Introduction to Orthogonal Polynomials, I.8), and it
+is counted on the chain of its even part r: P's roots in (a, b] for
+0 <= a < b number V_r(a^2) - V_r(b^2), the top node holds
+2 (V_r(0) - V_r(M^2)) + s, and P is squarefree iff s <= 1 and r's chain
+ends in a constant (`_EvenIsolator`).  Any other P with parity builds
+its own chain as above.
 
 A sequence needs no chain at all where each member's roots certify the
 next one's (`certify_next`).  The ends of P_n's isolating intervals and
@@ -56,7 +62,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import mpmath
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_rational, mpf_neg
 
 from .poly import (
     FLOAT,
@@ -67,7 +73,9 @@ from .poly import (
     KindMismatchError,
     Poly,
     Surd,
+    _dx,
     _Infinity,
+    _prs,
     _remainders,
     _sign,
     _sign_surd,
@@ -145,7 +153,7 @@ class RootSet:
 
 
 def _parity(c):
-    """Whether the integer vector c, of degree 2 or more, has parity:
+    """Whether the vector c, of degree 2 or more, has parity:
     c(-x) = +-c(x), so its roots are symmetric about 0.  c[-2] is tested
     first, so the test costs a generic vector O(1)."""
     return len(c) > 2 and c[-2] == 0 and not any(c[-2::-2])
@@ -234,12 +242,14 @@ def _point(x):
 
 
 class _Isolator:
-    """Sturm-chain root isolation for one rational polynomial.
-
-    The chain is the signed remainder sequence of (f, f'), so its last
-    entry is gcd(f, f') up to a scalar.  Counting and isolation need f
-    squarefree, which is `gcd_degree == 0`.
+    """Sturm-chain root isolation for one rational polynomial f, on f's own
+    chain, the signed remainder sequence of (f, f'), so its last entry is
+    gcd(f, f') up to a scalar.  Counting and isolation need f squarefree,
+    which is `gcd_degree == 0`.  The whole tree over (-M, M] is walked;
+    `_isolator` picks the chain of f's even part where it suffices.
     """
+
+    half = False
 
     def __init__(self, f):
         if f.is_zero:
@@ -248,7 +258,8 @@ class _Isolator:
             raise KindMismatchError("exact root isolation requires rational coefficients")
         self.poly = f
         self.chain = _remainders(f, f.derivative())
-        self.bound = _dyadic_bound(self.chain[0])
+        self.vector = self.chain[0]  # f's primitive integer vector, which `_refine` takes
+        self.bound = _dyadic_bound(self.vector)
 
     @property
     def gcd_degree(self):
@@ -257,14 +268,79 @@ class _Isolator:
     def sign(self, x):
         return _signs_at(self.chain[:1], x)[0]
 
+    def at(self, x):
+        """V(x) and f's sign at a finite x, off one sign vector."""
+        signs = _signs_at(self.chain, x)
+        return _variations(signs), signs[0]
+
     def variations(self, x):
         if isinstance(x, _Infinity):
             return _variations_inf(self.chain, x.sign)
-        return _variations(_signs_at(self.chain, x))
+        return self.at(x)[0]
 
     def count_half_open(self, lo, hi):
         """Distinct roots in (lo, hi]; lo/hi are Fractions, Surds or infinity tags."""
         return self.variations(lo) - self.variations(hi)
+
+    def top(self):
+        """V(-M) and V(M) at the ends of the tree's top node."""
+        return self.variations(-self.bound), self.variations(self.bound)
+
+
+class _EvenIsolator(_Isolator):
+    """Sturm counting for a squarefree f with parity on the chain of its even
+    part: f = x^s r(x^2) with s <= 1 and r(0) != 0, r squarefree and of
+    degree (deg f - s) / 2.  x -> x^2 maps (a, b] onto (a^2, b^2] for
+    0 <= a, so f's roots there number V_r(a^2) - V_r(b^2), and `variations`
+    reads V_r(x^2).  Below 0 it is continued so that V(a) - V(b) still
+    counts f's roots in (a, b]: (x, 0) mirrors (0, -x).  Only the tree's
+    nodes in [0, M] are walked (`half`), and `_mirror` gives the rest.
+    """
+
+    half, gcd_degree = True, 0
+
+    def __init__(self, f, c, s, chain):
+        self.poly, self.vector, self.bound, self.s, self.chain = f, c, _dyadic_bound(c), s, chain
+        self.v0 = _variations([_sign(e[0]) for e in chain])  # V_r(0)
+
+    def _mirrored(self, x, v, r_sign):
+        """V(x) from v = V_r(x^2) and r_sign, that of r(x^2): v itself for
+        x >= 0; below 0, the roots in (0, -x) stand for those in (x, 0), and
+        they number V_r(0) - v, less one when r(x^2) = 0."""
+        return 2 * self.v0 + self.s - v - (r_sign == 0) if x < 0 else v
+
+    def sign(self, x):
+        return _sign(x) ** self.s * _signs_at(self.chain[:1], x * x)[0]
+
+    def at(self, x):
+        signs = _signs_at(self.chain, x * x)
+        return self._mirrored(x, _variations(signs), signs[0]), _sign(x) ** self.s * signs[0]
+
+    def variations(self, x):
+        if isinstance(x, _Infinity):  # x^2 = +inf, where r has its leads' signs
+            return self._mirrored(x, _variations_inf(self.chain, 1), 1)
+        return self.at(x)[0]
+
+    def top(self):
+        v = self.variations(self.bound)  # r(M^2) != 0
+        return self._mirrored(-self.bound, v, 1), v
+
+
+def _isolator(f):
+    """The isolator of the rational f on the shortest chain that counts its
+    roots: that of its even part r when f = x^s r(x^2) has parity, s <= 1
+    and r is squarefree (then so is f), else f's own.  A squarefree f with
+    parity builds r's chain only; one with s <= 1 and r not squarefree
+    builds r's chain, then f's."""
+    if f.kind == RATIONAL and _parity(f.coeffs):
+        c = f.primitive_int_coeffs()
+        s = next(i for i, v in enumerate(c) if v)  # x^s divides f
+        if s <= 1:
+            r = c[s::2]
+            chain = _prs(r, _dx(r))
+            if len(chain[-1]) == 1:
+                return _EvenIsolator(f, c, s, chain)
+    return _Isolator(f)
 
 
 def _refine(f, iv, width):
@@ -316,18 +392,18 @@ def _refine(f, iv, width):
     return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-def locate_real_roots(f, iso=None, half=False):
+def locate_real_roots(f, iso=None):
     """Sorted isolating intervals for the real roots of a squarefree rational
     polynomial: exact points [m, m], and half-open (a, b] holding one root
-    with f nonzero at both ends.  `iso` is an isolator already built for f.
-    With `half` no node below 0 is walked, so only the intervals in [0, M]
-    come back, or (-M, M] itself when it holds f's one root; for f with
-    parity `_mirror` gives the rest."""
+    with f nonzero at both ends.  `iso` is an isolator already built for f,
+    by default `_isolator(f)`.  On one with `half` (f with parity) no node
+    below 0 is walked, so only the intervals in [0, M] come back, or
+    (-M, M] itself when it holds f's one root; `_mirror` gives the rest."""
     if f.degree == 1:
         return [_point(-f.coeffs[0] / f.coeffs[1])]
-    iso = iso or _Isolator(f)
+    iso = iso or _isolator(f)
     M = iso.bound
-    stack = [(-M, M, iso.variations(-M), iso.variations(M))]
+    stack = [(-M, M, *iso.top())]
     points, out = set(), []
     while stack:
         a, b, va, vb = stack.pop()
@@ -338,24 +414,34 @@ def locate_real_roots(f, iso=None, half=False):
             out.append(Interval(a, b))
             continue
         m = (a + b) / 2
-        vm, hit = iso.variations(m), iso.sign(m) == 0
+        vm, sm = iso.at(m)
+        hit = sm == 0
         if hit:
             points.add(m)
             out.append(_point(m))
-        if m > 0 or not half:
+        if m > 0 or not iso.half:
             stack.append((a, m, va, vm + hit))  # at a root m, V(m) = V(m+) = V(m-) - 1
         stack.append((m, b, vm, vb))
     out.sort(key=lambda iv: iv.lo)
     return out
 
 
+def _flip(iv):
+    """The mirror of an isolating interval above 0, itself a node of the
+    symmetric tree: (-b, -a] for (a, b] with the default flags, [-r, -r] for
+    [r, r]; None for one that holds 0.  The ends are Fractions or mpf, and
+    an mpf is negated exactly, not rounded to the working precision."""
+    if not iv.hi > 0 <= iv.lo:
+        return None
+    lo, hi = (mpmath.mp.make_mpf(mpf_neg(x._mpf_)) if isinstance(x, mpmath.mpf) else -x for x in (iv.hi, iv.lo))
+    return _point(hi) if iv.is_point else Interval(lo, hi)
+
+
 def _mirror(ivs):
     """All sorted isolating intervals of a polynomial with parity, from
     `ivs`, those of its roots in [0, M]: each interval above 0 adds its
-    mirror, (-b, -a] for (a, b] with the default flags, [-r, -r] for [r, r].
-    The tree over (-M, M] is symmetric, so these are its own nodes."""
-    low = [_point(-iv.lo) if iv.is_point else Interval(-iv.hi, -iv.lo) for iv in reversed(ivs) if iv.hi > 0 <= iv.lo]
-    return low + ivs
+    mirror (`_flip`)."""
+    return [low for low in map(_flip, reversed(ivs)) if low] + ivs
 
 
 def sturm_count(p, iv):
@@ -396,14 +482,16 @@ def isolate_roots(p, width):
     """Disjoint sorted isolating intervals for the real roots of p.
 
     One Sturm bisection tree over the chain of p's squarefree part,
-    intervals refined to <= width.  p's own chain comes first; when it
-    shows p squarefree (gcd(p, p') constant) no Yun decomposition runs,
-    else Yun starts from that gcd and multiplicities are read off the signs
-    of p's Yun factors.  A float p is isolated as the rational polynomial
-    it holds, so count, multiplicities and `squarefree` are certified for
-    that polynomial; its interval ends are mpf (`_ends_of_kind`).
+    intervals refined to <= width.  A squarefree p with parity is counted
+    on the chain of its even part (`_isolator`); any other p builds its own
+    chain first, and when that shows p squarefree (gcd(p, p') constant) no
+    Yun decomposition runs, else Yun starts from that gcd and multiplicities
+    are read off the signs of p's Yun factors.  A float p is isolated as the
+    rational polynomial it holds, so count, multiplicities and `squarefree`
+    are certified for that polynomial; its interval ends are mpf
+    (`_ends_of_kind`).
     """
-    return _isolate(p, _Isolator(_exact_image(p)), width)
+    return _isolate(p, _isolator(_exact_image(p)), width)
 
 
 def _isolate(p, iso, width):
@@ -414,16 +502,15 @@ def _isolate(p, iso, width):
     squarefree = iso.gcd_degree == 0
     if not squarefree:
         decomp = squarefree_decomposition(iso.poly, iso.chain[-1])
-        iso = _Isolator(prod((f for f, _ in decomp), start=Poly.one()))
+        iso = _isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
-    c = iso.chain[0]
-    half = _parity(c)  # only the roots in [0, M] are refined, the rest mirrored
-    ivs = [_refine(c, iv, width) for iv in locate_real_roots(iso.poly, iso, half)]
-    roots = tuple(
+    roots = [
         RootInterval(_ends_of_kind(p, iv), 1 if squarefree else _multiplicity(factors, iv))
-        for iv in (_mirror(ivs) if half else ivs)
-    )
-    return RootSet(roots=roots, count=len(roots), squarefree=squarefree)
+        for iv in (_refine(iso.vector, iv, width) for iv in locate_real_roots(iso.poly, iso))
+    ]
+    if iso.half:  # each end is dyadic, so an mpf end mirrors exactly
+        roots = [RootInterval(low, r.multiplicity) for r in reversed(roots) if (low := _flip(r.interval))] + roots
+    return RootSet(roots=tuple(roots), count=len(roots), squarefree=squarefree)
 
 
 def _multiplicity(factors, iv):
@@ -642,13 +729,13 @@ class RealSimpleCheck:
 def is_real_simple(p):
     """True iff p is squarefree with as many real roots as its degree; a
     float p is checked as the rational polynomial it holds."""
-    return _real_simple(p, _Isolator(_exact_image(p)))
+    return _real_simple(p, _isolator(_exact_image(p)))
 
 
 def real_simple_zeros(p, width):
     """`is_real_simple(p)` and, when it holds, `isolate_roots(p, width)`
     (else None), both on one Sturm chain."""
-    iso = _Isolator(_exact_image(p))
+    iso = _isolator(_exact_image(p))
     chk = _real_simple(p, iso)
     return chk, (_isolate(p, iso, width) if chk else None)
 

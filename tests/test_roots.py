@@ -581,19 +581,64 @@ def test_squarefree_input_builds_one_chain_and_no_yun(monkeypatch):
 def test_real_simple_zeros_checks_and_isolates_on_one_chain(monkeypatch):
     # the check is is_real_simple's and the zeros isolate_roots', or None
     # when the check fails; a real-simple p costs one chain, a float p is
-    # taken as the rational polynomial it holds
+    # taken as the rational polynomial it holds.  p's own chain comes from
+    # _remainders, that of the even part of a p with parity from _prs
     import ddepoly.roots as roots
 
     cases = [poly_from_roots([Fraction(-7, 3), 0, 2]) * P([-3, 0, 1]), P([1, 0, 1]) * P([0, 1]),
              P([1, -2, 1]) * P([-3, 4]), P([-2, 0, 1]).to_float(128)]
     want = [(is_real_simple(p), isolate_roots(p, WIDTH)) for p in cases]
     chains = []
-    orig = roots._remainders
+    orig, orig_prs = roots._remainders, roots._prs
     monkeypatch.setattr(roots, "_remainders", lambda f, g: chains.append(1) or orig(f, g))
+    monkeypatch.setattr(roots, "_prs", lambda a, b: chains.append(1) or orig_prs(a, b))
     got = [roots.real_simple_zeros(p, WIDTH) for p in cases]
     assert got == [(chk, rs if chk else None) for chk, rs in want]
     assert [chk.ok for chk, _ in got] == [True, False, False, True]
     assert len(chains) == 4
+
+
+def test_squarefree_input_with_parity_builds_only_its_even_parts_chain(monkeypatch):
+    # a squarefree p = x^s r(x^2) with parity builds one chain, r's, of at
+    # most deg p // 2 + 1 entries, and no chain of p; p with a repeated
+    # factor builds p's own chain and runs Yun from its gcd, after r's chain
+    # when s <= 1, and its squarefree part is counted on its even part's
+    import ddepoly.poly as poly
+
+    even, full, yun = [], [], []
+    orig_prs, orig_yun = roots._prs, roots.squarefree_decomposition
+    monkeypatch.setattr(roots, "_prs", lambda a, b: even.append(orig_prs(a, b)) or even[-1])
+    monkeypatch.setattr(poly, "_prs", lambda a, b, f=poly._prs: full.append(1) or f(a, b))
+    monkeypatch.setattr(roots, "squarefree_decomposition", lambda *a: yun.append(1) or orig_yun(*a))
+    p = poly_from_roots([-2, -1, 0, 1, 2]) * P([-3, 0, 1]) * P([1, 0, 1])  # s = 1, deg r = 4
+    rs = isolate_roots(p, WIDTH)
+    assert rs.count == 7 and rs.squarefree
+    assert (len(even), len(full), len(yun)) == (1, 0, 0) and len(even[0]) <= p.degree // 2 + 1
+    assert len(even[0][0]) == 5
+    for p, chains in ((P([-3, 0, 1]) ** 2 * P([0, 1]), 2), (P([0, 0, 1]) * P([-3, 0, 1]), 1)):
+        del even[:], full[:], yun[:]
+        rs = isolate_roots(p, WIDTH)
+        assert not rs.squarefree and rs.count == 3
+        # p's chain and Yun's in poly, r's of p when s <= 1 and the squarefree part's
+        assert len(even) == chains and len(full) > 1 and len(yun) == 1
+        assert len(even[-1][0]) == 2  # x (x^2 - 3): r = y - 3
+
+
+def test_real_simple_witnesses_on_parity_inputs_are_the_whole_chains():
+    # is_real_simple and real_simple_zeros on a p with parity give p's own
+    # chain's verdict and witness, word for word: the real count read off
+    # the even part's chain, the repeated factor's degree off p's chain
+    from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
+
+    rng = random.Random(2025)
+    cases = [p for p, _ in parity_cases(rng)] + [P([1, 0, 1]), P([4, 0, -5, 0, 1]), P([1, 0, 1]) * P([0, 1])]
+    cases += list(freud_sequence(freud_recurrence_coeffs(Fraction(1), 8, 256), 8).polys[2:])
+    witnesses = set()
+    for p in cases:
+        want = roots._real_simple(p, _Isolator(roots._exact_image(p)))
+        assert is_real_simple(p) == want == roots.real_simple_zeros(p, WIDTH)[0]
+        witnesses.add(want.witness.split()[0] if want.witness else None)
+    assert witnesses == {None, "only", "repeated"}
 
 
 def certified_case(rng):
@@ -759,15 +804,65 @@ def test_odd_member_with_one_real_root_keeps_the_top_node():
 
 
 def test_float_freud_members_match_the_whole_tree():
+    # counted on the chain of the even part; the mpf ends of the mirrored
+    # half are the exact mpf of the whole tree's ends, at either precision
     from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
 
-    seq = freud_sequence(freud_recurrence_coeffs(Fraction(-1, 3), 16, 192), 16)
-    for n in range(2, 17):
-        iso = _Isolator(roots._exact_image(seq[n]))
-        assert roots._parity(iso.chain[0])
-        want = [roots._ends_of_kind(seq[n], bisection_refine(iso, iv, WIDTH)) for iv in tree_walk(iso)]
-        rs = isolate_roots(seq[n], WIDTH)
-        assert rs.count == n and [r.interval for r in rs.roots] == want
+    for t, prec in ((Fraction(-1, 3), 192), (Fraction(3, 10), 512)):
+        seq = freud_sequence(freud_recurrence_coeffs(t, 16, prec), 16)
+        for n in range(2, 17):
+            exact = roots._exact_image(seq[n])
+            iso = _Isolator(exact)
+            assert roots._parity(iso.chain[0]) and isinstance(roots._isolator(exact), roots._EvenIsolator)
+            want = [roots._ends_of_kind(seq[n], bisection_refine(iso, iv, WIDTH)) for iv in tree_walk(iso)]
+            rs = isolate_roots(seq[n], WIDTH)
+            assert rs.count == n and [r.interval for r in rs.roots] == want
+
+
+def parity_cases(rng):
+    """Seeded `parity_product`s, x^s with s = 0..3 times even factors, each
+    (product, squarefree part), and the odd members whose one real root is
+    0.  A product that draws one complex pair twice has no squarefree part
+    among its factors and is left out."""
+    cases = [parity_product(rng, repeated)[:2] for repeated in (False, True) * 40]
+    odd = [P([0, 1]) * P([1, 0, 1]), P([0, 3]) * P([1, 0, 1]) * P([4, 0, 1])]
+    return [(p, sqf) for p, sqf in cases if sqf.degree >= 2 and _Isolator(sqf).gcd_degree == 0] + [(p, p) for p in odd]
+
+
+def test_half_chain_counts_match_the_whole_line_oracles():
+    # a squarefree p with parity is counted on the chain of its even part
+    # r: every count is sturm_count's and every sign p's, both on p's own
+    # chain, at +-inf, 0, +-M, the ends of the whole tree's nodes, p's
+    # rational roots and seeded points off the dyadic grid; its walk,
+    # mirrored, is the whole tree's.  Any other p with parity is counted on
+    # its own chain
+    rng = random.Random(2023)
+    seen = set()
+    for p, sqf in parity_cases(rng):
+        iso, full = roots._isolator(sqf), _Isolator(sqf)
+        c = sqf.primitive_int_coeffs()
+        s = next(i for i, v in enumerate(c) if v)
+        assert isinstance(iso, roots._EvenIsolator) and iso.s == s and iso.bound == full.bound
+        assert len(iso.chain) <= sqf.degree // 2 + 1 and list(iso.chain[0]) == list(c[s::2])
+        squarefree = _Isolator(p).gcd_degree == 0
+        assert isinstance(roots._isolator(p), roots._EvenIsolator) == squarefree
+        M = iso.bound
+        walk = tree_walk(full)
+        xs = {Fraction(0), M, -M} | {x for iv in walk for x in (iv.lo, iv.hi)}
+        xs |= {x for i in range(1, 31) for j in range(1, 10) for x in (Fraction(i, j), Fraction(-i, j))
+               if roots._value_int_poly(c, x.numerator, x.denominator) == 0}
+        xs |= {Fraction(rng.randint(-99, 99), rng.choice([3, 7, 10])) * M / 100 for _ in range(6)}
+        xs = sorted(xs)
+        for x in xs:
+            assert iso.sign(x) == full.sign(x) == iso.at(x)[1]
+        ends = [NEG_INF, *xs, POS_INF]
+        for a, b in [*zip(ends, ends[1:]), *(sorted(rng.sample(ends, 2)) for _ in range(20))]:
+            assert iso.count_half_open(a, b) == sturm_count(sqf, Interval(a, b)), (sqf, a, b)
+        assert roots._mirror(locate_real_roots(sqf, iso)) == walk
+        x_mult = next(i for i, v in enumerate(p.primitive_int_coeffs()) if v)
+        seen |= {("x^s", x_mult), ("squarefree", squarefree), ("walk", len(walk) == 1 and walk[0].lo < 0)}
+        seen.add(("root at 0", any(iv.is_point and iv.lo == 0 for iv in walk)))
+    assert {("x^s", s) for s in range(4)} | {(k, b) for k in ("squarefree", "walk", "root at 0") for b in (0, 1)} <= seen
 
 
 @pytest.mark.parametrize("kind, params", [

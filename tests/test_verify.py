@@ -340,8 +340,9 @@ def test_one_sturm_chain_per_member(monkeypatch):
     import ddepoly.roots as roots
 
     calls = []
-    orig = roots._remainders
+    orig, orig_prs = roots._remainders, roots._prs
     monkeypatch.setattr(roots, "_remainders", lambda f, g: calls.append(1) or orig(f, g))
+    monkeypatch.setattr(roots, "_prs", lambda a, b: calls.append(1) or orig_prs(a, b))
     for kind, params, _, _ in GOLDEN_REPORTS[:6]:
         assert verify_sequence(FamilySpec(kind, params), 14).agreement
     assert len(calls) == 0

@@ -16,13 +16,16 @@ tools/result_line.py asks for, and is stored as it came.  With --pairs N,
 run_s of the workload whose gain is claimed (--claim-workload, by default
 recover-classify) is also measured in N alternating pairs at --trace 0,
 odd pairs running the parent first and even pairs the change first.  A
-scaling row times verify_sequence per family and degree by the stored
-command SCALING, run SCALING_RUNS times per side with the side that runs
-first alternating, and keeps the median and every run: one wall-clock
-run per cell spreads wider than the changes it should show.  The same
-row times admits_dde on each family's own table P_0..P_N at N = 20, 36
-and 60.  The file also holds the machine facts and the commands.  Only
-the standard library is used; the interpreter that runs this script runs
+scaling row times verify_sequence per family and degree, admits_dde on
+each family's own table P_0..P_N at N = 20, 36 and 60, classify plus
+boundary_zeros on seeded pairs, and isolate_roots over P_1..P_N as the
+zeros command runs it.  Each of its CELLS runs by the stored command
+SCALING in a fresh process, so that no cell inherits the heap of the
+cells before it, SCALING_RUNS times per side with the side that runs
+first alternating; the row keeps the median and every run, since one
+wall-clock run per cell spreads wider than the changes it should show.
+The file also holds the machine facts and the commands.  Only the
+standard library is used; the interpreter that runs this script runs
 perfbench too.
 """
 
@@ -38,25 +41,19 @@ import sys
 from result_line import missing_metrics, strict_json
 
 SCALING = """\
-import json, random, time
+import json, random, sys, time
 from fractions import Fraction as Q
 from math import isqrt
+import mpmath
 from ddepoly.dde import CoefficientPair, admits_dde, generate
 from ddepoly.families import FamilySpec, coefficient_source
+from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
 from ddepoly.kfactor import boundary_zeros, classify
 from ddepoly.poly import Poly
+from ddepoly.roots import isolate_roots
 from ddepoly.verify import verify_sequence
-F = [("bell", {}), ("hermite", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
-     ("euler_frobenius", {"kappa": "1", "r": "n+1"})]
-row = {}
-for k, p in F:
-    for N in (10, 20, 30, 40, 60, 100, 200):
-        t = time.perf_counter(); ok = verify_sequence(FamilySpec(k, p), N).agreement
-        row[f"{k} N={N}"] = [round(time.perf_counter() - t, 3), ok]
-    for N in (20, 36, 60):
-        table = list(generate(coefficient_source(FamilySpec(k, p)), N).polys)
-        t = time.perf_counter(); ok = admits_dde(table).all_admit
-        row[f"admits {k} N={N}"] = [round(time.perf_counter() - t, 4), ok]
+F = {"bell": {}, "hermite": {}, "jacobi": {"alpha": "1/2", "beta": "1/2"},
+     "euler_frobenius": {"kappa": "1", "r": "n+1"}}
 def pair(rng, kind, bits=0):  # recover-classify's random pairs: A of the given kind, B of degree <= 1
     q = lambda: (Q(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits)) if bits  # up to 2^bits
                  else Q(rng.randint(-6, 6), rng.randint(1, 4)))
@@ -70,15 +67,44 @@ def pair(rng, kind, bits=0):  # recover-classify's random pairs: A of the given 
             if A[2] and (disc < 0 if kind == "complex" else disc > 0 and isqrt(r) ** 2 != r):
                 break
     return CoefficientPair(Poly.rational(A), Poly.rational([q(), q()]))
-for kind in ("linear", "complex", "rational", "irrational"):
-    rng = random.Random(18); pairs = [pair(rng, kind) for _ in range(500)]
+def zeros(polys, width):  # isolate_roots on every member, as `ddepoly zeros` runs it; all roots real
+    t = time.perf_counter(); count = sum(isolate_roots(p, width).count for p in polys)
+    return time.perf_counter() - t, count == sum(p.degree for p in polys)
+cell = sys.argv[1]
+what, rest = cell.split(" ", 1)
+if what == "classify+boundary":
+    if rest == "wide":
+        rng = random.Random(18); pairs = [pair(rng, k, 64) for k in ("linear", "complex", "rational", "irrational") * 125]
+    else:
+        rng = random.Random(18); pairs = [pair(rng, rest) for _ in range(500)]
     t = time.perf_counter(); ok = all(boundary_zeros(classify(c)).k_zero_count <= 2 for c in pairs)
-    row[f"classify+boundary {kind}"] = [round(time.perf_counter() - t, 4), ok]
-rng = random.Random(18); pairs = [pair(rng, kind, 64) for kind in ("linear", "complex", "rational", "irrational") * 125]
-t = time.perf_counter(); ok = all(boundary_zeros(classify(c)).k_zero_count <= 2 for c in pairs)
-row["classify+boundary wide"] = [round(time.perf_counter() - t, 4), ok]
-print(json.dumps(row))
+    out = [time.perf_counter() - t, ok]
+elif what == "zeros" and rest.startswith("freud"):  # "freud t=0 N=32 512 bits"
+    _, t, N, prec, _ = rest.split(" ")
+    N, prec = int(N[2:]), int(prec)
+    seq = freud_sequence(freud_recurrence_coeffs(Q(t[2:]), N, prec), N)
+    out = list(zeros(seq.polys[1:], mpmath.mpf(1e-9)))
+elif what in ("admits", "zeros"):
+    kind, N = rest.split(" N=")
+    polys = generate(coefficient_source(FamilySpec(kind, F[kind])), int(N)).polys
+    if what == "admits":
+        t = time.perf_counter(); ok = admits_dde(list(polys)).all_admit
+        out = [time.perf_counter() - t, ok]
+    else:
+        out = list(zeros(polys[1:], Q(1, 10**9)))
+else:
+    kind, N = cell.split(" N=")
+    t = time.perf_counter(); ok = verify_sequence(FamilySpec(kind, F[kind]), int(N)).agreement
+    out = [time.perf_counter() - t, ok]
+print(json.dumps([round(out[0], 4), out[1]]))
 """
+CELLS = (
+    [f"{k} N={N}" for k in ("bell", "hermite", "jacobi", "euler_frobenius") for N in (10, 20, 30, 40, 60, 100, 200)]
+    + [f"admits {k} N={N}" for k in ("bell", "hermite", "jacobi", "euler_frobenius") for N in (20, 36, 60)]
+    + [f"classify+boundary {k}" for k in ("linear", "complex", "rational", "irrational", "wide")]
+    + [f"zeros {k} N={N}" for k in ("hermite", "jacobi", "euler_frobenius") for N in (60, 100)]
+    + ["zeros freud t=0 N=32 512 bits"]
+)
 SCALING_RUNS = 3
 
 
@@ -101,14 +127,15 @@ def perfbench(checkout, workload, seed, seconds, trace):
     return result
 
 
-def scaling(checkout):
+def scaling(checkout, cell):
+    """One cell of the scaling row in a fresh process: [seconds, agreement]."""
     env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run([sys.executable, "-c", SCALING], cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", SCALING, cell], cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode:
-        sys.exit(f"{checkout}: scaling row exited {proc.returncode}\n{proc.stderr[-2000:]}")
-    row = strict_json(proc.stdout)
-    print(f"{os.path.basename(checkout.rstrip('/'))} scaling: {row}", file=sys.stderr)
-    return row
+        sys.exit(f"{checkout}: scaling cell {cell!r} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    result = strict_json(proc.stdout)
+    print(f"{os.path.basename(checkout.rstrip('/'))} {cell}: {result}", file=sys.stderr)
+    return result
 
 
 def command(workload, seed, seconds, trace):
@@ -173,24 +200,27 @@ def main():
 
     doc["scaling"] = {
         "what": f"verify_sequence wall seconds at width 1e-9, admits_dde wall seconds on the family's own "
-                f"table P_0..P_N (cells 'admits ...') and boundary_zeros(classify(c)) wall seconds over 500 "
+                f"table P_0..P_N (cells 'admits ...'), boundary_zeros(classify(c)) wall seconds over 500 "
                 f"seeded pairs whose A is linear, without real roots, with rational or with irrational roots "
                 f"(cells 'classify+boundary ...'; in the 'wide' cell 125 of each kind, with numerators and "
-                f"denominators up to 2^64 instead of 6 and 4), median and all {SCALING_RUNS} runs; agreement is "
-                f"verify_sequence's agreement, all_admit for admits_dde, or K's vanishing-point count "
-                f"within 2 on every pair",
-        "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING),
-        "order": "odd runs run the parent first, even runs the change first",
+                f"denominators up to 2^64 instead of 6 and 4) and isolate_roots wall seconds over the members "
+                f"P_1..P_N at width 1e-9, as the zeros command runs it (cells 'zeros ...'; the Freud members "
+                f"at 512 bits), median and all {SCALING_RUNS} runs, each cell in its own process; agreement "
+                f"is verify_sequence's agreement, all_admit for admits_dde, K's vanishing-point count within "
+                f"2 on every pair, or every root of every member real",
+        "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING) + " CELL",
+        "order": "for each cell, odd runs run the parent first, even runs the change first",
     }
-    rows = {"parent": [], "change": []}
-    for i in range(1, SCALING_RUNS + 1):
-        for side, checkout in sides if i % 2 else sides[::-1]:
-            rows[side].append(scaling(checkout))
-    for side, runs in rows.items():
+    rows = {"parent": {}, "change": {}}
+    for cell in CELLS:
+        for i in range(1, SCALING_RUNS + 1):
+            for side, checkout in sides if i % 2 else sides[::-1]:
+                rows[side].setdefault(cell, []).append(scaling(checkout, cell))
+    for side, cells in rows.items():
         doc["scaling"][side] = {
-            cell: {"median": statistics.median(r[cell][0] for r in runs), "runs": [r[cell][0] for r in runs],
-                   "agreement": all(r[cell][1] for r in runs)}
-            for cell in runs[0]
+            cell: {"median": statistics.median(r[0] for r in runs), "runs": [r[0] for r in runs],
+                   "agreement": all(r[1] for r in runs)}
+            for cell, runs in cells.items()
         }
 
     if args.pairs:
