@@ -9,9 +9,11 @@ which is a linear system in A's three coefficients; B then falls out by
 exact division.  This avoids any arithmetic with the roots of P_n while
 being equivalent to interpolating A through (x_k, P_{n+1}(x_k)/P_n'(x_k))
 at the simple zeros x_k of P_n.  On rational input the system is built
-from integer pseudo-remainders of primitive integer vectors and solved by
-fraction-free elimination, and P_n is proved squarefree by a gcd modulo
-a prime; no `Fraction` enters until A and B are scaled back.
+from integer pseudo-remainders of primitive integer vectors.  Fraction-free
+elimination runs on its (at most three) pivot rows, and every other row's
+residual is read off Sylvester's identity.  P_n, or its even part when it
+has parity, is proved squarefree by a gcd modulo a prime below 2^30.  No
+`Fraction` enters until A and B are scaled back, one per coefficient.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
+from operator import mul
 
 import mpmath
 
@@ -170,8 +173,9 @@ def admits_dde(seq, tolerance=1e-12):
     seq is a list of Poly with seq[0] == 1.  Entries n with deg seq[n] != n
     are skipped as degenerate, as are n >= 2 where seq[n] has repeated
     roots (the decision procedure needs simple zeros); for rational input
-    a constant gcd(P_n, P_n') modulo 2^61 - 1 proves P_n squarefree, and
-    only a member it cannot certify builds the exact integer chain.
+    a constant gcd(P_n, P_n') modulo a prime below 2^30, taken on the even
+    part of a P_n with parity, proves P_n squarefree, and only a member it
+    cannot certify builds the exact integer chain.
     Rational input is decided exactly, on integers (`_admit_exact`); float
     input is decided by least squares against `tolerance` (relative) and
     the result is tagged numeric.
@@ -221,7 +225,8 @@ def _admit_exact(Pn, Pn1, p, q, n):
     s_j (x^j p' mod p) and its right side s (q mod p), integer
     pseudo-remainders with s_j and s powers of lead(p).  Its solution z
     gives A's coefficients (v s_j / (u s)) z_j, and the residual of an
-    equation is v / s times the integer one."""
+    equation is v / s times the integer one.  A and B are scaled back on
+    integers, one `Fraction` per coefficient."""
     if not _squarefree(p):
         return AdmissibilityEntry(n, "skipped-degenerate", witness=f"P_{n} has repeated roots")
     u, v = Pn.lead / p[-1], Pn1.lead / q[-1] if q else Fraction(1)
@@ -229,23 +234,20 @@ def _admit_exact(Pn, Pn1, p, q, n):
     c1 = [a - n * b for a, b in zip([0] + dp, p)][:n]  # x p' - n p = x p' mod p
     scales, s = (1, 1, p[-1]), p[-1] ** max(len(q) - n, 0)
     rhs = _prem(q, p)
-    rows = zip(dp, c1, _prem([0] + c1, p), rhs + [0] * (n - len(rhs)))
-    aug, pivots, d = _eliminate(rows, 3)
-    bad = next((row[3] for row in aug[len(pivots):] if row[3]), 0)
+    pivots, d, dz, bad = _eliminate(zip(dp, c1, _prem([0] + c1, p), rhs + [0] * (n - len(rhs))), 3)
     if bad:
         return AdmissibilityEntry(n, "fails", witness=f"inconsistent equation 0 = {v * bad / (s * d)}")
-    a = [Fraction(0)] * 3
-    for row, col in zip(aug, pivots):
-        a[col] = Fraction(row[3] * scales[col], s * d)
-    A = Poly.rational([v / u * c for c in a])
-    # B = (P_(n+1) - A P_n') / P_n = v / (D u) * (D q - sum D a_j x^j p') / p
-    D = lcm(*(c.denominator for c in a))
+    # z_j s_j / s = N_j / D in lowest terms, so A = v / (D u) N and
+    # B = (P_(n+1) - A P_n') / P_n = v / (D u) * (D q - sum N_j x^j p') / p
+    N = [z * c for z, c in zip(dz, scales)]
+    g = gcd(s * d, *N)
+    D, N, w = s * d // g, [c // g for c in N], v / u
+    A = Poly.rational([Fraction(w.numerator * c, w.denominator * D) for c in N])
     rest = [D * c for c in q] + [0] * (n + 2 - len(q))
-    for j, c in enumerate(a):
-        c = int(D * c)
+    for j, c in enumerate(N):
         for i, b in enumerate(dp):
             rest[i + j] -= c * b
-    B = Poly.rational([v / (D * u) * c for c in _quo(rest, p)])
+    B = Poly.rational([Fraction(w.numerator * c, w.denominator * D) for c in _quo(rest, p)])
     if B.degree > 1:
         return AdmissibilityEntry(n, "fails", witness=f"forced deg B = {B.degree} > 1")
     return AdmissibilityEntry(n, "admits", CoefficientPair(A, B), unique=len(pivots) == 3, residual=0.0)
@@ -253,29 +255,45 @@ def _admit_exact(Pn, Pn1, p, q, n):
 
 def _eliminate(rows, unknowns):
     """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on integer rows
-    (coefficients, right side), pivoting as plain elimination does: in each
-    column, the first nonzero row from the next pivot position down.
-    Returns the rows, the pivot columns and the last pivot d.  Pivot row k
-    then reads d z[pivots[k]] + (free terms) = its right side; every later
-    row is zero but for its right side, d times its equation's residual at
-    the solution with free unknowns 0 (Sylvester's identity)."""
-    aug, pivots, d = [list(r) for r in rows], [], 1
+    (coefficients, right side), run on the pivot rows only.  Pivots are
+    picked as plain elimination picks them: in each column, the first row
+    from the next pivot position down that is nonzero there, with the same
+    swaps.  No row is updated in place: `current` gives a row as Bareiss
+    would hold it after the steps so far, d a - sum_k a[pivots[k]] t_k, with
+    d the last pivot and t_k the pivot rows as eliminated (Sylvester's
+    identity).  Pivot row k reads d z[pivots[k]] + (free terms) = its right
+    side, so with free unknowns 0 the right sides are d z, and another row's
+    right side is d times its equation's residual there.  Returns the pivot
+    columns, d, d z (0 at a free unknown) and the first nonzero right side
+    among the other rows, in their order after the swaps, or 0."""
+    rows, tops, pivots, d = list(rows), [], [], 1
+
+    def current(row):
+        out = [d * x for x in row]
+        for p, t in zip(pivots, tops):
+            out = [x - row[p] * y for x, y in zip(out, t)]
+        return out
+
     for col in range(unknowns):
         r = len(pivots)
-        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if sel is None:
+        for i in range(r, len(rows)):
+            top = current(rows[i])
+            if top[col]:
+                break
+        else:
             continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        top, pv = aug[r], aug[r][col]
-        for i, row in enumerate(aug):
-            if i != r:
-                f = row[col]
-                aug[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
+        rows[r], rows[i] = rows[i], rows[r]
+        pv = top[col]
+        tops = [[(pv * x - t[col] * y) // d for x, y in zip(t, top)] for t in tops] + [top]
         pivots.append(col)
         d = pv
-        if len(pivots) == len(aug):
+        if len(pivots) == len(rows):
             break
-    return aug, pivots, d
+    dz = [0] * unknowns
+    for p, t in zip(pivots, tops):
+        dz[p] = t[-1]
+    residuals = (d * row[-1] - sum(map(mul, dz, row)) for row in rows[len(pivots):])  # current(row)[-1], in one pass
+    return pivots, d, dz, next((e for e in residuals if e), 0)
 
 
 def _admit_at_float(Pn, Pn1, dPn, cols, rhs_poly, n, tolerance):

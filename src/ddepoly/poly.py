@@ -461,28 +461,64 @@ def _prem(a, b):
     return r
 
 
-_PRIME = 2**61 - 1
+_PRIME = 2**30 - 35  # the largest prime below 2^30
+
+
+def _parity(c):
+    """Whether the vector c, of degree 2 or more, has parity:
+    c(-x) = +-c(x), so its roots are symmetric about 0.  c[-2] is tested
+    first, so the test costs a generic vector O(1)."""
+    return len(c) > 2 and c[-2] == 0 and not any(c[-2::-2])
+
+
+def _even_part(c):
+    """(s, r) with c = x^s r(x^2) and r(0) != 0, for a vector c with parity.
+    Such a c is squarefree iff s <= 1 and r is (Chihara, An Introduction to
+    Orthogonal Polynomials, I.8)."""
+    s = next(i for i, v in enumerate(c) if v)  # x^s divides c
+    return s, c[s::2]
 
 
 def _squarefree(a):
-    """Whether the integer vector a (degree >= 1) is squarefree.  Brown's
-    one-sided certificate comes first (JACM 1971): when the prime 2^61 - 1
-    does not divide lead(a), a repeated factor of a stays one modulo the
-    prime, so a constant gcd(a, a') there proves a squarefree.  Only a
-    non-constant one, or a lead the prime divides, builds the exact chain."""
+    """Whether the integer vector a (degree >= 1) is squarefree.  One with
+    parity, a = x^s r(x^2), is iff s <= 1 and r is; any other a is its own r.
+    Brown's one-sided certificate comes first (JACM 1971): when the prime
+    `_PRIME` does not divide the lead, a repeated factor stays one modulo
+    the prime, so a constant gcd(r, r') there proves r squarefree.  The prime
+    is below 2^30, so a residue is one CPython digit and a product two.  Only a
+    non-constant gcd, or a lead the prime divides, builds the exact chain."""
+    if _parity(a):
+        s, a = _even_part(a)
+        if s > 1:
+            return False
     m = _PRIME
     if a[-1] % m:
-        f, g = [v % m for v in a], [v % m for v in _dx(a)]  # lead(a') = deg a lead(a) != 0
-        while len(g) > 1:  # a pseudo-remainder is a unit times the remainder mod m
-            r = [v % m for v in _prem(f, g)]
-            while r and not r[-1]:
-                r.pop()
-            if not r:
+        f = [v % m for v in a]
+        g = [i * v % m for i, v in enumerate(f)][1:]  # a' mod m, lead deg a lead(a) != 0
+        while len(g) > 1:
+            f, g = g, _rem_mod(f, g, m)
+            if not g:
                 break
-            f, g = g, r
         else:
             return True
     return len(_prs(a, _dx(a))[-1]) == 1
+
+
+def _rem_mod(f, g, m):
+    """f mod g up to a unit, for vectors of residues modulo the prime m with
+    len f > len g and g's lead a unit; trimmed, so [] is 0.  Euclid's usual
+    step, len f = len g + 1, has the quotient q1 x + q0 and takes one pass;
+    any other takes the pseudo-remainder, a unit times the remainder."""
+    if len(f) == len(g) + 1:
+        inv = pow(g[-1], -1, m)
+        q1 = f[-1] * inv % m
+        q0 = (f[-2] - q1 * g[-2]) * inv % m
+        r = [(a - q1 * b - q0 * c) % m for a, b, c in zip(f, [0] + g, g[:-1])]
+    else:
+        r = [v % m for v in _prem(f, g)]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _dx(a):

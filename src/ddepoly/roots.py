@@ -74,7 +74,9 @@ from .poly import (
     Poly,
     Surd,
     _dx,
+    _even_part,
     _Infinity,
+    _parity,
     _prs,
     _remainders,
     _sign,
@@ -150,13 +152,6 @@ class RootSet:
                 m = iv.lo if iv.is_point else iv.midpoint()
                 out.append(to_mpf(m, prec) if isinstance(m, Fraction) else m)
         return out
-
-
-def _parity(c):
-    """Whether the vector c, of degree 2 or more, has parity:
-    c(-x) = +-c(x), so its roots are symmetric about 0.  c[-2] is tested
-    first, so the test costs a generic vector O(1)."""
-    return len(c) > 2 and c[-2] == 0 and not any(c[-2::-2])
 
 
 def _value_int_poly(coeffs, num, den):
@@ -334,9 +329,8 @@ def _isolator(f):
     builds r's chain, then f's."""
     if f.kind == RATIONAL and _parity(f.coeffs):
         c = f.primitive_int_coeffs()
-        s = next(i for i, v in enumerate(c) if v)  # x^s divides f
+        s, r = _even_part(c)
         if s <= 1:
-            r = c[s::2]
             chain = _prs(r, _dx(r))
             if len(chain[-1]) == 1:
                 return _EvenIsolator(f, c, s, chain)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
@@ -10,13 +11,14 @@ from ddepoly.dde import (
     CoefficientRule,
     CoefficientTable,
     NonSimpleZerosError,
+    _eliminate,
     admits_dde,
     generate,
     sample_xy,
     step,
 )
 from ddepoly.families import FamilySpec, coefficient_source
-from ddepoly.poly import Poly
+from ddepoly.poly import _PRIME, Poly
 from sympy_oracle import gcd
 
 P = Poly.rational
@@ -153,8 +155,9 @@ def test_admits_builds_no_fraction_gcd(monkeypatch):
 
 
 def test_squarefree_members_build_no_chain(monkeypatch):
-    # gcd(P_n, P_n') modulo 2^61 - 1 is constant for every member, which
-    # proves it squarefree, so no remainder chain is built
+    # gcd(P_n, P_n') modulo the certificate's prime, taken on the even part
+    # of a member with parity, is constant for every member, which proves it
+    # squarefree, so no remainder chain is built
     import ddepoly.poly as poly
 
     chains = []
@@ -240,14 +243,32 @@ def test_admits_golden_corpus():
 
 GOLDEN_ADMITS = "5d7fb964b2a2d5672e47f6eaf5b2ca9d68afd1d9be868d9bbf48b3421d728428"
 
-MERSENNE = 2**61 - 1
+BENCH_FAMILIES = [("bell", {}), ("hermite", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
+                  ("euler_frobenius", {"kappa": "1", "r": "n+1"}), ("laguerre", {"alpha": "1/2"}),
+                  ("hyp2f1", {"b": "40", "c": "1"})]
 
 
-@pytest.mark.parametrize("p2", [P([0, -MERSENNE, 1]), P([-1, 0, MERSENNE])],
+def test_admits_family_tables_to_degree_36():
+    # every pair of the six benchmark families' own tables to degree 36, pinned
+    # when the system was still solved by elimination over all n rows and
+    # the squarefree test ran on the whole member modulo 2^61 - 1
+    results = []
+    for kind, params in BENCH_FAMILIES:
+        res = admits_dde(list(generate(coefficient_source(FamilySpec(kind, params)), 36).polys))
+        assert res.all_admit, kind
+        results.append(repr(res))
+    assert hashlib.sha256("\n".join(results).encode()).hexdigest() == DEPTH_ADMITS
+
+
+DEPTH_ADMITS = "7802747a498f7b2720cdfca2289c4fc5c7b75eef6854161daed6fbca6aec3f1c"
+
+
+@pytest.mark.parametrize("p2, certified", [(P([0, -_PRIME, 1]), (0, -_PRIME, 1)), (P([-1, 0, _PRIME]), (-1, _PRIME))],
                          ids=["double-root-mod-p", "lead-divisible-by-p"])
-def test_members_the_prime_cannot_certify_keep_their_verdict(monkeypatch, p2):
-    # x^2 - (2^61 - 1)x is x^2 modulo the prime, and (2^61 - 1)x^2 - 1 loses
-    # its lead there; both are squarefree, and only the exact chain says so
+def test_members_the_prime_cannot_certify_keep_their_verdict(monkeypatch, p2, certified):
+    # for the certificate's prime m, x^2 - m x is x^2 modulo m, and m x^2 - 1
+    # loses its lead there; both are squarefree, and only the exact chain
+    # says so.  m x^2 - 1 has parity, so the chain is its even part's, m y - 1
     import ddepoly.poly as poly
 
     chains = []
@@ -259,11 +280,76 @@ def test_members_the_prime_cannot_certify_keep_their_verdict(monkeypatch, p2):
         table.append(step(table[-1], c))
     res = admits_dde(table)
     assert res.all_admit
-    assert tuple(p2.primitive_int_coeffs()) in chains
+    assert certified in chains
     for e in res.entries:
         assert step(table[e.n], e.pair) == table[e.n + 1]
         if e.n >= 3:
             assert e.unique and e.pair == pairs[e.n - 2]
+
+
+def full_bareiss(rows, unknowns):
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) over every row,
+    pivoting in each column on the first nonzero row from the next pivot
+    position down: the oracle for `_eliminate`, which runs it on the pivot
+    rows only.  Returns the rows, the pivot columns and the last pivot."""
+    aug, pivots, d = [list(r) for r in rows], [], 1
+    for col in range(unknowns):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        top, pv = aug[r], aug[r][col]
+        for i, row in enumerate(aug):
+            if i != r:
+                f = row[col]
+                aug[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(col)
+        d = pv
+        if len(pivots) == len(aug):
+            break
+    return aug, pivots, d
+
+
+def random_system(rng):
+    """Integer rows (three coefficients, right side): 2-40 rows of rank 0-3
+    with entries to 130 bits and more, some rows and columns zero so that pivoting
+    swaps rows, consistent but for, in most systems, one row's right side
+    moved at a random position."""
+    n, rank = rng.randint(2, 40), rng.randint(0, 3)
+    big = lambda: rng.choice([-1, 1]) * rng.getrandbits(rng.choice([3, 40, 130]))
+    basis = [[big() if rng.random() < 0.8 else 0 for _ in range(3)] for _ in range(rank)]
+    z = [Fraction(big(), rng.getrandbits(20) + 1) for _ in range(3)]
+    lead_zeros = rng.randint(0, min(n, 4))  # rows led by zero coefficients
+    rows = []
+    for i in range(n):
+        mix = [0 if i < lead_zeros and rng.random() < 0.7 else rng.randint(-3, 3) for _ in basis]
+        cols = [sum(c * b[j] for c, b in zip(mix, basis)) for j in range(3)]
+        if i < lead_zeros:
+            cols[0] = 0
+        rows.append(cols + [sum(c * y for c, y in zip(cols, z))])
+    den = lcm(*(row[3].denominator for row in rows))
+    rows = [[c * den for c in row[:3]] + [int(row[3] * den)] for row in rows]
+    if rng.random() < 0.8:
+        rows[rng.randrange(n)][3] += big() or 1
+    return rows
+
+
+def test_eliminate_matches_full_bareiss():
+    rng = random.Random(41)
+    ranks, swapped, inconsistent = set(), 0, 0
+    for _ in range(600):
+        rows = random_system(rng)
+        aug, pivots, d = full_bareiss(rows, 3)
+        got_pivots, got_d, dz, got_bad = _eliminate(rows, 3)
+        bad = next((row[3] for row in aug[len(pivots):] if row[3]), 0)
+        assert (got_pivots, got_d, got_bad) == (pivots, d, bad), rows
+        assert [dz[c] for c in pivots] == [row[3] for row in aug[:len(pivots)]], rows
+        assert all(dz[c] == 0 for c in range(3) if c not in pivots)
+        ranks.add(len(pivots))
+        swapped += rows[0][0] == 0 and pivots[:1] == [0]
+        inconsistent += bad != 0
+    assert ranks == {0, 1, 2, 3} and swapped > 100 and inconsistent > 300
 
 
 def test_admits_exact_failure_at_four_roots():

@@ -14,6 +14,8 @@ from ddepoly.poly import (
     KindMismatchError,
     Poly,
     Surd,
+    _PRIME,
+    _even_part,
     _quo,
     _remainders,
     _squarefree,
@@ -141,9 +143,9 @@ def test_squarefree_decomposition_matches_sympy_sqf_list():
 
 def test_squarefree_certificate_matches_gcd_oracle():
     # random products with and without a square factor; the factors x - m,
-    # x - m - 1, x and m x + 1 for m = 2^61 - 1 collide modulo m or lose
-    # their lead there, which sends the certificate to the exact chain
-    rng, m = random.Random(19), 2**61 - 1
+    # x - m - 1, x and m x + 1 for the certificate's prime m collide modulo m
+    # or lose their lead there, which sends the certificate to the exact chain
+    rng, m = random.Random(19), _PRIME
     seen = {True: 0, False: 0}
     for _ in range(300):
         p = P([rng.choice([1, -3, m, 2 * m])])
@@ -155,6 +157,50 @@ def test_squarefree_certificate_matches_gcd_oracle():
         assert _squarefree(a) == squarefree, p
         seen[squarefree] += 1
     assert min(seen.values()) > 50
+    # sparse ones, whose Euclid modulo m drops more than one degree in a step
+    for f in (P([1, 1, 0, 0, 1]), P([1, 2, 0, 0, 0, 1]), P([3, -1, 0, 0, 0, 0, 0, 1])):
+        for p in (f, f * f, f * P([-2, 1]), f * P([-2, 1]) ** 2):
+            assert _squarefree(p.primitive_int_coeffs()) == (gcd(p, p.derivative()).degree == 0), p
+
+
+def test_squarefree_with_parity_is_decided_on_the_even_part(monkeypatch):
+    # p = x^s r(x^2) for s = 0..3, r(0) != 0, with r squarefree or with a
+    # square factor, and r's lead divisible by the prime or not: p is
+    # squarefree iff s <= 1 and r is, and only r ever builds a chain
+    import ddepoly.poly as poly
+
+    m, rng = _PRIME, random.Random(37)
+    chains = []
+    prs = poly._prs
+    monkeypatch.setattr(poly, "_prs", lambda a, b: chains.append(tuple(a)) or prs(a, b))
+    evens = [P([-1, 1]) * P([3, 1]), P([-1, 1]) ** 2 * P([3, 1]), P([2, 0, 1]) * P([-5, 2]), P([1, 0, 1]) ** 2,
+             P([-1, m]), P([-1, m]) ** 2 * P([1, 1])]
+    while len(evens) < 30:
+        r = P([Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        for _ in range(rng.randint(1, 3)):
+            r = r * random_factor(rng) ** rng.choice([1, 1, 2])
+        if r.coeffs[0]:
+            evens.append(r)
+    seen = set()
+    for r in evens:
+        b = r.primitive_int_coeffs()
+        for s in range(4):
+            p = P([0] * s + [c for v in r.coeffs for c in (v, 0)][:-1])  # x^s r(x^2)
+            a = p.primitive_int_coeffs()
+            assert _even_part(a) == (s, b)
+            squarefree = gcd(p, p.derivative()).degree == 0
+            chains.clear()
+            assert _squarefree(a) == squarefree, (s, r)
+            if s > 1:
+                assert not chains
+            elif squarefree and b[-1] % m:  # the modular certificate suffices
+                assert not chains, (s, r)
+            else:
+                assert chains == [b], (s, r)
+            seen.add((s, squarefree, b[-1] % m == 0))
+    assert {(s, f, True) for s in (0, 1) for f in (True, False)} <= seen
+    assert {(s, f, False) for s in (0, 1) for f in (True, False)} <= seen
+    assert {(s, False, False) for s in (2, 3)} <= seen
 
 
 def test_yun_reassembles():
