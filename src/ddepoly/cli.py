@@ -25,7 +25,7 @@ from .families import FAMILY_KINDS, FamilySpec, ParamRule, coefficient_source
 from .freud import PrecisionError, freud_recurrence_coeffs, freud_sequence, p5_invariants
 from .kfactor import predict
 from .poly import KindMismatchError
-from .roots import InternalError, isolate_roots
+from .roots import InternalError, sequence_zeros
 from .verify import verify_sequence
 
 EXIT_OK = 0
@@ -251,31 +251,19 @@ def cmd_zeros(args):
     width = Fraction(1, 10**9) if args.width is None else _parsed("--width", Fraction, args.width)
     if doc is not None and doc.sequence is not None:
         polys = doc.sequence
-        start = 0
-        w = width if polys[0].kind == "rational" else mpmath.mpf(float(width))
     elif spec is not None and spec.kind == "freud":
         if N is None:
             raise DocumentError("$", "--n is required for the freud family")
-        data = freud_recurrence_coeffs(_parse_t(args, doc), N, args.precision)
-        polys = freud_sequence(data, N).polys[1:]
-        start = 1
-        w = mpmath.mpf(float(width))
+        polys = freud_sequence(freud_recurrence_coeffs(_parse_t(args, doc), N, args.precision), N).polys
     else:
         src = coefficient_source(spec) if spec is not None else table
         if src is None:
             raise DocumentError("$", "zeros needs a family, coefficient table, or sequence document")
         if N is None:
             raise DocumentError("$", "--n is required with --family")
-        polys = generate(src, N).polys[1:]
-        start = 1
-        w = width
-    rows = []
-    for n, p in enumerate(polys, start=start):
-        if p.degree < 1:
-            continue
-        rs = isolate_roots(p, w)
-        for idx, r in enumerate(rs.roots):
-            rows.append((n, idx, r.interval))
+        polys = generate(src, N).polys
+    w = width if polys[0].kind == "rational" else mpmath.mpf(float(width))
+    rows = [(n, idx, iv) for n, rec in enumerate(sequence_zeros(polys, w)) for idx, iv in enumerate(rec.zeros)]
     text = zeros_csv(rows, out=args.out)
     if not args.out:
         sys.stdout.write(text)
@@ -321,7 +309,7 @@ def build_parser():
     sp.add_argument("--n", type=int, default=6, help="degrees to compute (>= 6)")
     sp.set_defaults(fn=cmd_freud_demo)
 
-    sp = sub.add_parser("zeros", help="CSV table of isolated zeros (n,index,lo,hi,mid)")
+    sp = sub.add_parser("zeros", help="CSV table of isolated zeros (n,index,lo,hi,mid), on verify's root path")
     _add_common(sp)
     sp.add_argument("--width", help="isolation width (rational, default 1/10^9)")
     sp.set_defaults(fn=cmd_zeros)

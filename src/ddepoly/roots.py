@@ -45,6 +45,8 @@ taken only where a midpoint falls inside its bracket, and refined as
 above, so the zeros are those of the Sturm path.  The brackets' places
 among P_n's roots give the interlacing verdict.  When the count falls
 short the member goes to the Sturm path, which stays the oracle.
+`sequence_zeros` runs this fold over a whole sequence; it is the one way
+to a sequence's zeros, for `verify` and for the `zeros` command.
 
 A float polynomial is decided as the rational one it holds (mpf values
 are dyadic), by the same kernel, so its root count is certified for it.
@@ -519,23 +521,58 @@ def _multiplicity(factors, iv):
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """The real roots of a real-simple q, certified from the isolating
-    intervals of a previous polynomial p by exact signs of q alone.
+class RealSimpleCheck:
+    ok: bool
+    witness: str | None = None
 
-    `zeros` are q's refined isolating intervals, as `isolate_roots` returns
-    them.  `places` holds one key per root of q: 2j when j roots of p lie
-    below it and none on it, 2j + 1 when it is p's root j, and None when
-    its place among p's roots is not settled.
+    def __bool__(self):
+        return self.ok
+
+
+@dataclass(frozen=True)
+class MemberRoots:
+    """One member's roots: its reality check and its refined isolating
+    intervals, as `isolate_roots` returns them (listed also when the check
+    fails).  For a member `certify_next` certified, `places` holds one key
+    per root: 2j when j roots of the member before lie below it and none on
+    it, 2j + 1 when it is that member's root j, and None when its place is
+    not settled.  `places` is None on the Sturm path.
     """
 
+    check: RealSimpleCheck
     zeros: tuple
-    places: tuple
+    places: tuple | None = None
+
+
+def sequence_zeros(polys, width):
+    """One `MemberRoots` per member of `polys`: each certified from the
+    zeros of the one before (`certify_next`), else checked and isolated on
+    one Sturm chain.  A constant or zero member takes no certificate and
+    the next starts from no zeros; one that is not real-simple passes none
+    on.  A float member is taken as the rational polynomial it holds, and
+    its zeros go out with mpf ends (`_ends_of_kind`)."""
+    if isinstance(width, _Infinity) or not width > 0:
+        raise ValueError("width must be positive")
+    width, out, p, prev = as_exact(width), [], None, ()
+    for q in polys:
+        if q.degree < 1:
+            out.append(MemberRoots(RealSimpleCheck(not q.is_zero, "zero polynomial" if q.is_zero else None), ()))
+            p, prev = q, ()
+            continue
+        exact = _exact_image(q)
+        rec = certify_next(p, prev, exact, width) if prev is not None else None
+        if rec is None:
+            iso = _isolator(exact)
+            rec = MemberRoots(_real_simple(q, iso), tuple(r.interval for r in _isolate(exact, iso, width).roots))
+        out.append(MemberRoots(rec.check, tuple(_ends_of_kind(q, iv) for iv in rec.zeros), rec.places))
+        p, prev = exact, (rec.zeros if rec.check else None)
+    return out
 
 
 def certify_next(p, prev, q, width):
     """Certify the rational q real-simple from `prev`, the sorted isolating
-    intervals of the real-simple p (the member before q), or return None.
+    intervals of the real-simple p (the member before q), and return q's
+    `MemberRoots` with its places; or return None.
 
     The separators are -M, the ends of `prev` inside (-M, M) and M, for
     M = `_dyadic_bound`.  A separator where q vanishes is a root of q, with
@@ -597,13 +634,13 @@ def certify_next(p, prev, q, width):
             found.append((left, right, key))
     if len(found) != n:
         return None
-    if n == 1:
-        return Certificate((_point(Fraction(-c[0], c[1])),), (found[0][2],))  # as `locate_real_roots` has it
+    if n == 1:  # the root as `locate_real_roots` has it
+        return MemberRoots(RealSimpleCheck(True), (_point(Fraction(-c[0], c[1])),), (found[0][2],))
     zeros = []  # with parity, the roots from index n // 2 on are refined, the rest mirrored
     for i in range(n // 2 if half else 0, n):
         before, after = (found[i - 1][:2] if i else None), (found[i + 1][:2] if i + 1 < n else None)
         zeros.append(_refine(c, _descend(c, found[i][:2], before, after, M, depth), width))
-    return Certificate(tuple(_mirror(zeros) if half else zeros), tuple(k for _, _, k in found))
+    return MemberRoots(RealSimpleCheck(True), tuple(_mirror(zeros) if half else zeros), tuple(k for _, _, k in found))
 
 
 def _order_in(f, c, left, right, j):
@@ -709,15 +746,6 @@ def _floor_shifted(x, s):
 
 def _dyadic(X, t):
     return Fraction(X << t) if t >= 0 else Fraction(X, 1 << -t)
-
-
-@dataclass(frozen=True)
-class RealSimpleCheck:
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def is_real_simple(p):

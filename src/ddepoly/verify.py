@@ -21,7 +21,7 @@ from .dde import generate, step
 from .families import FamilySpec, coefficient_source
 from .kfactor import classify, predict
 from .poly import RATIONAL, Poly, Surd, _sign, format_scalar, is_finite
-from .roots import RealSimpleCheck, _signs_at, certify_next, interlaces, real_simple_zeros
+from .roots import _signs_at, interlaces, sequence_zeros
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,16 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     The data must be rational: `predict` refuses float pairs (ValueError)
     and `generate` a float B_0 before rational pairs (KindMismatchError),
     so the report's numeric flag is always false.  Arithmetic is exact
-    throughout, and irrational endpoints are exact surds.  Each member is
-    certified real-simple from the zeros of the member before by its own
-    exact signs (`roots.certify_next`), which also isolates its zeros and
-    places them among the previous member's; a member the certificate
-    declines gets its check and zeros from one Sturm chain
-    (`roots.real_simple_zeros`).  Containment is counted off the zeros on
-    both paths (`_containment_witness`).  Interlacing is read off the
-    places; an unsettled or failing pair goes to `roots.interlaces`, so
-    its witness is a remainder-sequence count.
+    throughout, and irrational endpoints are exact surds.  Every member's
+    check and zeros come from `roots.sequence_zeros`, as for the `zeros`
+    command: each member is certified real-simple from the zeros of the
+    member before by its own exact signs, which also places its zeros among
+    the previous member's, and a member the certificate declines gets its
+    check and zeros from one Sturm chain.  A member that is not real-simple
+    reports no zeros.  Containment is counted off the zeros on both paths
+    (`_containment_witness`).  Interlacing is read off the places; an
+    unsettled or failing pair goes to `roots.interlaces`, so its witness is
+    a remainder-sequence count.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -91,7 +92,7 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
                                   collapsed=seq.collapsed, truncated_at=seq.truncated_at)
 
     decision = predict(source, usable, strict_extension)[2]
-    members = _roots_of_members(seq, usable, width)
+    members = sequence_zeros(seq.polys[:usable + 1], width)
     if not decision.ok:
         failures.extend(f"case ({case}) hypothesis fails: {why}" for case, why in decision.diagnosis.items())
         records = tuple(_empirical_record(seq, n, usable, None, members) for n in range(1, usable + 1))
@@ -114,31 +115,6 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     agreement = not failures
     return VerificationReport(family, N, decision, tuple(records), agreement, tuple(failures),
                               collapsed=seq.collapsed, truncated_at=seq.truncated_at)
-
-
-@dataclass(frozen=True)
-class _MemberRoots:
-    check: object  # RealSimpleCheck
-    zeros: tuple
-    places: tuple | None = None  # `Certificate.places`; None on the Sturm path
-
-
-def _roots_of_members(seq, usable, width):
-    """Each member's reality check and zeros, in order.  A member is
-    certified from the zeros of the one before (`certify_next`); where that
-    declines, one Sturm chain serves its check and its zeros."""
-    out = {}
-    prev = ()  # P_0 is constant
-    for n in range(1, usable + 1):
-        p = seq[n]
-        cert = certify_next(seq[n - 1], prev, p, width) if prev is not None else None
-        if cert is not None:
-            out[n] = _MemberRoots(RealSimpleCheck(True), cert.zeros, cert.places)
-        else:
-            chk, rs = real_simple_zeros(p, width)
-            out[n] = _MemberRoots(chk, tuple(r.interval for r in rs.roots) if rs else ())
-        prev = out[n].zeros if out[n].check.ok else None
-    return out
 
 
 def _empirical_record(seq, n, usable, bounds, members):
@@ -164,8 +140,8 @@ def _empirical_record(seq, n, usable, bounds, members):
                 except ValueError as exc:  # the next member may fail the preconditions
                     interlace = "fail"
                     interlace_witness = str(exc)
-    return SequenceRecord(n, p.degree, own.check.ok, own.check.witness, own.zeros, containment,
-                          containment_witness, interlace, interlace_witness)
+    return SequenceRecord(n, p.degree, own.check.ok, own.check.witness, own.zeros if own.check else (),
+                          containment, containment_witness, interlace, interlace_witness)
 
 
 def _containment_witness(p, zeros, bounds):
@@ -224,14 +200,16 @@ def _interlace_from_places(places, m):
     return "weak-shared-endpoint" if shared else "strict"
 
 
-def check_k_identity(c, k=None, samples=50, fd_step=Fraction(1, 10**6)):
+def check_k_identity(c, k=None, samples=None):
     """Check the damping factor and the step identity exactly.
 
     (i) The derivative of the closed form of log|K|, a rational function
     N/D, must equal B/A: N A == B D as polynomials.  (ii) The recurrence
     step must equal A P' + B P coefficientwise on probe polynomials.
     Returns 0.0 when (i) holds and inf when it does not; raises if (ii)
-    fails.  `samples` and `fd_step` are ignored: nothing is sampled.
+    fails.  Nothing is sampled; `samples` is ignored and stays only because
+    the acceptance suite (tests/test_acceptance.py), which is kept fixed,
+    passes it.
     """
     if k is None:
         k = classify(c)

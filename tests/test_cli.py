@@ -284,6 +284,74 @@ def test_zeros_accepts_sequence_document(capsys, tmp_path):
     assert abs(mids[1] - 0.7071067811865476) < 1e-8
 
 
+ORACLE_DOCS = {  # sequences no recurrence made; some members the certificate takes, some it declines
+    "non-interlacing": {"sequence": [[1], [-3, 1], [-1, 0, 1], [-210, 107, -18, 1], [4, 0, -5, 0, 1],
+                                     [0, 4, 0, -5, 0, 1], ["1/4", -3, 0, 1]]},
+    "non-constant-p0": {"sequence": [[-1, 0, 1], [0, -4, 0, 1], ["-1/3", 1], [2, -3, 1]]},
+    "repeated-root": {"sequence": [[1], [-1, 1], [1, -2, 1], [-1, 3, -3, 1], [0, 0, -1, 0, 1], [0, 4, 0, -5, 0, 1]]},
+    "complex-roots": {"sequence": [[1], [0, 1], [1, 0, 1], [0, -2, 0, 1], [1, 0, 0, 0, 1], [0, 1, 0, -4, 0, 1]]},
+    "zero-member": {"sequence": [[1], [0, 1], [0], [-1, 0, 1], [], [-1, 1], [0, -1, 0, 1]]},
+    "degree-jump": {"sequence": [[1], [-1, 0, 1], [4, 0, -5, 0, 1], [0, -1, 0, 0, 1],
+                                 [1, 0, -10, 0, 9, 0, 0, 0, 0, 1], [2], [-1, 2]]},
+    "all-float": {"sequence": [["1.0"], ["0.5", "1.25"], ["-2.0", "0.0", "4.0"], ["0.1", "-3.0", "0.0", "1.0"],
+                               ["0.3", "0.0", "-2.7", "0.0", "1.0"], ["1.0", "0.0", "1.0"],
+                               ["0.0", "1.0", "0.0", "-0.7"]], "precision": 256},
+}
+ORACLE_FAMILY_ARGS = [
+    ["bell"], ["hermite"], ["jacobi", "--alpha", "1/2", "--beta", "1/2"],
+    ["euler_frobenius", "--kappa", "1", "--r", "n+1"], ["laguerre", "--alpha", "1/2"],
+    ["hyp2f1", "--b", "40", "--c", "1"],
+]
+ORACLE_ZEROS = (
+    [(["--family", *a, "--n", "30"], None) for a in ORACLE_FAMILY_ARGS]
+    + [(["--family", "hermite", "--n", "16", "--width", w], None) for w in ("1/3", "1e-40", "100")]
+    + [(["--family", "freud", "--t", t, "--n", "12", "--precision", b], None)
+       for t in ("0", "1/3") for b in ("256", "512")]
+    + [(None, name) for name in ORACLE_DOCS]
+)
+
+
+@pytest.mark.parametrize("argv, doc", ORACLE_ZEROS, ids=[" ".join(a) if a else d for a, d in ORACLE_ZEROS])
+def test_zeros_csv_equals_isolate_roots_member_by_member(capsys, tmp_path, argv, doc):
+    # the oracle is `isolate_roots` on each member of degree >= 1, on its
+    # own Sturm chain, listed even where the member has repeated or complex roots
+    import mpmath
+
+    from ddepoly.cli import _scalar
+    from ddepoly.dde import generate
+    from ddepoly.documents import InputDocument, zeros_csv
+    from ddepoly.families import FamilySpec, coefficient_source
+    from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
+    from ddepoly.roots import isolate_roots
+
+    width = Fraction(1, 10**9)
+    if doc is not None:
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(ORACLE_DOCS[doc]))
+        argv = ["--input", str(path)]
+        polys = InputDocument.load(str(path)).sequence
+    else:
+        opts = dict(zip(argv[::2], argv[1::2]))
+        N, family = int(opts["--n"]), opts["--family"]
+        width = Fraction(opts.get("--width", width))
+        if family == "freud":
+            prec = int(opts["--precision"])
+            polys = freud_sequence(freud_recurrence_coeffs(_scalar(opts["--t"]), N, prec), N).polys
+        else:
+            params = {k[2:]: v for k, v in opts.items() if k not in ("--family", "--n", "--width")}
+            polys = generate(coefficient_source(FamilySpec(family, params)), N).polys
+    w = width if polys[0].kind == "rational" else mpmath.mpf(float(width))
+    rows = []
+    for n, p in enumerate(polys):
+        if p.degree < 1:
+            continue
+        for idx, r in enumerate(isolate_roots(p, w).roots):
+            rows.append((n, idx, r.interval))
+    code, out = run(capsys, "zeros", *argv)
+    assert code == 0
+    assert out == zeros_csv(rows)
+
+
 def test_zeros_refuses_close_float_roots(capsys, tmp_path):
     # the float quintic (x-1)(x-1-1e-14)(x-2)(x+3)x has five real roots;
     # isolation on the held polynomial separates the two 1e-14 apart
@@ -330,6 +398,7 @@ def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(roots, "locate_real_roots",
                         lambda f, iso=None, half=False: [roots.Interval(Fraction(0), Fraction(1))])
+    monkeypatch.setattr(roots, "certify_next", lambda *args: None)  # so each member takes the Sturm path
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"sequence": [["1"], ["-1", "2"], ["0", "-1", "2"]]}))
     code = main(["zeros", "--input", str(path)])

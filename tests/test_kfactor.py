@@ -484,7 +484,7 @@ def test_log_derivative_matches_ratio():
         pair([-1, -1, 1], [1, 1]),  # surd roots (1 +- sqrt 5)/2, surd exponents
     ]
     for c in cases:
-        assert check_k_identity(c, samples=50) < 1e-5
+        assert check_k_identity(c) < 1e-5
 
 
 def test_k_eval_examples():

@@ -18,7 +18,7 @@ recover-classify) is also measured in N alternating pairs at --trace 0,
 odd pairs running the parent first and even pairs the change first.  A
 scaling row times verify_sequence per family and degree, admits_dde on
 each family's own table P_0..P_N at N = 20, 36 and 60, classify plus
-boundary_zeros on seeded pairs, and isolate_roots over P_1..P_N as the
+boundary_zeros on seeded pairs, and sequence_zeros over P_0..P_N as the
 zeros command runs it.  Each of its CELLS runs by the stored command
 SCALING in a fresh process, so that no cell inherits the heap of the
 cells before it, SCALING_RUNS times per side with the side that runs
@@ -50,7 +50,7 @@ from ddepoly.families import FamilySpec, coefficient_source
 from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
 from ddepoly.kfactor import boundary_zeros, classify
 from ddepoly.poly import Poly
-from ddepoly.roots import isolate_roots
+from ddepoly.roots import sequence_zeros
 from ddepoly.verify import verify_sequence
 F = {"bell": {}, "hermite": {}, "jacobi": {"alpha": "1/2", "beta": "1/2"},
      "euler_frobenius": {"kappa": "1", "r": "n+1"}}
@@ -67,8 +67,8 @@ def pair(rng, kind, bits=0):  # recover-classify's random pairs: A of the given 
             if A[2] and (disc < 0 if kind == "complex" else disc > 0 and isqrt(r) ** 2 != r):
                 break
     return CoefficientPair(Poly.rational(A), Poly.rational([q(), q()]))
-def zeros(polys, width):  # isolate_roots on every member, as `ddepoly zeros` runs it; all roots real
-    t = time.perf_counter(); count = sum(isolate_roots(p, width).count for p in polys)
+def zeros(polys, width):  # sequence_zeros over P_0..P_N, as `ddepoly zeros` runs it; all roots real
+    t = time.perf_counter(); count = sum(len(r.zeros) for r in sequence_zeros(polys, width))
     return time.perf_counter() - t, count == sum(p.degree for p in polys)
 cell = sys.argv[1]
 what, rest = cell.split(" ", 1)
@@ -83,7 +83,7 @@ elif what == "zeros" and rest.startswith("freud"):  # "freud t=0 N=32 512 bits"
     _, t, N, prec, _ = rest.split(" ")
     N, prec = int(N[2:]), int(prec)
     seq = freud_sequence(freud_recurrence_coeffs(Q(t[2:]), N, prec), N)
-    out = list(zeros(seq.polys[1:], mpmath.mpf(1e-9)))
+    out = list(zeros(seq.polys, mpmath.mpf(1e-9)))
 elif what in ("admits", "zeros"):
     kind, N = rest.split(" N=")
     polys = generate(coefficient_source(FamilySpec(kind, F[kind])), int(N)).polys
@@ -91,7 +91,7 @@ elif what in ("admits", "zeros"):
         t = time.perf_counter(); ok = admits_dde(list(polys)).all_admit
         out = [time.perf_counter() - t, ok]
     else:
-        out = list(zeros(polys[1:], Q(1, 10**9)))
+        out = list(zeros(polys, Q(1, 10**9)))
 else:
     kind, N = cell.split(" N=")
     t = time.perf_counter(); ok = verify_sequence(FamilySpec(kind, F[kind]), int(N)).agreement
@@ -203,8 +203,8 @@ def main():
                 f"table P_0..P_N (cells 'admits ...'), boundary_zeros(classify(c)) wall seconds over 500 "
                 f"seeded pairs whose A is linear, without real roots, with rational or with irrational roots "
                 f"(cells 'classify+boundary ...'; in the 'wide' cell 125 of each kind, with numerators and "
-                f"denominators up to 2^64 instead of 6 and 4) and isolate_roots wall seconds over the members "
-                f"P_1..P_N at width 1e-9, as the zeros command runs it (cells 'zeros ...'; the Freud members "
+                f"denominators up to 2^64 instead of 6 and 4) and sequence_zeros wall seconds over the members "
+                f"P_0..P_N at width 1e-9, as the zeros command runs it (cells 'zeros ...'; the Freud members "
                 f"at 512 bits), median and all {SCALING_RUNS} runs, each cell in its own process; agreement "
                 f"is verify_sequence's agreement, all_admit for admits_dde, K's vanishing-point count within "
                 f"2 on every pair, or every root of every member real",
