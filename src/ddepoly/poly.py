@@ -220,10 +220,6 @@ class Poly:
             return cls([Fraction(1)], RATIONAL)
         return cls([mpf(1)], FLOAT, prec or DEFAULT_FLOAT_PREC)
 
-    @classmethod
-    def x(cls):
-        return cls.rational([0, 1])
-
     @property
     def degree(self):
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""

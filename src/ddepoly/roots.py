@@ -40,11 +40,13 @@ next one's (`certify_next`).  The ends of P_n's isolating intervals and
 brackets and the zeros among the separators number deg P_{n+1}, the
 intermediate value theorem and the degree prove it real-simple, one root
 per bracket (Fisk, Polynomials, roots, and interlacing, arXiv:math/0612833).
-Each root is then walked down P_{n+1}'s own bisection tree, with a sign
-taken only where a midpoint falls inside its bracket, and refined as
-above, so the zeros are those of the Sturm path.  The brackets' places
-among P_n's roots give the interlacing verdict.  When the count falls
-short the member goes to the Sturm path, which stays the oracle.
+The brackets then stand in for the chain: `locate_real_roots` walks
+P_{n+1}'s tree on counts read off them (`_BracketIsolator`), with a sign
+taken only where a midpoint falls inside a bracket, and the nodes are
+refined as above, so the zeros are those of the Sturm path.  The
+brackets' places among P_n's roots give the interlacing verdict.  When
+the count falls short the member goes to the Sturm path, which stays the
+oracle.
 `sequence_zeros` runs this fold over a whole sequence; it is the one way
 to a sequence's zeros, for `verify` and for the `zeros` command.
 
@@ -59,12 +61,13 @@ checks at the endpoints themselves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
 import mpmath
-from mpmath.libmp import from_rational, mpf_neg
+from mpmath.libmp import from_rational
 
 from .poly import (
     FLOAT,
@@ -339,6 +342,37 @@ def _isolator(f):
     return _Isolator(f)
 
 
+class _BracketIsolator:
+    """Root counting for a q that `certify_next` proved real-simple, off its
+    certificate: `found` lists q's roots in ascending order, each a bracket
+    (left, right) of two separators (x, sign of q just left, just right)
+    with one root strictly between them, or one separator twice for a zero
+    of q there.  V(x), the number of q's roots above x, is a bisect over
+    the left ends, and q's sign is taken only where x falls inside a
+    bracket; off the roots it is lead (-1)^V(x)."""
+
+    gcd_degree = 0
+
+    def __init__(self, q, c, M, found):
+        self.poly, self.vector, self.bound, self.half = q, c, M, _parity(c)
+        self.found, self.lefts, self.lead = found, [left[0] for left, _, _ in found], _sign(c[-1])
+
+    def at(self, x):
+        i = bisect_left(self.lefts, x)
+        v = len(self.lefts) - i  # the roots of the brackets from a left end at or above x
+        if i < len(self.lefts) and self.lefts[i] == x and self.found[i][0] is self.found[i][1]:
+            return v - 1, 0  # a zero of q at x, which a bracket from x may follow
+        if i and x < self.found[i - 1][1][0]:  # inside the bracket below
+            s = _sign(_value_int_poly(self.vector, x.numerator, x.denominator))
+            if s == 0:
+                return v, 0
+            v += s == self.found[i - 1][0][2]  # q's sign just right of the bracket's left end
+        return v, self.lead * (-1) ** v
+
+    def top(self):
+        return len(self.found), 0
+
+
 def _refine(f, iv, width):
     """Shrink an isolating interval of the integer vector f to the node that
     bisection on the sign of f returns: the first node no wider than
@@ -392,7 +426,9 @@ def locate_real_roots(f, iso=None):
     """Sorted isolating intervals for the real roots of a squarefree rational
     polynomial: exact points [m, m], and half-open (a, b] holding one root
     with f nonzero at both ends.  `iso` is an isolator already built for f,
-    by default `_isolator(f)`.  On one with `half` (f with parity) no node
+    by default `_isolator(f)`, or the `_BracketIsolator` of its certificate:
+    each gives V and f's sign at a midpoint (`at`) and the top node's counts
+    (`top`).  On one with `half` (f with parity) no node
     below 0 is walked, so only the intervals in [0, M] come back, or
     (-M, M] itself when it holds f's one root; `_mirror` gives the rest."""
     if f.degree == 1:
@@ -422,22 +458,13 @@ def locate_real_roots(f, iso=None):
     return out
 
 
-def _flip(iv):
-    """The mirror of an isolating interval above 0, itself a node of the
-    symmetric tree: (-b, -a] for (a, b] with the default flags, [-r, -r] for
-    [r, r]; None for one that holds 0.  The ends are Fractions or mpf, and
-    an mpf is negated exactly, not rounded to the working precision."""
-    if not iv.hi > 0 <= iv.lo:
-        return None
-    lo, hi = (mpmath.mp.make_mpf(mpf_neg(x._mpf_)) if isinstance(x, mpmath.mpf) else -x for x in (iv.hi, iv.lo))
-    return _point(hi) if iv.is_point else Interval(lo, hi)
-
-
 def _mirror(ivs):
     """All sorted isolating intervals of a polynomial with parity, from
-    `ivs`, those of its roots in [0, M]: each interval above 0 adds its
-    mirror (`_flip`)."""
-    return [low for low in map(_flip, reversed(ivs)) if low] + ivs
+    `ivs`, those of its roots in [0, M] (Fraction ends): each interval above
+    0 adds its mirror, itself a node of the symmetric tree, (-b, -a] for
+    (a, b] and [-r, -r] for [r, r]."""
+    low = [_point(-iv.lo) if iv.is_point else Interval(-iv.hi, -iv.lo) for iv in reversed(ivs) if iv.hi > 0 <= iv.lo]
+    return low + ivs
 
 
 def sturm_count(p, iv):
@@ -500,12 +527,11 @@ def _isolate(p, iso, width):
         decomp = squarefree_decomposition(iso.poly, iso.chain[-1])
         iso = _isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
+    ivs = [_refine(iso.vector, iv, width) for iv in locate_real_roots(iso.poly, iso)]
     roots = [
         RootInterval(_ends_of_kind(p, iv), 1 if squarefree else _multiplicity(factors, iv))
-        for iv in (_refine(iso.vector, iv, width) for iv in locate_real_roots(iso.poly, iso))
+        for iv in (_mirror(ivs) if iso.half else ivs)
     ]
-    if iso.half:  # each end is dyadic, so an mpf end mirrors exactly
-        roots = [RootInterval(low, r.multiplicity) for r in reversed(roots) if (low := _flip(r.interval))] + roots
     return RootSet(roots=tuple(roots), count=len(roots), squarefree=squarefree)
 
 
@@ -533,10 +559,11 @@ class RealSimpleCheck:
 class MemberRoots:
     """One member's roots: its reality check and its refined isolating
     intervals, as `isolate_roots` returns them (listed also when the check
-    fails).  For a member `certify_next` certified, `places` holds one key
-    per root: 2j when j roots of the member before lie below it and none on
-    it, 2j + 1 when it is that member's root j, and None when its place is
-    not settled.  `places` is None on the Sturm path.
+    fails), on a Sturm chain or on `certify_next`'s brackets.  For a member
+    `certify_next` certified, `places` holds one key per root: 2j when j
+    roots of the member before lie below it and none on it, 2j + 1 when it
+    is that member's root j, and None when its place is not settled.
+    `places` is None on the Sturm path.
     """
 
     check: RealSimpleCheck
@@ -581,16 +608,15 @@ def certify_next(p, prev, q, width):
     at a negative separator x whose mirror -x is a separator are those at -x
     times (-1)^n, the one-sided pair swapped.  When the zeros and brackets
     number deg q, each bracket holds exactly one simple root and q has no
-    other: q is real-simple.  Each root is then found in q's own bisection
-    tree, the one `locate_real_roots` walks, by `_descend` and refined by
-    `_refine`, so the zeros equal `isolate_roots(q, width)`'s; for q with
-    parity only the roots from index n // 2 on, the rest mirrored.  The places
-    come from the separators, and a root whose bracket holds one root of p
-    is placed against it by `_order_in`.
+    other: q is real-simple.  The zeros are then `_isolate`'s on a
+    `_BracketIsolator`, which counts q's roots off the brackets: the same
+    tree walk by `locate_real_roots` on the same counts, the same mirror and
+    `_refine`, so they equal `isolate_roots(q, width)`'s.  The places come
+    from the separators, and a root whose bracket holds one root of p is
+    placed against it by `_order_in`.
     """
     c = q.primitive_int_coeffs()
     n, M = len(c) - 1, _dyadic_bound(c)
-    depth = (-(-2 * M // width) - 1).bit_length()  # `_refine`'s steps from (-M, M]
     keys = {}  # separator -> its key, as in `places`; ascending, as prev is
     for j, iv in enumerate(prev):
         if iv.is_point:
@@ -634,13 +660,8 @@ def certify_next(p, prev, q, width):
             found.append((left, right, key))
     if len(found) != n:
         return None
-    if n == 1:  # the root as `locate_real_roots` has it
-        return MemberRoots(RealSimpleCheck(True), (_point(Fraction(-c[0], c[1])),), (found[0][2],))
-    zeros = []  # with parity, the roots from index n // 2 on are refined, the rest mirrored
-    for i in range(n // 2 if half else 0, n):
-        before, after = (found[i - 1][:2] if i else None), (found[i + 1][:2] if i + 1 < n else None)
-        zeros.append(_refine(c, _descend(c, found[i][:2], before, after, M, depth), width))
-    return MemberRoots(RealSimpleCheck(True), tuple(_mirror(zeros) if half else zeros), tuple(k for _, _, k in found))
+    zeros = _isolate(q, _BracketIsolator(q, c, M, found), width).roots
+    return MemberRoots(RealSimpleCheck(True), tuple(r.interval for r in zeros), tuple(k for _, _, k in found))
 
 
 def _order_in(f, c, left, right, j):
@@ -660,92 +681,6 @@ def _order_in(f, c, left, right, j):
             return 2 * j + 2 * q_right
         a, b = (m, b) if q_right else (a, m)
     return None
-
-
-def _descend(c, own, before, after, M, depth):
-    """The node of the tree over (-M, M] that `locate_real_roots` isolates
-    the root in `own` with, or the root as a point where a midpoint meets it.
-
-    `own` is a bracket, a pair of separators (x, sign of c just left, just
-    right) around one root of c, or one separator twice for a zero of c;
-    `before` and `after` are the neighbouring roots' brackets (None at the
-    ends).  Nodes are (P 2^t, (P + 2) 2^t] on integers P, t.  A midpoint
-    outside the bracket is passed by a comparison, one inside by the sign of
-    c there.  Above `depth` (`_refine`'s, from the top) the first node
-    inside the bracket is taken: `_refine` brings it to the same node as
-    `locate_real_roots`' own.  From `depth` on, a node is taken when it
-    holds no neighbouring root, which settles a sign at a node end lying
-    in a neighbour's bracket."""
-    (a, la, sa), (b, sb, rb) = own
-    is_zero = own[0] is own[1]
-    E = M.numerator.bit_length() - M.denominator.bit_length()
-
-    def cmp(X, x):  # sign of X 2^t - x
-        num, den = x.numerator, x.denominator
-        return _sign((X * den << t) - num if t >= 0 else X * den - (num << -t))
-
-    def sign_at(X):
-        return _sign(_value_int_poly(c, X << t, 1) if t >= 0 else _value_int_poly(c, X, 1 << -t))
-
-    def below(X):  # the root before lies below X 2^t
-        if before is None:
-            return True
-        (a2, _, s2), (b2, _, _) = before
-        if before[0] is before[1]:
-            return cmp(X, a2) > 0
-        if cmp(X, b2) >= 0:
-            return True
-        return cmp(X, a2) > 0 and sign_at(X) not in (0, s2)
-
-    def above(X):  # the root after lies above X 2^t
-        if after is None:
-            return True
-        (a2, _, s2), (b2, _, _) = after
-        if after[0] is after[1]:
-            return cmp(X, a2) < 0
-        if cmp(X, a2) <= 0:
-            return True
-        return cmp(X, b2) < 0 and sign_at(X) == s2
-
-    # nodes holding the whole bracket need no test: start at the deepest one
-    # (no deeper than `depth`), found on the integer grid floor(a / 2^s),
-    # ceil(b / 2^s) with 2^s coarsened from below b - a
-    level = 0
-    if not is_zero:
-        g = b - a
-        s = g.numerator.bit_length() - g.denominator.bit_length() - 1  # 2^s < b - a
-        A, B = _floor_shifted(a, s), -_floor_shifted(-b, s)
-        while B - A > 1 and s <= E:
-            A, B, s = A >> 1, -(-B >> 1), s + 1
-        level = max(min(E + 1 - s, depth), 0)
-    t = E - level
-    P = 2 * -_floor_shifted(-b, t + 1) - 2 if level else -1  # the node (P 2^t, (P + 2) 2^t] holding b
-    while True:
-        lo_a, hi_b = cmp(P, a), cmp(P + 2, b)
-        inside = (lo_a > 0 or lo_a == 0 and la == sa) and (hi_b < 0 or hi_b == 0 and sb == rb)
-        if inside or level >= depth and below(P) and above(P + 2):
-            return Interval(_dyadic(P, t), _dyadic(P + 2, t))
-        m = P + 1
-        side = cmp(m, a)
-        if is_zero or side <= 0 or cmp(m, b) >= 0:
-            if side == 0 and is_zero:
-                return _point(a)
-            P = 2 * m if side <= 0 else 2 * P
-        else:
-            s = sign_at(m)
-            if s == 0:
-                return _point(_dyadic(m, t))
-            P = 2 * m if s == sa else 2 * P
-        t, level = t - 1, level + 1
-
-
-def _floor_shifted(x, s):
-    """floor(x / 2^s) for a Fraction x."""
-    return x.numerator // (x.denominator << s) if s >= 0 else (x.numerator << -s) // x.denominator
-
-
-def _dyadic(X, t):
-    return Fraction(X << t) if t >= 0 else Fraction(X, 1 << -t)
 
 
 def is_real_simple(p):

@@ -305,6 +305,8 @@ ORACLE_FAMILY_ARGS = [
 ORACLE_ZEROS = (
     [(["--family", *a, "--n", "30"], None) for a in ORACLE_FAMILY_ARGS]
     + [(["--family", "hermite", "--n", "16", "--width", w], None) for w in ("1/3", "1e-40", "100")]
+    # coarse widths, where certified members and members the certificate declines share a sequence
+    + [(["--family", *a, "--n", "20", "--width", w], None) for a in ORACLE_FAMILY_ARGS[:4] for w in ("1/10", "1")]
     + [(["--family", "freud", "--t", t, "--n", "12", "--precision", b], None)
        for t in ("0", "1/3") for b in ("256", "512")]
     + [(None, name) for name in ORACLE_DOCS]
@@ -396,9 +398,8 @@ def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
 
     import ddepoly.roots as roots
 
-    monkeypatch.setattr(roots, "locate_real_roots",
-                        lambda f, iso=None, half=False: [roots.Interval(Fraction(0), Fraction(1))])
-    monkeypatch.setattr(roots, "certify_next", lambda *args: None)  # so each member takes the Sturm path
+    # P_2 = x (2x - 1) is certified, and its tree walk is the broken one
+    monkeypatch.setattr(roots, "locate_real_roots", lambda f, iso=None: [roots.Interval(Fraction(0), Fraction(1))])
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"sequence": [["1"], ["-1", "2"], ["0", "-1", "2"]]}))
     code = main(["zeros", "--input", str(path)])

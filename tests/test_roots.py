@@ -89,6 +89,15 @@ def test_isolate_double_root():
     assert rs.roots[0].interval.is_point and rs.roots[0].interval.lo == 1
 
 
+def test_mirrored_roots_keep_their_own_multiplicity():
+    # the squarefree part x^2 - 1 of (x - 1)^2 (x + 1) has parity, its Yun
+    # factors do not: each mirrored root reads its own multiplicity
+    for planted, want in (([1, 1, -1], [(-1, 1), (1, 2)]),
+                          ([1, 1, -1, 2, -2, -2, -2], [(-2, 3), (-1, 1), (1, 2), (2, 1)])):
+        rs = isolate_roots(poly_from_roots(planted), WIDTH)
+        assert [(r.interval.lo, r.multiplicity) for r in rs.roots] == want
+
+
 def left_of(a, b):
     """Every point of interval a lies below every point of b."""
     return a.hi < b.lo or (a.hi == b.lo and (a.hi_open or b.lo_open))
@@ -700,6 +709,50 @@ def test_certify_next_places_zeros_on_separators_and_declines_a_double_one():
     zero = (Interval(Fraction(0), Fraction(0), False, False),)
     assert roots.certify_next(P([0, 1]), zero, P([0, 0, -1, 1]), WIDTH) is None  # x^2 (x - 1): q' vanishes at 0
     assert roots.certify_next(P([0, 1]), zero, P([1, 0, 1]) * P([0, 1]), WIDTH) is None  # x (x^2 + 1): 1 root of 3
+
+
+def test_certificate_counts_are_sturm_counts(monkeypatch):
+    # V(a) - V(b) off the certificate's brackets is sturm_count's on q's own
+    # chain, and the sign at each point is q's, with a and b over the
+    # separators and the midpoints the tree walk visits.  (3x - 1)(x - 2)
+    # and x (x - 1)(x + 2) vanish on a separator, 1/3 and 0, which also opens
+    # a bracket, so `found` holds it twice
+    built, visited = [], set()
+
+    class Spy(roots._BracketIsolator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+        def at(self, x):
+            visited.add(x)
+            return super().at(x)
+
+    monkeypatch.setattr(roots, "_BracketIsolator", Spy)
+    third = (Interval(Fraction(1, 3), Fraction(1, 3), False, False),)
+    zero = (Interval(Fraction(0), Fraction(0), False, False),)
+    cases = [(P([-1, 3]), third, P([-1, 3]) * P([-2, 1])), (P([0, 1]), zero, poly_from_roots([-2, 0, 1]))]
+    rng = random.Random(19)
+    for _ in range(100):
+        case = certified_case(rng)
+        if case is not None:
+            p, q = case[:2]
+            cases.append((p, tuple(r.interval for r in isolate_roots(p, Fraction(1, 16)).roots), q))
+    certified = twice = 0
+    for p, prev, q in cases:
+        built.clear()
+        visited.clear()
+        if roots.certify_next(p, prev, q, Fraction(1, 16)) is None:
+            continue
+        iso = built[-1]
+        certified += 1
+        twice += len(set(iso.lefts)) < len(iso.lefts)
+        xs = sorted(visited | {x for left, right, _ in iso.found for x in (left[0], right[0])})
+        for x in xs:
+            assert iso.at(x)[1] == (q(x) > 0) - (q(x) < 0)
+        for a, b in [*zip(xs, xs[1:]), *(sorted(rng.sample(xs, 2)) for _ in range(10) if len(xs) > 1)]:
+            assert iso.at(a)[0] - iso.at(b)[0] == sturm_count(q, Interval(a, b)), (q, a, b)
+    assert certified > 40 and twice >= 2
 
 
 def test_value_int_poly_is_the_homogenized_sum():
