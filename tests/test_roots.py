@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -983,3 +984,83 @@ def test_certify_next_mirrors_the_separator_signs_of_a_member_with_parity(monkey
             mirrored_zeros += sum(q(x) == 0 for x in mirror)
             without_parity += bool(mirror) and not symmetric
     assert certified > 60 and mirrored > 100 and mirrored_zeros > 3 and without_parity > 10
+
+
+# sha256 of repr(sequence_zeros(P_0..P_N, width)), zeros and places, for the
+# six verify-families benchmark families at each (N, width), hermite at a
+# fine width and one Freud float sequence; a change that moves a byte must
+# say which member moved and why
+GOLDEN_ZEROS = {
+    "bell": ["d9b92fb2f2e1ef75d173ba2f846e7ef3ae0e7e95d811cbf804e6edc7cc4e7850",
+             "188e499ca4a2b490fa7a04da5dfdbb825f6c36133d00e762548aa51a53b21bbc",
+             "5a1cdd846486e76625bce7060ef031af09f6e48a3ec3ecbb50b371a5291d404e",
+             "bf6a774aef4b051fc559a2e5fb75dad93b3182b659c96a2da7d68915b4d0b198",
+             "f5f1285a5b7fcb7e226f66cfe6362200dea3e3e883366acbce587706e731f82d"],
+    "hermite": ["8b5508053525db9b853c91d6e56dc07ece1ccf472c1d19aa6b3cbe8b72e6a19c",
+                "42f91fc7a2307dd6d7aeb78ff6bf6c8ca205095fe8294c4245f5ce4575c7217b",
+                "d0ee5544cc536227c15916167fb702f761c895c5d3b14f763a0e673dc1e8c4b7",
+                "89eee18cc1503f5f4b2c4e9b4a3daf638f4ac88e8c3110849fab2bc9e78e76e7",
+                "099fb166cd94da955ea5b42d724c845d1ea2cf5a8ee1d2dc63fdc2c0357a3715"],
+    "jacobi": ["2f441fe6cc455d56f140018ea05ef92faeb82b3c9d1f1e5e54006bd03c4150ad",
+               "bfb7d0dfcceba05ee7c831dd639e87effa32e657361f0fe275c9ca7b62c00d37",
+               "6bdaf9ebabc7925d1e7e0e4060941225690a3fce60613aec5ba6aa28acbc2bb5",
+               "4b829462bc36b54fe2731b92b7fa3b56abeb65a6a7b64cbc0065b5d003068e3f",
+               "9e375530184294d72a2d7b1b6b5f3c04bc3e3f808c1f7366394d47d4116bd5bb"],
+    "euler_frobenius": ["df4b0eb1a9422c3864b4c3a2117012e3d4274c5e3a7add8d2518d0e1d39eef66",
+                        "e9e11191c2027993921594771a97e0f8c55c25a145ab65bf34ba632179a1da83",
+                        "4fb0bfd1cdc689c53a00106e87706462d1e300d1f96877242f4d5b3da1aa410b",
+                        "3e68e2af1a36207db9c63381ffd109596716907a602b41eacc7bc3207a82f35a",
+                        "e8a19649a99c5886f66cf59eef83719946363b5cb43a463b9406c5f83ecc6cdc"],
+    "laguerre": ["a740111493624d7cd01f025eb17792b55b15ec429d7338843877e5730cdfcedc",
+                 "8e0cbb7433012a9b39e3d878b568e326a5e762d3f50ebb5bbdbff6a370ed1507",
+                 "5de559c4ca570f0ac4338938031af0f199a969518c52586d069071cccbba5183",
+                 "de0d1dffe7fbc3c4b863fe0c6af22226945c430d3e53cacb05ffb712869b0836",
+                 "a1efb4e8fc73379dd891d0e2aaf38bf5519fdb42681dcdbfb641d3c9b0069240"],
+    "hyp2f1": ["5707b9c03579c1721e662d1e5b4151c7967cab1c489e33d73b1b22d9f7d3fff9",
+               "eca67407d377ccdf3553ef031332b4c3f2fda016631b7c219d1e035659916cc2",
+               "0cf179bd4cbdfa22d67c8ebcaa375c9008aad6116dd98f57b788ed2de329f8eb",
+               "7cd24d2a1b71d7d33025dfdfa09fb74d113e27c3e1ef2851e19f718875020457",
+               "7cd24d2a1b71d7d33025dfdfa09fb74d113e27c3e1ef2851e19f718875020457"],
+    "hermite N=20 width 1e-40": "e7b52a4789f9ccadf708d4ac8bbb122d7e4e9aedd8017fa453ff8e770e65f163",
+    "freud t=1/3 N=16 256 bits": "02cd3d96b4c2fcad4ecd084b7a7d9f8cfc55d1c1ef47eb59a4cbe1e807e4e22c",
+}
+GOLDEN_CELLS = ((14, Fraction(1, 10**9)), (40, Fraction(1, 10**9)), (30, Fraction(1, 10)), (30, Fraction(1)),
+                (30, Fraction(4096)))
+
+
+def test_sequence_zeros_golden():
+    from ddepoly.dde import generate
+    from ddepoly.families import FamilySpec, coefficient_source
+    from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
+    from ddepoly.roots import sequence_zeros
+
+    def digest(polys, width):
+        return hashlib.sha256(repr(sequence_zeros(polys, width)).encode()).hexdigest()
+
+    params = {"jacobi": {"alpha": "1/2", "beta": "1/2"}, "euler_frobenius": {"kappa": "1", "r": "n+1"},
+              "laguerre": {"alpha": "1/2"}, "hyp2f1": {"b": "40", "c": "1"}}
+    got = {}
+    for kind in ("bell", "hermite", "jacobi", "euler_frobenius", "laguerre", "hyp2f1"):
+        polys = generate(coefficient_source(FamilySpec(kind, params.get(kind, {}))), 40).polys
+        got[kind] = [digest(polys[:N + 1], width) for N, width in GOLDEN_CELLS]
+    hermite = generate(coefficient_source(FamilySpec("hermite", {})), 20).polys
+    got["hermite N=20 width 1e-40"] = digest(hermite, Fraction(1, 10**40))
+    freud = freud_sequence(freud_recurrence_coeffs(Fraction(1, 3), 16, 256), 16).polys
+    got["freud t=1/3 N=16 256 bits"] = digest(freud, mpmath.mpf(1e-9))
+    assert got == GOLDEN_ZEROS
+
+    # an end of P_n equal to +-M keeps its own key: jacobi(1/2, 1/2) at
+    # width 4096 has P_2's zeros (-4, 0] and (0, 4], and P_3's M is 4
+    jacobi = generate(coefficient_source(FamilySpec("jacobi", params["jacobi"])), 3).polys
+    rs = sequence_zeros(jacobi, Fraction(4096))
+    assert [(iv.lo, iv.hi) for iv in rs[2].zeros] == [(-4, 0), (0, 4)]
+    assert roots._dyadic_bound(jacobi[3].primitive_int_coeffs()) == 4 and rs[3].places == (0, 2, 4)
+    # +-M (8 for x^3 - x) get no key when an end of P_n lies beyond them: the
+    # bracket (0, 8) is not placed against p's root 1/2
+    prev = (Interval(Fraction(-1), Fraction(0)), Interval(Fraction(0), Fraction(64)))
+    assert roots.certify_next(P([-1, 0, 4]), prev, P([0, -1, 0, 1]), WIDTH).places == (0, 2, None)
+    # a point [0, 0] keeps its key 2j + 1 against the adjacent end 0 of (0, 1]
+    # of x (3x - 1), so the bracket (0, 1) of (x + 1)(4x - 1)(x - 2) stays unplaced
+    prev = (Interval(Fraction(0), Fraction(0), False, False), Interval(Fraction(0), Fraction(1)))
+    q = P([1, 1]) * P([-1, 4]) * P([-2, 1])
+    assert roots.certify_next(P([0, -1, 3]), prev, q, WIDTH).places == (0, None, 4)
