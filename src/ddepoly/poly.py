@@ -276,13 +276,15 @@ class Poly:
             prec = self._check_kind(other)
             if self.is_zero or other.is_zero:
                 return Poly.zero(self.kind, prec)
-            out = [self._zero_scalar()] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
+            exact = self.kind == RATIONAL  # then integer numerators over the product of lcm denominators
+            (a, da), (b, db) = (_over_lcm(p.coeffs) if exact else (p.coeffs, 1) for p in (self, other))
+            out = [0 if exact else self._zero_scalar()] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if not x:
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return self._wrap(out, prec)
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return self._wrap([Fraction(v, da * db) for v in out] if exact else out, prec)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -382,8 +384,7 @@ class Poly:
             raise KindMismatchError("integer normalization requires rational coefficients")
         if self.is_zero:
             return ()
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return _primitive([c.numerator * (den // c.denominator) for c in self.coeffs])
+        return _primitive(_over_lcm(self.coeffs)[0])
 
     def to_float(self, prec=DEFAULT_FLOAT_PREC):
         if self.kind == FLOAT:
@@ -420,6 +421,12 @@ def format_poly(p, var="x", dps=12):
 def _remainders(f, g):
     """`_prs` of the primitive integer vectors of two rational polynomials."""
     return _prs(f.primitive_int_coeffs(), g.primitive_int_coeffs())
+
+
+def _over_lcm(coeffs):
+    """Fraction coefficients as (integer numerators, den) over their lcm denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _primitive(v):

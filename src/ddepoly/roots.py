@@ -3,10 +3,12 @@
 Rational mode is exact and runs on Python ints.  Signed remainder
 sequences are `poly._remainders`, primitive pseudo-remainder sequences
 (Brown & Traub, JACM 1971) and the one exact gcd routine.  Values and
-signs at p/q come from the homogenized integer sum c_i p^i q^(d-i).  Every
-tree node, grid point and separator is dyadic, and at q = 2^k the sum is
-taken in shift form, acc * p + (c_i << k(d-i)); a vector with parity is
-Horner in p^2 over its nonzero half.
+signs at p/q come from the homogenized integer sum c_i p^i q^(d-i).  Tree
+nodes, grid points and separators are integers over a shared power of two
+(or its multiple by the root of a degree-1 member), and a Fraction is built
+only for a returned interval.  At q = 2^k the sum is taken in shift form,
+acc * p + (c_i << k(d-i)); a vector with parity is Horner in p^2 over its
+nonzero half.
 
 Isolation is one bisection tree over one chain per polynomial, that of
 its squarefree part.  p's own chain comes first (but see parity below):
@@ -41,9 +43,9 @@ brackets and the zeros among the separators number deg P_{n+1}, the
 intermediate value theorem and the degree prove it real-simple, one root
 per bracket (Fisk, Polynomials, roots, and interlacing, arXiv:math/0612833).
 The brackets then stand in for the chain: `locate_real_roots` walks
-P_{n+1}'s tree on counts read off them (`_BracketIsolator`), with a sign
-taken only where a midpoint falls inside a bracket, and the nodes are
-refined as above, so the zeros are those of the Sturm path.  The
+P_{n+1}'s tree on counts read off them (`_BracketIsolator`), with a value
+taken only where a midpoint falls inside a bracket, and `_refine` starts
+from the values at a node's ends, so the zeros are those of the Sturm path.  The
 brackets' places among P_n's roots give the interlacing verdict.  When
 the count falls short the member goes to the Sturm path, which stays the
 oracle.
@@ -61,7 +63,7 @@ checks at the endpoints themselves.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -159,14 +161,15 @@ class RootSet:
         return out
 
 
-def _value_int_poly(coeffs, num, den):
+def _value_int_poly(coeffs, num, den, parity=None):
     """sum_i c_i num^i den^(d-i), i.e. den^d f(num/den) for f = sum c_i x^i.
 
     A vector with parity, every other coefficient from the top zero, is
-    Horner in num^2 over its nonzero half, times num when d is odd.  When
+    Horner in num^2 over its nonzero half, times num when d is odd; a caller
+    that evaluates one vector often reads `_parity` once and passes it.  When
     den is a power of two, den^(d-i) is a shift: acc * num + (c_i << k (d-i))."""
     d = len(coeffs) - 1
-    step = 2 if _parity(coeffs) else 1
+    step = 2 if (_parity(coeffs) if parity is None else parity) else 1
     x, acc = num**step, coeffs[-1]
     if den & (den - 1):
         power, y = 1, den**step
@@ -268,15 +271,15 @@ class _Isolator:
     def sign(self, x):
         return _signs_at(self.chain[:1], x)[0]
 
-    def at(self, x):
-        """V(x) and f's sign at a finite x, off one sign vector."""
-        signs = _signs_at(self.chain, x)
-        return _variations(signs), signs[0]
+    def at(self, num, den):
+        """V and f's value den^n f at num/den, off one evaluation of the chain."""
+        values = [_value_int_poly(c, num, den) for c in self.chain]
+        return _variations(map(_sign, values)), values[0]
 
     def variations(self, x):
         if isinstance(x, _Infinity):
             return _variations_inf(self.chain, x.sign)
-        return self.at(x)[0]
+        return _variations(_signs_at(self.chain, x))
 
     def count_half_open(self, lo, hi):
         """Distinct roots in (lo, hi]; lo/hi are Fractions, Surds or infinity tags."""
@@ -303,23 +306,25 @@ class _EvenIsolator(_Isolator):
         self.poly, self.vector, self.bound, self.s, self.chain = f, c, _dyadic_bound(c), s, chain
         self.v0 = _variations([_sign(e[0]) for e in chain])  # V_r(0)
 
-    def _mirrored(self, x, v, r_sign):
-        """V(x) from v = V_r(x^2) and r_sign, that of r(x^2): v itself for
+    def _mirrored(self, x, v, r_x2):
+        """V(x) from v = V_r(x^2) and r_x2, r(x^2) or its sign: v itself for
         x >= 0; below 0, the roots in (0, -x) stand for those in (x, 0), and
         they number V_r(0) - v, less one when r(x^2) = 0."""
-        return 2 * self.v0 + self.s - v - (r_sign == 0) if x < 0 else v
+        return 2 * self.v0 + self.s - v - (r_x2 == 0) if x < 0 else v
 
     def sign(self, x):
         return _sign(x) ** self.s * _signs_at(self.chain[:1], x * x)[0]
 
-    def at(self, x):
-        signs = _signs_at(self.chain, x * x)
-        return self._mirrored(x, _variations(signs), signs[0]), _sign(x) ** self.s * signs[0]
+    def at(self, num, den):
+        """V and f's value at num/den: den^n f = num^s den^(n-s) r(x^2)."""
+        values = [_value_int_poly(c, num * num, den * den) for c in self.chain]
+        return self._mirrored(num, _variations(map(_sign, values)), values[0]), num**self.s * values[0]
 
     def variations(self, x):
         if isinstance(x, _Infinity):  # x^2 = +inf, where r has its leads' signs
             return self._mirrored(x, _variations_inf(self.chain, 1), 1)
-        return self.at(x)[0]
+        signs = _signs_at(self.chain, x * x)
+        return self._mirrored(x, _variations(signs), signs[0])
 
     def top(self):
         v = self.variations(self.bound)  # r(M^2) != 0
@@ -345,54 +350,55 @@ def _isolator(f):
 class _BracketIsolator:
     """Root counting for a q that `certify_next` proved real-simple, off its
     certificate: `found` lists q's roots in ascending order, each a bracket
-    (left, right) of two separators (x, sign of q just left, just right)
-    with one root strictly between them, or one separator twice for a zero
-    of q there.  V(x), the number of q's roots above x, is a bisect over
-    the left ends, and q's sign is taken only where x falls inside a
-    bracket; off the roots it is lead (-1)^V(x)."""
+    (left, right, s, key) of two separators, integers over the shared
+    `den`, with one root strictly between them and s the sign of q just
+    right of left, or left = right for a zero of q there.  V at num/d, the number
+    of q's roots above it, is a bisect over the left ends that compares
+    left d with num den, and q is evaluated only where num/d falls inside
+    a bracket; off the roots its sign is lead (-1)^V and its value is left
+    out (None)."""
 
     gcd_degree = 0
 
-    def __init__(self, q, c, M, found):
-        self.poly, self.vector, self.bound, self.half = q, c, M, _parity(c)
-        self.found, self.lefts, self.lead = found, [left[0] for left, _, _ in found], _sign(c[-1])
+    def __init__(self, q, c, M, half, den, found):
+        self.poly, self.vector, self.bound, self.half, self.den = q, c, M, half, den
+        self.found, self.lefts = found, [left for left, *_ in found]
 
-    def at(self, x):
-        i = bisect_left(self.lefts, x)
-        v = len(self.lefts) - i  # the roots of the brackets from a left end at or above x
-        if i < len(self.lefts) and self.lefts[i] == x and self.found[i][0] is self.found[i][1]:
-            return v - 1, 0  # a zero of q at x, which a bracket from x may follow
-        if i and x < self.found[i - 1][1][0]:  # inside the bracket below
-            s = _sign(_value_int_poly(self.vector, x.numerator, x.denominator))
-            if s == 0:
-                return v, 0
-            v += s == self.found[i - 1][0][2]  # q's sign just right of the bracket's left end
-        return v, self.lead * (-1) ** v
+    def at(self, num, d):
+        x = num * self.den  # num/d and the separators, over d den
+        i = bisect_left(self.lefts, x, key=d.__mul__)
+        v = len(self.lefts) - i  # the roots of the brackets from a left end at or above num/d
+        if i < len(self.lefts) and self.lefts[i] * d == x and self.found[i][1] == self.lefts[i]:
+            return v - 1, 0  # a zero of q at num/d, which a bracket from there may follow
+        if i and x < self.found[i - 1][1] * d:  # inside the bracket below
+            value = _value_int_poly(self.vector, num, d, self.half)
+            return v + (_sign(value) == self.found[i - 1][2]), value
+        return v, None
 
     def top(self):
         return len(self.found), 0
 
 
-def _refine(f, iv, width):
-    """Shrink an isolating interval of the integer vector f to the node that
-    bisection on the sign of f returns: the first node no wider than
-    `width`, or a midpoint that is the root, as a point.  Quadratic interval
-    refinement takes 2^g cells at once: the secant through f's values at
-    the ends names a grid point, signs there pick a cell, and a hit squares
-    the cell count; a miss halves g and bisects once.  g is capped at the
-    steps left, so every cell is a tree node."""
-    if iv.is_point:
-        return iv
-    a, b = iv.lo, iv.hi
+def _refine(f, node, width, parity=None):
+    """Shrink an isolating node of the integer vector f, as `locate_real_roots`
+    returns it, to the node that bisection on the sign of f returns: the
+    first node no wider than `width`, or a midpoint that is the root, as a
+    point.  The walk's values of f at the node's ends are taken as they
+    are; only a missing one is evaluated.  Quadratic interval refinement
+    takes 2^g cells at once: the secant through f's values at the ends
+    names a grid point, signs there pick a cell, and a hit squares the
+    cell count; a miss halves g and bisects once.  g is capped at the steps
+    left, so every cell is a tree node.  `parity` is `_parity(f)`."""
+    lo, hi, den, f_lo, f_hi = node
+    if lo == hi:
+        return _point(Fraction(lo, den))
     n = len(f) - 1
-    den = lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * den // a.denominator, b.numerator * den // b.denominator
-    f_lo = _value_int_poly(f, lo, den)
+    f_lo = _value_int_poly(f, lo, den, parity) if f_lo is None else f_lo
     if f_lo == 0:
-        raise InternalError(f"isolating interval {iv!r} has a root at its open end")
+        raise InternalError(f"isolating interval ({Fraction(lo, den)}, {Fraction(hi, den)}] has a root at its open end")
     # bisection steps to a node no wider than width: bit length of ceil(ratio) - 1
     depth = (-(-(hi - lo) * width.denominator // (width.numerator * den)) - 1).bit_length()
-    f_hi = _value_int_poly(f, hi, den) if depth else 0
+    f_hi = _value_int_poly(f, hi, den, parity) if depth and f_hi is None else f_hi
     g = after_bisect = 2
     while depth:
         g = min(g, depth)
@@ -401,7 +407,7 @@ def _refine(f, iv, width):
         def at(i):  # d^n f at grid point i; the ends are known
             if i in (0, cells):
                 return (f_hi if i else f_lo) << (g * n)
-            return _value_int_poly(f, (lo << g) + i * step, d)
+            return _value_int_poly(f, (lo << g) + i * step, d, parity)
 
         total = abs(f_lo) + abs(f_hi)
         # the inner grid point nearest the secant's root; the midpoint when g = 1
@@ -423,38 +429,46 @@ def _refine(f, iv, width):
 
 
 def locate_real_roots(f, iso=None):
-    """Sorted isolating intervals for the real roots of a squarefree rational
-    polynomial: exact points [m, m], and half-open (a, b] holding one root
-    with f nonzero at both ends.  `iso` is an isolator already built for f,
+    """Sorted isolating nodes for the real roots of a squarefree rational
+    polynomial, each (lo, hi, den, f_lo, f_hi) for (lo/den, hi/den]: an
+    exact point, lo = hi, or a half-open node holding one root with f
+    nonzero at both ends.  den is a power of two, except at the root of a
+    degree-1 f.  f_lo and f_hi are f's values den^n f at the ends where the
+    walk computed them, shifted n bits for each halving since, else None;
+    `_refine` starts from them.  `iso` is an isolator already built for f,
     by default `_isolator(f)`, or the `_BracketIsolator` of its certificate:
-    each gives V and f's sign at a midpoint (`at`) and the top node's counts
-    (`top`).  On one with `half` (f with parity) no node
-    below 0 is walked, so only the intervals in [0, M] come back, or
-    (-M, M] itself when it holds f's one root; `_mirror` gives the rest."""
+    each gives V and f's value at a midpoint (`at`) and the top node's
+    counts (`top`).  A stack entry's end is a root point when its value is
+    0, and its counts exclude that root.  On an isolator with `half` (f
+    with parity) no node below 0 is walked, so only the nodes in [0, M] come
+    back, or (-M, M] itself when it holds f's one root; `_mirror` gives the
+    rest.  No node narrower than f's root separation holds two roots, so
+    one that would be bisected past it raises `InternalError`."""
     if f.degree == 1:
-        return [_point(-f.coeffs[0] / f.coeffs[1])]
+        r = -f.coeffs[0] / f.coeffs[1]
+        return [(r.numerator, r.numerator, r.denominator, 0, 0)]
     iso = iso or _isolator(f)
-    M = iso.bound
-    stack = [(-M, M, *iso.top())]
-    points, out = set(), []
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n == 0:
+    n, M, bits = f.degree, iso.bound, max(abs(v).bit_length() for v in iso.vector)
+    # den's bits past which a node is narrower than the least distance between two roots, by Mahler's
+    # bound sep > sqrt(3) n^(-(n+2)/2) |c|^(1-n) for the vector c, with |c| < sqrt(n+1) 2^bits
+    limit = M.numerator.bit_length() + 1 + (n + 2) * n.bit_length() // 2 + (n - 1) * (bits + (n + 1).bit_length())
+    stack, out = [(-M.numerator, M.numerator, M.denominator, *iso.top(), None, None)], []
+    while stack:  # the left child is popped first, so the nodes come out ascending
+        a, b, den, va, vb, fa, fb = stack.pop()
+        if va == vb:
             continue
-        if n == 1 and a not in points and b not in points:
-            out.append(Interval(a, b))
+        if va - vb == 1 and (a == b or fa != 0 and fb != 0):
+            out.append((a, b, den, fa, fb))
             continue
-        m = (a + b) / 2
-        vm, sm = iso.at(m)
-        hit = sm == 0
-        if hit:
-            points.add(m)
-            out.append(_point(m))
+        if den.bit_length() > limit:
+            raise InternalError(f"root counts of a degree-{n} polynomial do not settle at its root separation")
+        m, den = a + b, 2 * den
+        vm, fm = iso.at(m, den)
+        stack.append((m, 2 * b, den, vm, vb, fm, fb and fb << n))
+        if fm == 0:
+            stack.append((m, m, den, 1, 0, 0, 0))
         if m > 0 or not iso.half:
-            stack.append((a, m, va, vm + hit))  # at a root m, V(m) = V(m+) = V(m-) - 1
-        stack.append((m, b, vm, vb))
-    out.sort(key=lambda iv: iv.lo)
+            stack.append((2 * a, m, den, va, vm + (fm == 0), fa and fa << n, fm))  # at a root m, V(m-) = V(m) + 1
     return out
 
 
@@ -527,7 +541,8 @@ def _isolate(p, iso, width):
         decomp = squarefree_decomposition(iso.poly, iso.chain[-1])
         iso = _isolator(prod((f for f, _ in decomp), start=Poly.one()))
         factors = [(f.primitive_int_coeffs(), m) for f, m in decomp]
-    ivs = [_refine(iso.vector, iv, width) for iv in locate_real_roots(iso.poly, iso)]
+    parity = _parity(iso.vector)
+    ivs = [_refine(iso.vector, node, width, parity) for node in locate_real_roots(iso.poly, iso)]
     roots = [
         RootInterval(_ends_of_kind(p, iv), 1 if squarefree else _multiplicity(factors, iv))
         for iv in (_mirror(ivs) if iso.half else ivs)
@@ -601,79 +616,86 @@ def certify_next(p, prev, q, width):
     intervals of the real-simple p (the member before q), and return q's
     `MemberRoots` with its places; or return None.
 
-    The separators are -M, the ends of `prev` inside (-M, M) and M, for
-    M = `_dyadic_bound`.  A separator where q vanishes is a root of q, with
-    the one-sided signs -+sign q' there (None if q' vanishes too), and two
-    adjacent signs that differ bracket a root.  For q with parity, the signs
-    at a negative separator x whose mirror -x is a separator are those at -x
-    times (-1)^n, the one-sided pair swapped.  When the zeros and brackets
-    number deg q, each bracket holds exactly one simple root and q has no
-    other: q is real-simple.  The zeros are then `_isolate`'s on a
-    `_BracketIsolator`, which counts q's roots off the brackets: the same
-    tree walk by `locate_real_roots` on the same counts, the same mirror and
-    `_refine`, so they equal `isolate_roots(q, width)`'s.  The places come
-    from the separators, and a root whose bracket holds one root of p is
-    placed against it by `_order_in`.
+    The separators are -M, the ends of `prev` inside (-M, M) and M for
+    M = `_dyadic_bound`, integers over one den.  One where q vanishes is a
+    root of q, with the one-sided signs -+sign q' there (None if q' vanishes
+    too), and two adjacent signs that differ bracket a root.  For q with
+    parity, the signs at a negative separator x whose mirror -x is one too
+    are read off -x by position, times (-1)^n, the one-sided pair swapped.
+    When the zeros and brackets number deg q, each bracket holds exactly one
+    simple root and q has no other: q is real-simple.  The zeros are then
+    `_isolate`'s on a `_BracketIsolator`, which counts q's roots off the
+    brackets: the same tree walk by `locate_real_roots` on the same counts,
+    the same mirror and `_refine`, so they equal `isolate_roots(q, width)`'s.
+    The places come from the separators, and a root whose bracket holds one
+    root of p is placed against it by `_order_in`.
     """
     c = q.primitive_int_coeffs()
-    n, M = len(c) - 1, _dyadic_bound(c)
-    keys = {}  # separator -> its key, as in `places`; ascending, as prev is
+    n, M, half = len(c) - 1, _dyadic_bound(c), _parity(c)
+    den = lcm(M.denominator, *(x.denominator for iv in prev for x in (iv.lo, iv.hi)))
+    m = M.numerator * den // M.denominator
+    xs, keys = [], []  # p's distinct ends over den, ascending, and their keys as in `places`
     for j, iv in enumerate(prev):
-        if iv.is_point:
-            keys[iv.lo] = 2 * j + 1
-        else:
-            keys.setdefault(iv.lo, 2 * j)
-            keys.setdefault(iv.hi, 2 * j + 2)
-    inside = [x for x in keys if -M < x < M]
-    if len(inside) == len(keys):  # else p has a root beyond +-M, below or above unknown
-        keys[-M], keys[M] = 0, 2 * len(prev)
-    lead, half = _sign(c[-1]), _parity(c)
-    sided, dc = {}, None  # separator -> (sign of q just left, just right)
-    for x in reversed(inside) if half else inside:  # with parity, the ends above 0 first
-        if half and x < 0 and -x in sided:  # q(x +- h) = (-1)^n q(-x -+ h)
-            below, above = sided[-x]
-            sided[x] = (-1) ** n * above, (-1) ** n * below
+        for x, key in [(iv.lo, 2 * j + 1)] if iv.is_point else [(iv.lo, 2 * j), (iv.hi, 2 * j + 2)]:
+            x = x.numerator * (den // x.denominator)
+            if not xs or xs[-1] != x:
+                xs.append(x)
+                keys.append(key)
+            elif iv.is_point:  # a point keeps its own key against an end beside it
+                keys[-1] = key
+    lo, hi = bisect_right(xs, -m), bisect_left(xs, m)  # the ends inside (-M, M) are xs[lo:hi]
+    whole = lo == 0 and hi == len(xs)  # else p has a root beyond +-M, below or above unknown
+    seps = [-m, *xs[lo:hi], m]
+    ks = [keys[lo - 1] if lo and xs[lo - 1] == -m else (0 if whole else None), *keys[lo:hi],
+          keys[hi] if hi < len(xs) and xs[hi] == m else (2 * len(prev) if whole else None)]
+    lead, dc = _sign(c[-1]), None
+    sided = [(lead * (-1) ** n,) * 2, *[None] * (len(seps) - 2), (lead, lead)]  # q's sign just left, just right
+    for i in range(len(seps) - 2, 0, -1) if half else range(1, len(seps) - 1):  # with parity, the ends above 0 first
+        x = seps[i]
+        j = bisect_left(seps, -x, i + 1, len(seps) - 1) if half and x < 0 else 0
+        if j and seps[j] == -x:  # q(x +- h) = (-1)^n q(-x -+ h)
+            below, above = sided[j]
+            sided[i] = (-1) ** n * above, (-1) ** n * below
             continue
-        s = _sign(_value_int_poly(c, x.numerator, x.denominator))
+        s = _sign(_value_int_poly(c, x, den, half))
         if s == 0:
-            dc = dc or [i * v for i, v in enumerate(c)][1:]
-            s = _sign(_value_int_poly(dc, x.numerator, x.denominator))
+            dc = dc or [k * v for k, v in enumerate(c)][1:]
+            s = _sign(_value_int_poly(dc, x, den))
             if s == 0:
                 return None
-            sided[x] = -s, s
+            sided[i] = -s, s
         else:
-            sided[x] = s, s
-    seps = [(-M, lead * (-1) ** n, lead * (-1) ** n), *((x, *sided[x]) for x in inside), (M, lead, lead)]
-    found = []  # (left, right, key): a bracket between two separators, or a zero of q as left is right
-    for left, right in zip(seps, seps[1:]):
-        if left[1] != left[2]:
-            found.append((left, left, keys.get(left[0])))
-        if left[2] != right[1]:
-            ka, kb = keys.get(left[0]), keys.get(right[0])
-            key = None
+            sided[i] = s, s
+    found = []  # (left, right, sign of q just right of left, key): a bracket, or a zero of q as left = right
+    for i in range(len(seps) - 1):
+        (below, above), ka = sided[i], ks[i]
+        if below != above:
+            found.append((seps[i], seps[i], above, ka))
+        if above != sided[i + 1][0]:
+            kb, key = ks[i + 1], None
             if ka is not None and kb is not None:
                 j = (ka + 1) // 2  # roots of p at or below left
                 if kb // 2 == j:  # none between
                     key = 2 * j
                 elif ka == 2 * j == kb - 2:  # p's root j alone between
-                    key = _order_in(p.primitive_int_coeffs(), c, left, right, j)
-            found.append((left, right, key))
+                    key = _order_in(p.primitive_int_coeffs(), c, seps[i], seps[i + 1], den, above, j)
+            found.append((seps[i], seps[i + 1], above, key))
     if len(found) != n:
         return None
-    zeros = _isolate(q, _BracketIsolator(q, c, M, found), width).roots
-    return MemberRoots(RealSimpleCheck(True), tuple(r.interval for r in zeros), tuple(k for _, _, k in found))
+    zeros = _isolate(q, _BracketIsolator(q, c, M, half, den, found), width).roots
+    return MemberRoots(RealSimpleCheck(True), tuple(r.interval for r in zeros), tuple(k for *_, k in found))
 
 
-def _order_in(f, c, left, right, j):
-    """The key of c's one root in the bracket between `left` and `right`,
-    which holds f's root j and no other: bisection on the signs of both
-    until a midpoint parts the roots or meets one; None when 64 steps do
-    not (a shared irrational root never parts)."""
-    (a, _, qa), (b, _, _) = left, right
+def _order_in(f, c, a, b, den, qa, j):
+    """The key of c's one root in the bracket (a/den, b/den), which holds
+    f's root j and no other, with qa the sign of c just right of a:
+    bisection on the signs of both until a midpoint parts the roots or
+    meets one; None when 64 steps do not (a shared irrational root never
+    parts)."""
     fa = _sign(f[-1]) * (-1) ** (len(f) - 1 + j)  # f's sign between its roots j - 1 and j
     for _ in range(64):
-        m = (a + b) / 2
-        qm, fm = (_sign(_value_int_poly(v, m.numerator, m.denominator)) for v in (c, f))
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        qm, fm = (_sign(_value_int_poly(v, m, den)) for v in (c, f))
         q_right, f_right = qm == qa, fm == fa  # whether each root lies above m
         if qm == 0:
             return 2 * j + 1 if fm == 0 else 2 * j + 2 * (not f_right)

@@ -394,18 +394,38 @@ def test_strict_extension_flag(capsys, tmp_path):
 def test_kernel_invariant_failure_exits_internal(capsys, monkeypatch, tmp_path):
     # an isolation that hands refinement an interval with a root at its open
     # end breaks a kernel invariant: exit 4, never "input error" (exit 2)
-    from fractions import Fraction
-
     import ddepoly.roots as roots
 
-    # P_2 = x (2x - 1) is certified, and its tree walk is the broken one
-    monkeypatch.setattr(roots, "locate_real_roots", lambda f, iso=None: [roots.Interval(Fraction(0), Fraction(1))])
+    # P_2 = x (2x - 1) is certified, and its tree walk is the broken one: it
+    # returns the node (0, 1] over den 1, with no values at its ends
+    monkeypatch.setattr(roots, "locate_real_roots", lambda f, iso=None: [(0, 1, 1, None, None)])
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"sequence": [["1"], ["-1", "2"], ["0", "-1", "2"]]}))
     code = main(["zeros", "--input", str(path)])
     err = capsys.readouterr().err
     assert code == 4
     assert err == "internal error: isolating interval (0, 1] has a root at its open end\n"
+
+
+def test_unsettled_root_counts_exit_internal(capsys, monkeypatch):
+    # certificate counts that never settle (V = deg q below every x) stop at
+    # P_2's root separation with exit 4; the patch gives up after 10^4 calls,
+    # so that without the bound this test fails instead of hanging
+    import ddepoly.roots as roots
+
+    calls = []
+
+    def at(self, num, den):
+        calls.append(1)
+        if len(calls) > 10**4:
+            raise RuntimeError("the walk did not stop")
+        return len(self.found), None
+
+    monkeypatch.setattr(roots._BracketIsolator, "at", at)
+    code = main(["zeros", "--family", "hermite", "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "internal error: root counts of a degree-2 polynomial do not settle at its root separation\n"
 
 
 @pytest.mark.parametrize("argv, where", [

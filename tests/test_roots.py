@@ -99,6 +99,12 @@ def test_mirrored_roots_keep_their_own_multiplicity():
         assert [(r.interval.lo, r.multiplicity) for r in rs.roots] == want
 
 
+def interval(node):
+    """The Interval of a node (lo, hi, den, f_lo, f_hi) of `locate_real_roots`."""
+    lo, hi = Fraction(node[0], node[2]), Fraction(node[1], node[2])
+    return Interval(lo, hi, lo != hi, False)
+
+
 def left_of(a, b):
     """Every point of interval a lies below every point of b."""
     return a.hi < b.lo or (a.hi == b.lo and (a.hi_open or b.lo_open))
@@ -450,7 +456,10 @@ def test_locate_real_roots_isolates_each_planted_root_once(rational, surds, comp
     iso = _Isolator(p)
     sides = [lambda x, r=r: (x > r) - (x < r) for r in rational]
     sides += [surd_side(a, s, d) for a, d in surds for s in (1, -1)]
-    ivs = locate_real_roots(p, iso)
+    nodes = locate_real_roots(p, iso)
+    for lo, hi, den, f_lo, f_hi in nodes:  # the values the walk hands on are den^n p at the ends
+        assert all(v is None or v == roots._value_int_poly(iso.vector, x, den) for x, v in ((lo, f_lo), (hi, f_hi)))
+    ivs = [interval(node) for node in nodes]
     for side in sides:
         assert side(-iso.bound) < 0 < side(iso.bound)
         assert sum(inside(iv, side) for iv in ivs) == 1
@@ -475,8 +484,8 @@ def test_sign_refinement_matches_variation_bisection(rational, surds, complexes,
     if p is None:
         return
     iso = _Isolator(p)
-    for iv in locate_real_roots(p, iso):
-        assert _refine(iso.chain[0], iv, width) == variation_refine(p, iv, width)
+    for node in locate_real_roots(p, iso):
+        assert _refine(iso.chain[0], node, width) == variation_refine(p, interval(node), width)
 
 
 def bisection_refine(iso, iv, width):
@@ -522,7 +531,7 @@ def test_isolation_matches_plain_bisection(width):
         p, sqf, planted = seeded_product(rng)
         iso = _Isolator(sqf)
         want = []
-        for iv in locate_real_roots(sqf, iso):
+        for iv in map(interval, locate_real_roots(sqf, iso)):
             (m,) = [m for side, m in planted if inside(iv, side)]
             want.append((bisection_refine(iso, iv, width), m))
         assert [(r.interval, r.multiplicity) for r in isolate_roots(p, width).roots] == want
@@ -531,13 +540,15 @@ def test_isolation_matches_plain_bisection(width):
 def test_quadratic_refinement_needs_under_half_the_evaluations(monkeypatch):
     calls = []
     value = roots._value_int_poly
-    monkeypatch.setattr(roots, "_value_int_poly", lambda f, num, den: calls.append(1) or value(f, num, den))
+    monkeypatch.setattr(roots, "_value_int_poly", lambda f, num, den, *parity: calls.append(1) or value(f, num, den, *parity))
     rng, width, counts = random.Random(1971), Fraction(1, 2**256), [0, 0]
     for _ in range(20):
         _, sqf, _ = seeded_product(rng)
         iso = _Isolator(sqf)
-        for iv in locate_real_roots(sqf, iso):
-            for i, refine in enumerate((partial(_refine, iso.chain[0]), partial(bisection_refine, iso))):
+        for node in locate_real_roots(sqf, iso):
+            # both start from the node alone, without the walk's values at its ends
+            for i, refine, iv in ((0, partial(_refine, iso.chain[0]), (*node[:3], None, None)),
+                                  (1, partial(bisection_refine, iso), interval(node))):
                 calls.clear()
                 refine(iv, width)
                 counts[i] += len(calls)
@@ -547,11 +558,38 @@ def test_quadratic_refinement_needs_under_half_the_evaluations(monkeypatch):
 def test_refine_returns_a_rational_root_hit_as_a_point():
     f = _Isolator(P([-3, 4]) * P([-2, 0, 1])).chain[0]  # roots 3/4, +-sqrt(2)
     hit = Interval(Fraction(3, 4), Fraction(3, 4), False, False)
-    assert _refine(f, Interval(Fraction(0), Fraction(1)), Fraction(1, 100)) == hit
+    assert _refine(f, (0, 1, 1, None, None), Fraction(1, 100)) == hit
     # a width of exactly the target stops the bisection
-    assert _refine(f, Interval(Fraction(1), Fraction(2)), Fraction(1, 4)) == Interval(Fraction(5, 4), Fraction(3, 2))
+    assert _refine(f, (1, 2, 1, None, None), Fraction(1, 4)) == Interval(Fraction(5, 4), Fraction(3, 2))
     with pytest.raises(InternalError):
-        _refine(f, Interval(Fraction(3, 4), Fraction(1)), Fraction(1, 100))
+        _refine(f, (3, 4, 4, None, None), Fraction(1, 100))
+
+
+def test_walk_stops_at_the_root_separation_when_counts_never_settle():
+    # an isolator with V(x) = 2 for every x < M and V(M) = 0 keeps the node
+    # next to M at two roots, so the walk would bisect toward M forever; no
+    # node narrower than x^2 - 2's root separation can hold two roots, so it
+    # raises there.  The stub gives up after 10^4 calls, so that without the
+    # bound this test fails instead of hanging
+    class Unsettled:
+        half, bound = False, Fraction(4)
+
+        def __init__(self, f):
+            self.vector, self.calls = f.primitive_int_coeffs(), 0
+
+        def top(self):
+            return 2, 0
+
+        def at(self, num, den):
+            self.calls += 1
+            assert self.calls < 10**4, "the walk did not stop"
+            return 2, None
+
+    f = P([-2, 0, 1])
+    iso = Unsettled(f)
+    with pytest.raises(InternalError, match="do not settle"):
+        locate_real_roots(f, iso)
+    assert 0 < iso.calls < 40
 
 
 def test_exact_isolation_makes_no_divrem_or_gcd(monkeypatch):
@@ -725,9 +763,9 @@ def test_certificate_counts_are_sturm_counts(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-        def at(self, x):
-            visited.add(x)
-            return super().at(x)
+        def at(self, num, den):
+            visited.add(Fraction(num, den))
+            return super().at(num, den)
 
     monkeypatch.setattr(roots, "_BracketIsolator", Spy)
     third = (Interval(Fraction(1, 3), Fraction(1, 3), False, False),)
@@ -748,11 +786,13 @@ def test_certificate_counts_are_sturm_counts(monkeypatch):
         iso = built[-1]
         certified += 1
         twice += len(set(iso.lefts)) < len(iso.lefts)
-        xs = sorted(visited | {x for left, right, _ in iso.found for x in (left[0], right[0])})
-        for x in xs:
-            assert iso.at(x)[1] == (q(x) > 0) - (q(x) < 0)
+        xs = sorted(visited | {Fraction(x, iso.den) for left, right, *_ in iso.found for x in (left, right)})
+        at = {x: iso.at(x.numerator, x.denominator) for x in xs}
+        for x, (v, value) in at.items():  # no value off the roots: there q's sign is lead (-1)^V
+            lead = roots._sign(iso.vector[-1])
+            assert (lead * (-1) ** v if value is None else roots._sign(value)) == (q(x) > 0) - (q(x) < 0)
         for a, b in [*zip(xs, xs[1:]), *(sorted(rng.sample(xs, 2)) for _ in range(10) if len(xs) > 1)]:
-            assert iso.at(a)[0] - iso.at(b)[0] == sturm_count(q, Interval(a, b)), (q, a, b)
+            assert at[a][0] - at[b][0] == sturm_count(q, Interval(a, b)), (q, a, b)
     assert certified > 40 and twice >= 2
 
 
@@ -826,7 +866,7 @@ def test_parity_products_match_the_whole_tree(monkeypatch, width, repeated):
     # bisection, and the multiplicities the planted ones
     refined = []
     orig = roots._refine
-    monkeypatch.setattr(roots, "_refine", lambda f, iv, w: refined.append(iv) or orig(f, iv, w))
+    monkeypatch.setattr(roots, "_refine", lambda f, node, w, *parity: refined.append(node) or orig(f, node, w, *parity))
     rng, odd = random.Random(2021 + repeated), 0
     for _ in range(40):
         p, sqf, planted = parity_product(rng, repeated)
@@ -907,12 +947,13 @@ def test_half_chain_counts_match_the_whole_line_oracles():
                if roots._value_int_poly(c, x.numerator, x.denominator) == 0}
         xs |= {Fraction(rng.randint(-99, 99), rng.choice([3, 7, 10])) * M / 100 for _ in range(6)}
         xs = sorted(xs)
-        for x in xs:
-            assert iso.sign(x) == full.sign(x) == iso.at(x)[1]
+        for x in xs:  # den^n p off p's own vector, by both
+            value = iso.at(x.numerator, x.denominator)[1]
+            assert value == full.at(x.numerator, x.denominator)[1] and iso.sign(x) == full.sign(x) == roots._sign(value)
         ends = [NEG_INF, *xs, POS_INF]
         for a, b in [*zip(ends, ends[1:]), *(sorted(rng.sample(ends, 2)) for _ in range(20))]:
             assert iso.count_half_open(a, b) == sturm_count(sqf, Interval(a, b)), (sqf, a, b)
-        assert roots._mirror(locate_real_roots(sqf, iso)) == walk
+        assert roots._mirror([interval(node) for node in locate_real_roots(sqf, iso)]) == walk
         x_mult = next(i for i, v in enumerate(p.primitive_int_coeffs()) if v)
         seen |= {("x^s", x_mult), ("squarefree", squarefree), ("walk", len(walk) == 1 and walk[0].lo < 0)}
         seen.add(("root at 0", any(iv.is_point and iv.lo == 0 for iv in walk)))
@@ -949,9 +990,9 @@ def test_certify_next_mirrors_the_separator_signs_of_a_member_with_parity(monkey
     # with parity ignored, and its zeros are the whole tree's
     value, parity, seen = roots._value_int_poly, roots._parity, set()
 
-    def record(c, num, den):
+    def record(c, num, den, parity=None):
         seen.add(Fraction(num, den))
-        return value(c, num, den)
+        return value(c, num, den, parity)
 
     rng = random.Random(22)
     certified = mirrored = mirrored_zeros = without_parity = 0

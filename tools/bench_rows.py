@@ -22,8 +22,11 @@ boundary_zeros on seeded pairs, and sequence_zeros over P_0..P_N as the
 zeros command runs it.  Each of its CELLS runs by the stored command
 SCALING in a fresh process, so that no cell inherits the heap of the
 cells before it, SCALING_RUNS times per side with the side that runs
-first alternating; the row keeps the median and every run, since one
-wall-clock run per cell spreads wider than the changes it should show.
+first alternating, and SLOW_RUNS times for a cell whose median on
+either side reaches SLOW_CELL_S seconds after those runs; the row keeps
+the median, the quartiles and every run, since one wall-clock run per
+cell spreads wider than the changes it should show, and three runs do
+not settle a cell of several seconds on a two-CPU host.
 The file also holds the machine facts and the commands.  Only the
 standard library is used; the interpreter that runs this script runs
 perfbench too.
@@ -105,7 +108,7 @@ CELLS = (
     + [f"zeros {k} N={N}" for k in ("hermite", "jacobi", "euler_frobenius") for N in (60, 100)]
     + ["zeros freud t=0 N=32 512 bits"]
 )
-SCALING_RUNS = 3
+SCALING_RUNS, SLOW_RUNS, SLOW_CELL_S = 3, 5, 5.0
 
 
 def perfbench(checkout, workload, seed, seconds, trace):
@@ -205,7 +208,8 @@ def main():
                 f"(cells 'classify+boundary ...'; in the 'wide' cell 125 of each kind, with numerators and "
                 f"denominators up to 2^64 instead of 6 and 4) and sequence_zeros wall seconds over the members "
                 f"P_0..P_N at width 1e-9, as the zeros command runs it (cells 'zeros ...'; the Freud members "
-                f"at 512 bits), median and all {SCALING_RUNS} runs, each cell in its own process; agreement "
+                f"at 512 bits), median, quartiles and all {SCALING_RUNS} runs ({SLOW_RUNS} for a cell whose median "
+                f"reaches {SLOW_CELL_S} s on either side), each cell in its own process; agreement "
                 f"is verify_sequence's agreement, all_admit for admits_dde, K's vanishing-point count within "
                 f"2 on every pair, or every root of every member real",
         "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING) + " CELL",
@@ -213,13 +217,15 @@ def main():
     }
     rows = {"parent": {}, "change": {}}
     for cell in CELLS:
-        for i in range(1, SCALING_RUNS + 1):
+        i = 0
+        while i < SCALING_RUNS or (i < SLOW_RUNS and max(statistics.median(r[0] for r in rows[side][cell])
+                                                         for side in rows) >= SLOW_CELL_S):
+            i += 1
             for side, checkout in sides if i % 2 else sides[::-1]:
                 rows[side].setdefault(cell, []).append(scaling(checkout, cell))
     for side, cells in rows.items():
         doc["scaling"][side] = {
-            cell: {"median": statistics.median(r[0] for r in runs), "runs": [r[0] for r in runs],
-                   "agreement": all(r[1] for r in runs)}
+            cell: {**summary([r[0] for r in runs]), "runs": [r[0] for r in runs], "agreement": all(r[1] for r in runs)}
             for cell, runs in cells.items()
         }
 
