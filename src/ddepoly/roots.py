@@ -167,9 +167,12 @@ def _value_int_poly(coeffs, num, den, parity=None):
     A vector with parity, every other coefficient from the top zero, is
     Horner in num^2 over its nonzero half, times num when d is odd; a caller
     that evaluates one vector often reads `_parity` once and passes it.  When
-    den is a power of two, den^(d-i) is a shift: acc * num + (c_i << k (d-i))."""
+    den is a power of two, num/den goes in lowest terms (2^r less), den^(d-i)
+    is a shift, acc * num + (c_i << k (d-i)), and the sum shifts back r d bits."""
     d = len(coeffs) - 1
     step = 2 if (_parity(coeffs) if parity is None else parity) else 1
+    r = 0 if den & (den - 1) else min(((num & -num) or den).bit_length(), den.bit_length()) - 1
+    num, den = num >> r, den >> r
     x, acc = num**step, coeffs[-1]
     if den & (den - 1):
         power, y = 1, den**step
@@ -181,7 +184,7 @@ def _value_int_poly(coeffs, num, den, parity=None):
         for c in coeffs[-1 - step::-step]:
             shift += k
             acc = acc * x + (c << shift)
-    return acc * num if d % step else acc
+    return (acc * num if d % step else acc) << r * d
 
 
 def _signs_at(chain, x):
@@ -323,8 +326,7 @@ class _EvenIsolator(_Isolator):
     def variations(self, x):
         if isinstance(x, _Infinity):  # x^2 = +inf, where r has its leads' signs
             return self._mirrored(x, _variations_inf(self.chain, 1), 1)
-        signs = _signs_at(self.chain, x * x)
-        return self._mirrored(x, _variations(signs), signs[0])
+        return self.at(x.numerator, x.denominator)[0]
 
     def top(self):
         v = self.variations(self.bound)  # r(M^2) != 0
@@ -352,11 +354,10 @@ class _BracketIsolator:
     certificate: `found` lists q's roots in ascending order, each a bracket
     (left, right, s, key) of two separators, integers over the shared
     `den`, with one root strictly between them and s the sign of q just
-    right of left, or left = right for a zero of q there.  V at num/d, the number
-    of q's roots above it, is a bisect over the left ends that compares
-    left d with num den, and q is evaluated only where num/d falls inside
-    a bracket; off the roots its sign is lead (-1)^V and its value is left
-    out (None)."""
+    right of left, or left = right for a zero of q there.  V at num/d, the
+    number of q's roots above it, is a bisect over the left ends comparing
+    left d with num den, and q's value is taken only where num/d falls
+    inside a bracket; off the roots it is None, and its sign lead (-1)^V."""
 
     gcd_degree = 0
 
@@ -380,19 +381,18 @@ class _BracketIsolator:
 
 
 def _refine(f, node, width, parity=None):
-    """Shrink an isolating node of the integer vector f, as `locate_real_roots`
-    returns it, to the node that bisection on the sign of f returns: the
-    first node no wider than `width`, or a midpoint that is the root, as a
-    point.  The walk's values of f at the node's ends are taken as they
-    are; only a missing one is evaluated.  Quadratic interval refinement
-    takes 2^g cells at once: the secant through f's values at the ends
-    names a grid point, signs there pick a cell, and a hit squares the
-    cell count; a miss halves g and bisects once.  g is capped at the steps
-    left, so every cell is a tree node.  `parity` is `_parity(f)`."""
-    lo, hi, den, f_lo, f_hi = node
+    """Shrink an isolating node of the integer vector f from
+    `locate_real_roots`, starting from the walk's values at its ends (a
+    missing one is evaluated), to the node that bisection on the sign of f
+    returns: the first node no wider than `width`, or a midpoint that is
+    the root, as a point.  Quadratic interval refinement takes 2^g cells at
+    once: the secant through f's values at the ends names a grid point,
+    signs there pick a cell, and a hit squares the cell count; a miss halves
+    g and bisects once.  g is capped at the steps left, so every cell is a
+    tree node.  `parity` is `_parity(f)`."""
+    (lo, hi, den, f_lo, f_hi), n = node, len(f) - 1
     if lo == hi:
         return _point(Fraction(lo, den))
-    n = len(f) - 1
     f_lo = _value_int_poly(f, lo, den, parity) if f_lo is None else f_lo
     if f_lo == 0:
         raise InternalError(f"isolating interval ({Fraction(lo, den)}, {Fraction(hi, den)}] has a root at its open end")
@@ -432,26 +432,26 @@ def locate_real_roots(f, iso=None):
     """Sorted isolating nodes for the real roots of a squarefree rational
     polynomial, each (lo, hi, den, f_lo, f_hi) for (lo/den, hi/den]: an
     exact point, lo = hi, or a half-open node holding one root with f
-    nonzero at both ends.  den is a power of two, except at the root of a
-    degree-1 f.  f_lo and f_hi are f's values den^n f at the ends where the
-    walk computed them, shifted n bits for each halving since, else None;
-    `_refine` starts from them.  `iso` is an isolator already built for f,
+    nonzero at both ends.  den is 1 / width, a power of two, or 1 (the
+    root's denominator for a degree-1 f).  f_lo and f_hi are f's values
+    den^n f at the ends where the walk computed them, else None; `_refine`
+    starts from them, and a stack entry's end whose value is 0 is a root
+    point its counts exclude.  `iso` is an isolator already built for f,
     by default `_isolator(f)`, or the `_BracketIsolator` of its certificate:
     each gives V and f's value at a midpoint (`at`) and the top node's
-    counts (`top`).  A stack entry's end is a root point when its value is
-    0, and its counts exclude that root.  On an isolator with `half` (f
-    with parity) no node below 0 is walked, so only the nodes in [0, M] come
-    back, or (-M, M] itself when it holds f's one root; `_mirror` gives the
-    rest.  No node narrower than f's root separation holds two roots, so
-    one that would be bisected past it raises `InternalError`."""
+    counts (`top`).  On one with `half` (f with parity) no node below 0 is
+    walked, so only the nodes in [0, M] come back, or (-M, M] itself when
+    it holds f's one root; `_mirror` gives the rest.  A node narrower than
+    f's root separation holds one root at most, so bisecting one raises
+    `InternalError`."""
     if f.degree == 1:
         r = -f.coeffs[0] / f.coeffs[1]
         return [(r.numerator, r.numerator, r.denominator, 0, 0)]
     iso = iso or _isolator(f)
     n, M, bits = f.degree, iso.bound, max(abs(v).bit_length() for v in iso.vector)
-    # den's bits past which a node is narrower than the least distance between two roots, by Mahler's
+    # den's bits past which a node, no wider than 2 / den, is narrower than any two roots are apart: Mahler's
     # bound sep > sqrt(3) n^(-(n+2)/2) |c|^(1-n) for the vector c, with |c| < sqrt(n+1) 2^bits
-    limit = M.numerator.bit_length() + 1 + (n + 2) * n.bit_length() // 2 + (n - 1) * (bits + (n + 1).bit_length())
+    limit = 2 + (n + 2) * n.bit_length() // 2 + (n - 1) * (bits + (n + 1).bit_length())
     stack, out = [(-M.numerator, M.numerator, M.denominator, *iso.top(), None, None)], []
     while stack:  # the left child is popped first, so the nodes come out ascending
         a, b, den, va, vb, fa, fb = stack.pop()
@@ -462,13 +462,15 @@ def locate_real_roots(f, iso=None):
             continue
         if den.bit_length() > limit:
             raise InternalError(f"root counts of a degree-{n} polynomial do not settle at its root separation")
-        m, den = a + b, 2 * den
+        if b - a == 1:  # den is 1 / width, or 1 while the width is above 1: (a, b) in lowest terms
+            a, b, den, fa, fb = 2 * a, 2 * b, 2 * den, fa and fa << n, fb and fb << n
+        m = (a + b) // 2
         vm, fm = iso.at(m, den)
-        stack.append((m, 2 * b, den, vm, vb, fm, fb and fb << n))
+        stack.append((m, b, den, vm, vb, fm, fb))
         if fm == 0:
             stack.append((m, m, den, 1, 0, 0, 0))
         if m > 0 or not iso.half:
-            stack.append((2 * a, m, den, va, vm + (fm == 0), fa and fa << n, fm))  # at a root m, V(m-) = V(m) + 1
+            stack.append((a, m, den, va, vm + (fm == 0), fa, fm))  # at a root m, V(m-) = V(m) + 1
     return out
 
 
@@ -633,8 +635,7 @@ def certify_next(p, prev, q, width):
     c = q.primitive_int_coeffs()
     n, M, half = len(c) - 1, _dyadic_bound(c), _parity(c)
     den = lcm(M.denominator, *(x.denominator for iv in prev for x in (iv.lo, iv.hi)))
-    m = M.numerator * den // M.denominator
-    xs, keys = [], []  # p's distinct ends over den, ascending, and their keys as in `places`
+    m, xs, keys = M.numerator * den // M.denominator, [], []  # M; p's distinct ends, ascending, and their keys
     for j, iv in enumerate(prev):
         for x, key in [(iv.lo, 2 * j + 1)] if iv.is_point else [(iv.lo, 2 * j), (iv.hi, 2 * j + 2)]:
             x = x.numerator * (den // x.denominator)
