@@ -167,12 +167,9 @@ def _value_int_poly(coeffs, num, den, parity=None):
     A vector with parity, every other coefficient from the top zero, is
     Horner in num^2 over its nonzero half, times num when d is odd; a caller
     that evaluates one vector often reads `_parity` once and passes it.  When
-    den is a power of two, num/den goes in lowest terms (2^r less), den^(d-i)
-    is a shift, acc * num + (c_i << k (d-i)), and the sum shifts back r d bits."""
+    den is a power of two, den^(d-i) is a shift: acc * num + (c_i << k (d-i))."""
     d = len(coeffs) - 1
     step = 2 if (_parity(coeffs) if parity is None else parity) else 1
-    r = 0 if den & (den - 1) else min(((num & -num) or den).bit_length(), den.bit_length()) - 1
-    num, den = num >> r, den >> r
     x, acc = num**step, coeffs[-1]
     if den & (den - 1):
         power, y = 1, den**step
@@ -184,7 +181,7 @@ def _value_int_poly(coeffs, num, den, parity=None):
         for c in coeffs[-1 - step::-step]:
             shift += k
             acc = acc * x + (c << shift)
-    return (acc * num if d % step else acc) << r * d
+    return acc * num if d % step else acc
 
 
 def _signs_at(chain, x):
@@ -658,10 +655,11 @@ def certify_next(p, prev, q, width):
             below, above = sided[j]
             sided[i] = (-1) ** n * above, (-1) ** n * below
             continue
-        s = _sign(_value_int_poly(c, x, den, half))
+        t = (x | den) & -(x | den)  # x/den over the least power of two: den can be far larger
+        s = _sign(_value_int_poly(c, x // t, den // t, half))
         if s == 0:
             dc = dc or [k * v for k, v in enumerate(c)][1:]
-            s = _sign(_value_int_poly(dc, x, den))
+            s = _sign(_value_int_poly(dc, x // t, den // t))
             if s == 0:
                 return None
             sided[i] = -s, s
@@ -696,7 +694,8 @@ def _order_in(f, c, a, b, den, qa, j):
     fa = _sign(f[-1]) * (-1) ** (len(f) - 1 + j)  # f's sign between its roots j - 1 and j
     for _ in range(64):
         m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        qm, fm = (_sign(_value_int_poly(v, m, den)) for v in (c, f))
+        t = (m | den) & -(m | den)
+        qm, fm = (_sign(_value_int_poly(v, m // t, den // t)) for v in (c, f))
         q_right, f_right = qm == qa, fm == fa  # whether each root lies above m
         if qm == 0:
             return 2 * j + 1 if fm == 0 else 2 * j + 2 * (not f_right)
