@@ -632,7 +632,7 @@ def certify_next(p, prev, q, width):
     c = q.primitive_int_coeffs()
     n, M, half = len(c) - 1, _dyadic_bound(c), _parity(c)
     den = lcm(M.denominator, *(x.denominator for iv in prev for x in (iv.lo, iv.hi)))
-    m, xs, keys = M.numerator * den // M.denominator, [], []  # M; p's distinct ends, ascending, and their keys
+    m, xs, keys = M.numerator * den // M.denominator, [], []  # M and p's distinct ends over den, and their keys
     for j, iv in enumerate(prev):
         for x, key in [(iv.lo, 2 * j + 1)] if iv.is_point else [(iv.lo, 2 * j), (iv.hi, 2 * j + 2)]:
             x = x.numerator * (den // x.denominator)
@@ -655,7 +655,7 @@ def certify_next(p, prev, q, width):
             below, above = sided[j]
             sided[i] = (-1) ** n * above, (-1) ** n * below
             continue
-        t = (x | den) & -(x | den)  # x/den over the least power of two: den can be far larger
+        t = (x | den) & -(x | den)  # x/den in lowest terms: the shared den can be far larger
         s = _sign(_value_int_poly(c, x // t, den // t, half))
         if s == 0:
             dc = dc or [k * v for k, v in enumerate(c)][1:]
