@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Commands: generate, classify, verify, admits, freud-demo, zeros.
+Commands: generate, classify, verify, admits, freud-demo, zeros.  Each
+registers only the options it reads (`_COMMANDS`); any other option exits 2.
 Exit codes: 0 success; 1 verification disagreement or hypothesis failure;
 2 input/schema error; 3 numeric abort (the Freud recurrence exhausted its
-precision); 4 internal error (an exact-kernel invariant failed, or a
-TypeError, ZeroDivisionError or IndexError escaped: a bug, since every
-input is parsed where it is read and refused there as a DocumentError);
+precision); 4 internal error (an exact-kernel invariant failed, or any
+other exception escaped: a bug, since every input is parsed where it is
+read and refused there as a DocumentError);
 --debug adds the traceback of an internal error to stderr.
 """
 
@@ -19,9 +20,9 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .dde import admits_dde, generate, sample_xy
+from .dde import PolySequence, admits_dde, generate, sample_xy
 from .documents import DocumentError, InputDocument, dump_report, zeros_csv
-from .families import FAMILY_KINDS, FamilySpec, ParamRule, coefficient_source
+from .families import FAMILY_KINDS, FamilySpec, ParamRule, UnknownParameterError, coefficient_source
 from .freud import PrecisionError, freud_recurrence_coeffs, freud_sequence, p5_invariants
 from .kfactor import predict
 from .poly import KindMismatchError
@@ -37,32 +38,17 @@ EXIT_INTERNAL = 4
 _FAMILY_OPTS = ("alpha", "beta", "b", "c", "kappa", "r", "a", "t")
 
 
-def _add_common(p, family=True):
-    p.add_argument("--input", help="JSON input document (family, sequence, or coefficient table)")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--precision", type=int, default=256, help="big-float working precision in bits")
-    p.add_argument("--tolerance", type=float,
-                   help="relative residual tolerance (float mode; default: the input document's, else 1e-12)")
-    p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp field (byte-stable output)")
-    p.add_argument("--strict-extension", action="store_true",
-                   help="refuse coefficient pairs whose quadratic A has no real roots")
-    p.add_argument("--debug", action="store_true", help="print the traceback of an internal error (exit 4)")
-    if family:
-        p.add_argument("--family", choices=FAMILY_KINDS)
-        p.add_argument("--n", type=int, help="largest degree N")
-        for opt in _FAMILY_OPTS:
-            p.add_argument(f"--{opt}", help=f"family parameter {opt} (rational or rule like 'n+1')")
-
-
 def _family_from_args(args):
     params = {}
     for opt in _FAMILY_OPTS:
-        v = getattr(args, opt, None)
+        v = getattr(args, opt)
         if v is not None:
             _parsed(f"--{opt}", _scalar if opt == "t" else ParamRule.parse, v)
             params[opt] = v
-    return FamilySpec.from_dict({"kind": args.family, "precision": args.precision, **params})
+    try:
+        return FamilySpec(args.family, params, getattr(args, "precision", 256))
+    except UnknownParameterError as exc:
+        raise DocumentError(f"--{exc.name}", str(exc)) from None
 
 
 def _parsed(location, parse, raw):
@@ -81,20 +67,35 @@ def _scalar(raw):
         return mpmath.mpf(raw)
 
 
-def _resolve_input(args, need_n=True):
-    """Common input resolution: --input document or --family flags."""
+def _resolve_input(args, sequences=False):
+    """The input as (spec, table, N, doc), from --input or the family flags;
+    a sequence document, where the command takes one, is (None, None, None, doc)."""
     if args.input:
         doc = InputDocument.load(args.input)
-        if doc.family is not None:
-            return doc.family, None, doc.N, doc
-        if doc.coefficients is not None:
-            return None, doc.coefficients, doc.N, doc
-        return None, None, None, doc
-    if not getattr(args, "family", None):
+        if doc.sequence is not None and not sequences:
+            raise DocumentError("$", f"{args.command} needs a family or coefficient table")
+        return doc.family, doc.coefficients, doc.N, doc
+    if not args.family:
         raise DocumentError("$", "either --input or --family is required")
-    if need_n and not args.n:
+    if not args.n:
         raise DocumentError("$", "--n is required with --family")
     return _family_from_args(args), None, args.n, None
+
+
+def _source(spec, table):
+    """The coefficient source of a family or table; freud has none (ValueError)."""
+    return coefficient_source(spec) if spec is not None else table
+
+
+def _members(spec, table, N, doc):
+    """P_0..P_N: a sequence document's, or those a coefficient table or a
+    family generates (freud by its three-term recurrence, at the spec's precision)."""
+    if spec is None and table is None:
+        return PolySequence(tuple(doc.sequence))
+    if spec is not None and spec.kind == "freud":
+        t = _parsed("$.family.t" if doc is not None else "--t", _scalar, spec.params.get("t", 0))
+        return freud_sequence(freud_recurrence_coeffs(t, N, spec.precision), N)
+    return generate(_source(spec, table), N)
 
 
 def _tolerance(args, doc):
@@ -103,22 +104,21 @@ def _tolerance(args, doc):
     return doc.tolerance if doc is not None else 1e-12
 
 
-def _emit(args, payload):
-    text = dump_report(payload, out=args.out, timestamp=not args.no_timestamp)
+def _write(args, text):
+    """Send a JSON report or a CSV table to --out, else to stdout."""
     if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError("--out", f"cannot write {args.out}: {exc}") from None
 
 
 def cmd_generate(args):
     spec, table, N, doc = _resolve_input(args)
-    if spec is not None and spec.kind == "freud":
-        data = freud_recurrence_coeffs(_parse_t(args, doc), N, args.precision)
-        seq = freud_sequence(data, N)
-    else:
-        src = coefficient_source(spec) if spec is not None else table
-        if src is None:
-            raise DocumentError("$", "generate needs a family or coefficient table")
-        seq = generate(src, N)
+    seq = _members(spec, table, N, doc)
     payload = {
         "command": "generate",
         "family": spec.describe() if spec is not None else "coefficient-table",
@@ -129,16 +129,13 @@ def cmd_generate(args):
         "truncated_at": seq.truncated_at,
         "diagnostic": seq.diagnostic,
     }
-    _emit(args, payload)
+    _write(args, dump_report(payload, timestamp=not args.no_timestamp))
     return EXIT_OK if seq.truncated_at is None else EXIT_DISAGREE
 
 
 def cmd_classify(args):
     spec, table, N, doc = _resolve_input(args)
-    src = coefficient_source(spec) if spec is not None else table
-    if src is None:
-        raise DocumentError("$", "classify needs a family or coefficient table")
-    specs, gamma, decision = predict(src, N, args.strict_extension)
+    specs, gamma, decision = predict(_source(spec, table), N, args.strict_extension)
     payload = {
         "command": "classify",
         "family": spec.describe() if spec is not None else "coefficient-table",
@@ -159,49 +156,32 @@ def cmd_classify(args):
         ],
         "decision": decision,
     }
-    _emit(args, payload)
+    _write(args, dump_report(payload, timestamp=not args.no_timestamp))
     return EXIT_OK if decision.ok else EXIT_DISAGREE
 
 
 def cmd_verify(args):
     spec, table, N, doc = _resolve_input(args)
-    target = spec if spec is not None else table
-    if target is None:
-        raise DocumentError("$", "verify needs a family or coefficient table")
-    report = verify_sequence(target, N, strict_extension=args.strict_extension)
+    report = verify_sequence(spec if spec is not None else table, N, strict_extension=args.strict_extension)
     if args.format == "csv":
-        rows = []
-        for rec in report.records:
-            for idx, iv in enumerate(rec.zeros):
-                rows.append((rec.n, idx, iv))
-        text = zeros_csv(rows, out=args.out)
-        if not args.out:
-            sys.stdout.write(text)
+        rows = [(rec.n, idx, iv) for rec in report.records for idx, iv in enumerate(rec.zeros)]
+        _write(args, zeros_csv(rows))
     else:
-        payload = {"command": "verify", "report": report}
-        _emit(args, payload)
+        _write(args, dump_report({"command": "verify", "report": report}, timestamp=not args.no_timestamp))
     return EXIT_OK if report.agreement else EXIT_DISAGREE
 
 
 def cmd_admits(args):
-    spec, table, N, doc = _resolve_input(args, need_n=False)
-    if doc is not None and doc.sequence is not None:
-        seq = doc.sequence
-    elif spec is not None or table is not None:
-        if N is None:
-            raise DocumentError("$", "--n is required when admits runs on a family or coefficient table")
-        src = coefficient_source(spec) if spec is not None else table
-        seq = list(generate(src, N).polys)
-    else:
-        raise DocumentError("$", "admits needs a sequence document or a family")
-    result = admits_dde(seq, tolerance=_tolerance(args, doc))
-    payload = {"command": "admits", "result": result}
-    _emit(args, payload)
+    spec, table, N, doc = _resolve_input(args, sequences=True)
+    seq = doc.sequence if spec is None and table is None else generate(_source(spec, table), N).polys
+    result = admits_dde(list(seq), tolerance=_tolerance(args, doc))
+    _write(args, dump_report({"command": "admits", "result": result}, timestamp=not args.no_timestamp))
     return EXIT_OK if result.all_admit else EXIT_DISAGREE
 
 
 def cmd_freud_demo(args):
-    t, tol = _parse_t(args, None), _tolerance(args, None)
+    t = Fraction(0) if args.t is None else _parsed("--t", _scalar, args.t)
+    tol = _tolerance(args, None)
     N = args.n or 6
     if N < 6:
         raise DocumentError("$", "the demo needs N >= 6 to reach the degree-5 decision")
@@ -242,39 +222,55 @@ def cmd_freud_demo(args):
         "interpolant_degree4_coefficient": coef[4],
         "no_polynomial_pair_at_5": reproduced,
     }
-    _emit(args, payload)
+    _write(args, dump_report(payload, timestamp=not args.no_timestamp))
     return EXIT_OK if reproduced else EXIT_DISAGREE
 
 
 def cmd_zeros(args):
-    spec, table, N, doc = _resolve_input(args, need_n=False)
+    spec, table, N, doc = _resolve_input(args, sequences=True)
     width = Fraction(1, 10**9) if args.width is None else _parsed("--width", Fraction, args.width)
-    if doc is not None and doc.sequence is not None:
-        polys = doc.sequence
-    elif spec is not None and spec.kind == "freud":
-        if N is None:
-            raise DocumentError("$", "--n is required for the freud family")
-        polys = freud_sequence(freud_recurrence_coeffs(_parse_t(args, doc), N, args.precision), N).polys
-    else:
-        src = coefficient_source(spec) if spec is not None else table
-        if src is None:
-            raise DocumentError("$", "zeros needs a family, coefficient table, or sequence document")
-        if N is None:
-            raise DocumentError("$", "--n is required with --family")
-        polys = generate(src, N).polys
+    polys = _members(spec, table, N, doc).polys
     w = width if polys[0].kind == "rational" else mpmath.mpf(float(width))
     rows = [(n, idx, iv) for n, rec in enumerate(sequence_zeros(polys, w)) for idx, iv in enumerate(rec.zeros)]
-    text = zeros_csv(rows, out=args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _write(args, zeros_csv(rows))
     return EXIT_OK
 
 
-def _parse_t(args, doc):
-    raw, location = getattr(args, "t", None), "--t"
-    if raw is None and doc is not None and doc.family is not None:
-        raw, location = doc.family.params.get("t"), "$.family.t"
-    return Fraction(0) if raw is None else _parsed(location, _scalar, raw)
+_FAMILY_FLAGS = ("--family", "--n", *(f"--{opt}" for opt in _FAMILY_OPTS))
+_OPTIONS = {
+    "--input": dict(help="JSON input document (family, sequence, or coefficient table)"),
+    "--sequence": dict(dest="input", help="alias for --input (sequence document)"),
+    "--out": dict(help="write the report to this path instead of stdout"),
+    "--format": dict(choices=("json", "csv"), default="json", help="csv: the table of isolated zeros"),
+    "--precision": dict(type=int, default=256, help="big-float working precision in bits"),
+    "--tolerance": dict(type=float,
+                        help="relative residual tolerance (float mode; default: the input document's, else 1e-12)"),
+    "--no-timestamp": dict(action="store_true", help="omit the timestamp field (byte-stable output)"),
+    "--strict-extension": dict(action="store_true",
+                               help="refuse coefficient pairs whose quadratic A has no real roots"),
+    "--debug": dict(action="store_true", help="print the traceback of an internal error (exit 4)"),
+    "--width": dict(help="isolation width (rational, default 1/10^9)"),
+    "--family": dict(choices=FAMILY_KINDS),
+    "--n": dict(type=int, help="largest degree N (freud-demo: >= 6, default 6)"),
+    **{f"--{opt}": dict(help=f"family parameter {opt} (rational or rule like 'n+1')")
+       for opt in _FAMILY_OPTS if opt != "t"},
+    "--t": dict(help="freud weight parameter t (rational or decimal), default 0"),
+}
+# each command with its help line and the options it reads besides --out and --debug
+_COMMANDS = {
+    "generate": (cmd_generate, "run the recurrence and print the polynomial table",
+                 ("--input", "--precision", "--no-timestamp", *_FAMILY_FLAGS)),
+    "classify": (cmd_classify, "closed form of K, its vanishing points, and the matched case",
+                 ("--input", "--no-timestamp", "--strict-extension", *_FAMILY_FLAGS)),
+    "verify": (cmd_verify, "predicted vs empirically computed zero behavior",
+               ("--input", "--format", "--no-timestamp", "--strict-extension", *_FAMILY_FLAGS)),
+    "admits": (cmd_admits, "recover coefficient pairs for an arbitrary sequence",
+               ("--input", "--sequence", "--tolerance", "--no-timestamp", *_FAMILY_FLAGS)),
+    "freud-demo": (cmd_freud_demo, "quartic-weight example: no polynomial pair exists at degree 5",
+                   ("--precision", "--tolerance", "--no-timestamp", "--t", "--n")),
+    "zeros": (cmd_zeros, "CSV table of isolated zeros (n,index,lo,hi,mid), on verify's root path",
+              ("--input", "--precision", "--width", *_FAMILY_FLAGS)),
+}
 
 
 def build_parser():
@@ -285,34 +281,11 @@ def build_parser():
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("generate", help="run the recurrence and print the polynomial table")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_generate)
-
-    sp = sub.add_parser("classify", help="closed form of K, its vanishing points, and the matched case")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_classify)
-
-    sp = sub.add_parser("verify", help="predicted vs empirically computed zero behavior")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("admits", help="recover coefficient pairs for an arbitrary sequence")
-    _add_common(sp)
-    sp.add_argument("--sequence", dest="input", help="alias for --input (sequence document)")
-    sp.set_defaults(fn=cmd_admits)
-
-    sp = sub.add_parser("freud-demo", help="quartic-weight example: no polynomial pair exists at degree 5")
-    _add_common(sp, family=False)
-    sp.add_argument("--t", help="weight parameter t (rational or decimal), default 0")
-    sp.add_argument("--n", type=int, default=6, help="degrees to compute (>= 6)")
-    sp.set_defaults(fn=cmd_freud_demo)
-
-    sp = sub.add_parser("zeros", help="CSV table of isolated zeros (n,index,lo,hi,mid), on verify's root path")
-    _add_common(sp)
-    sp.add_argument("--width", help="isolation width (rational, default 1/10^9)")
-    sp.set_defaults(fn=cmd_zeros)
+    for name, (fn, text, opts) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        for opt in ("--out", "--debug", *opts):
+            sp.add_argument(opt, **_OPTIONS[opt])
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -349,7 +322,7 @@ def main(argv=None):
     except (ValueError, KindMismatchError) as exc:  # values the model refuses, kinds mixed in a table
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TypeError, ZeroDivisionError, IndexError) as exc:
+    except Exception as exc:  # anything else escaping a command is a fault of the program
         return _internal_error(args, f"{type(exc).__name__}: {exc}")
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 import mpmath
 
 from .dde import CoefficientPair, CoefficientTable
-from .families import FamilySpec
+from .families import FamilySpec, UnknownParameterError
 from .poly import Poly, Surd, _Infinity, format_scalar
 from .roots import Interval
 
@@ -104,6 +104,8 @@ class InputDocument:
                 raise DocumentError("$.family", "family must be an object with a 'kind'")
             try:
                 spec = FamilySpec.from_dict({**fam, "precision": precision})
+            except UnknownParameterError as exc:
+                raise DocumentError(f"$.family.{exc.name}", str(exc)) from None
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise DocumentError("$.family", str(exc)) from None
             N = doc.get("N")
@@ -181,7 +183,7 @@ def jsonable(obj, dps=30):
     return str(obj)
 
 
-def dump_report(payload, out=None, timestamp=True):
+def dump_report(payload, timestamp=True):
     """Deterministic JSON: identical inputs yield byte-identical output
     (modulo the timestamp field, which --no-timestamp removes)."""
     doc = dict(payload)
@@ -189,14 +191,10 @@ def dump_report(payload, out=None, timestamp=True):
         import datetime
 
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
-def zeros_csv(rows, out=None):
+def zeros_csv(rows):
     """CSV table of isolated zeros: n,index,lo,hi,mid."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -207,11 +205,7 @@ def zeros_csv(rows, out=None):
         else:
             lo, hi, mid = iv.lo, iv.hi, iv.midpoint()
         w.writerow([n, idx, _csv_num(lo), _csv_num(hi), _csv_num(mid)])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def _csv_num(x):

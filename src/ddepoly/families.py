@@ -18,9 +18,13 @@ from fractions import Fraction
 from .dde import CoefficientPair, CoefficientRule
 from .poly import Poly, as_fraction
 
+FAMILY_PARAMS = {  # each family with the parameters it takes
+    "jacobi": ("alpha", "beta"), "laguerre": ("alpha",), "hermite": (), "bell": (),
+    "euler_frobenius": ("kappa", "r"), "hermite_like": ("kappa",), "vertgeim": ("a", "b", "alpha"),
+    "hyp2f1": ("b", "c"), "freud": ("t",),
+}
+FAMILY_KINDS = tuple(FAMILY_PARAMS)
 CLASSICAL_KINDS = ("jacobi", "laguerre", "hermite")
-MODEL_KINDS = ("bell", "euler_frobenius", "hermite_like", "vertgeim", "hyp2f1")
-FAMILY_KINDS = CLASSICAL_KINDS + MODEL_KINDS + ("freud",)
 
 _RULE_RE = re.compile(
     r"^\s*(?:(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<op>[+-])\s*)?(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?n\s*$"
@@ -118,8 +122,18 @@ class FamilySpec:
         return out
 
 
+class UnknownParameterError(ValueError):
+    """A parameter the family does not take; `name` lets a front end point at it."""
+
+    def __init__(self, kind, name):
+        self.name = name
+        super().__init__(f"{kind} takes no parameter {name}")
+
+
 def _validate_params(kind, params):
     for name, v in params.items():
+        if name not in FAMILY_PARAMS[kind]:
+            raise UnknownParameterError(kind, name)
         if name != "t":  # freud's t may be a big float
             try:
                 ParamRule.parse(v)

@@ -78,7 +78,7 @@ def test_generate_euler_frobenius(capsys):
 
 
 def test_zeros_csv_header_and_shape(capsys):
-    code, out = run(capsys, "zeros", "--family", "bell", "--n", "4", "--no-timestamp")
+    code, out = run(capsys, "zeros", "--family", "bell", "--n", "4")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,index,lo,hi,mid"
@@ -485,3 +485,118 @@ def test_debug_adds_the_traceback_of_an_internal_error(capsys, monkeypatch):
     assert main([*argv, "--debug"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and err.endswith("internal error: ZeroDivisionError: division by zero\n")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("the walk did not stop"), AssertionError("unreachable"),
+                                 AttributeError("no attribute 'lo'"), KeyError("alpha"),
+                                 RecursionError("maximum recursion depth exceeded")])
+def test_any_escaped_exception_exits_internal(capsys, monkeypatch, exc):
+    # exit 1 is verify's disagreement, so a fault must not reach the interpreter's exit
+    import ddepoly.cli as cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_sequence", broken)
+    assert main(["verify", "--family", "hermite", "--n", "4"]) == 4
+    assert capsys.readouterr().err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+FAMILY_FLAGS = ["--family", "--n", "--alpha", "--beta", "--b", "--c", "--kappa", "--r", "--a", "--t"]
+COMMAND_OPTIONS = {  # besides --out and --debug
+    "generate": ["--input", "--precision", "--no-timestamp", *FAMILY_FLAGS],
+    "classify": ["--input", "--no-timestamp", "--strict-extension", *FAMILY_FLAGS],
+    "verify": ["--input", "--format", "--no-timestamp", "--strict-extension", *FAMILY_FLAGS],
+    "admits": ["--input", "--sequence", "--tolerance", "--no-timestamp", *FAMILY_FLAGS],
+    "freud-demo": ["--precision", "--tolerance", "--no-timestamp", "--t", "--n"],
+    "zeros": ["--input", "--precision", "--width", *FAMILY_FLAGS],
+}
+OLD_OPTIONS = {  # every option the parser took before each command took only its own, with a value
+    "--input": "doc.json", "--sequence": "doc.json", "--out": "out.json", "--format": "csv",
+    "--precision": "512", "--tolerance": "1e-9", "--no-timestamp": None, "--strict-extension": None,
+    "--debug": None, "--width": "1/1000", "--family": "bell", "--n": "4", "--alpha": "1/2", "--beta": "1/2",
+    "--b": "2", "--c": "1", "--kappa": "1", "--r": "n+1", "--a": "1", "--t": "0",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+@pytest.mark.parametrize("option", OLD_OPTIONS)
+def test_each_command_takes_only_the_options_it_reads(capsys, command, option):
+    from ddepoly.cli import build_parser
+
+    argv = [command, option] + ([] if OLD_OPTIONS[option] is None else [OLD_OPTIONS[option]])
+    if option in ("--out", "--debug", *COMMAND_OPTIONS[command]):
+        build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_parser_registers_84_options():
+    import argparse
+
+    from ddepoly.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(set(sp._option_string_actions) - {"-h", "--help"}) for name, sp in sub.choices.items()}
+    assert got == {name: sorted(["--out", "--debug", *opts]) for name, opts in COMMAND_OPTIONS.items()}
+    assert sum(map(len, got.values())) == 84
+
+
+@pytest.mark.parametrize("command", ["generate", "zeros"])
+def test_freud_precision_comes_from_the_document(capsys, monkeypatch, tmp_path, command):
+    # the CSV's 20 digits would not show 256 against 512 bits, so record the argument
+    import ddepoly.cli as cli
+
+    seen = []
+    orig = cli.freud_recurrence_coeffs
+    monkeypatch.setattr(cli, "freud_recurrence_coeffs", lambda t, N, precision: seen.append(precision)
+                        or orig(t, N, precision))
+    path = tmp_path / "freud.json"
+    path.write_text(json.dumps({"family": {"kind": "freud", "t": "0"}, "N": 6, "precision": 512}))
+    argv = [command, "--input", str(path)] + (["--no-timestamp"] if command == "generate" else [])
+    assert main(argv) == 0
+    assert seen == [512]
+    assert main([command, "--family", "freud", "--t", "0", "--n", "6", "--precision", "320"]) == 0
+    assert seen == [512, 320]
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["verify", "--family", "hermite", "--alpha", "1/2", "--kappa", "7", "--n", "4"], "--alpha"),
+    (["generate", "--family", "bell", "--t", "0", "--n", "4"], "--t"),
+    (["zeros", "--family", "laguerre", "--beta", "1", "--n", "4"], "--beta"),
+    (["admits", "--family", "freud", "--alpha", "1", "--n", "6"], "--alpha"),
+])
+def test_parameters_the_family_does_not_take_exit_two(capsys, argv, where):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"input error: {where}: ")
+    assert "takes no parameter" in captured.err
+
+
+@pytest.mark.parametrize("family, where", [
+    ({"kind": "bell", "alpha": "3", "zzz": "1"}, "$.family.alpha"),
+    ({"kind": "jacobi", "alpha": "1/2", "kappa": "1"}, "$.family.kappa"),
+])
+def test_document_parameters_the_family_does_not_take_exit_two(capsys, tmp_path, family, where):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"family": family, "N": 6}))
+    assert main(["generate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    out = tmp_path / "missing" / "zeros.csv"
+    assert main(["zeros", "--family", "bell", "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: --out: cannot write ")
+
+
+@pytest.mark.parametrize("command", ["verify", "zeros"])
+def test_out_holds_what_stdout_would(capsys, tmp_path, command):
+    argv = [command, "--family", "bell", "--n", "5"] + (["--no-timestamp"] if command == "verify" else [])
+    code, out = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == "" and path.read_text() == out

@@ -137,3 +137,20 @@ def test_family_spec_from_dict():
     assert src.pair(2).B == P([0, -6])
     with pytest.raises(ValueError):
         FamilySpec.from_dict({"kind": "nope"})
+
+
+@pytest.mark.parametrize("kind, params, refused", [
+    ("bell", {"zzz": "1"}, "zzz"),
+    ("hermite", {"kappa": "1"}, "kappa"),
+    ("jacobi", {"alpha": "1/2", "beta": "1/2", "b": "1"}, "b"),
+    ("laguerre", {"alpha": "1/2", "beta": "1"}, "beta"),
+    ("euler_frobenius", {"kappa": "1", "r": "n+1", "alpha": "1"}, "alpha"),
+    ("hermite_like", {"kappa": "2", "r": "1"}, "r"),
+    ("vertgeim", {"a": "1", "b": "4", "alpha": "1", "c": "1"}, "c"),
+    ("hyp2f1", {"b": "20", "c": "1", "alpha": "1"}, "alpha"),
+    ("freud", {"t": "0", "kappa": "1"}, "kappa"),
+])
+def test_family_spec_refuses_parameters_the_family_does_not_take(kind, params, refused):
+    FamilySpec(kind, {k: v for k, v in params.items() if k != refused})
+    with pytest.raises(ValueError, match=f"^{kind} takes no parameter {refused}$"):
+        FamilySpec(kind, params)
