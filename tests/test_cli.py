@@ -600,3 +600,25 @@ def test_out_holds_what_stdout_would(capsys, tmp_path, command):
     path = tmp_path / "out"
     assert main([*argv, "--out", str(path)]) == code == 0
     assert capsys.readouterr().out == "" and path.read_text() == out
+
+
+# sha256 of one --no-timestamp report of each command besides verify, whose
+# reports tests/test_verify.py pins; a change that moves a byte of one must
+# say which field changed and why
+GOLDEN_CLI_REPORTS = [
+    (["generate", "--family", "bell", "--n", "12"], "711772713a88e5d9f2f9770cb77416a52478f122c3b86b615a7d6c31e126db00"),
+    (["classify", "--family", "hyp2f1", "--b", "20", "--c", "1", "--n", "10"],
+     "062b3765ee7fc63c8c9c185de8132bbf7a6360ad5b2bfbae7e0708ba4583f516"),
+    (["admits", "--family", "laguerre", "--alpha", "1/2", "--n", "20"],
+     "ba4ca7cf8b1dffa5846d8cc28ddd2dc9133866938919a2d03a0f6dfbe902f470"),
+    (["freud-demo", "--t", "-1", "--precision", "512"], "e99527b93e4a656e052fc52469a1f910ab9e18cc1f2431462ba38c5d66be89f6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_CLI_REPORTS, ids=[a[0] for a, _ in GOLDEN_CLI_REPORTS])
+def test_reports_byte_stable(capsys, argv, digest):
+    import hashlib
+
+    code, out = run(capsys, *argv, "--no-timestamp")
+    assert code in (0, 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

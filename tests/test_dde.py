@@ -18,7 +18,7 @@ from ddepoly.dde import (
     step,
 )
 from ddepoly.families import FamilySpec, coefficient_source
-from ddepoly.poly import _PRIME, Poly
+from ddepoly.poly import _PRIME, KindMismatchError, Poly
 from sympy_oracle import gcd
 
 P = Poly.rational
@@ -58,6 +58,42 @@ def test_step_hermite_second():
 def test_step_degree_collapse():
     out = step(P([0, 1]), CoefficientPair(P([0, 0, 1]), P([0, -1])))
     assert out.is_zero
+
+
+def _random_poly(rng, degree, bits):
+    """degree + 1 random rationals with up to `bits`-bit numerators and
+    denominators, some integers and some zeros; degree -1 is the zero polynomial."""
+    def q():
+        r = rng.random()
+        if r < 0.15:
+            return Fraction(0)
+        if r < 0.3:
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+    return P([q() for _ in range(degree + 1)])
+
+
+def test_step_is_a_times_p_prime_plus_b_times_p():
+    rng = random.Random(29)
+    cases = [(P([]), P([0, 1]), P([1, 2, 3])), (P([1, 1]), P([]), P([1, 2, 3])), (P([]), P([]), P([5])),
+             (P([0, 0, 3]), P([1, 1]), P([7])), (P([0, 0, 3]), P([1, 1]), P([])),
+             (P([Fraction(1, 3**80), 1]), P([Fraction(2**90, 7**40)]), P([Fraction(1, 11**60), 0, Fraction(5, 13**50)]))]
+    for _ in range(300):
+        bits = rng.choice([2, 8, 64, 256])
+        cases.append(tuple(_random_poly(rng, rng.randint(-1, hi), bits) for hi in (2, 1, 14)))
+    for A, B, Pn in cases:
+        c = CoefficientPair(A, B)
+        out = step(Pn, c)
+        assert out == c.A * Pn.derivative() + c.B * Pn
+        assert out.kind == "rational" and out.prec is None and all(type(v) is Fraction for v in out.coeffs)
+
+
+@pytest.mark.parametrize("A, B", [(Poly.floating([]), P([1, 2])), (P([1]), Poly.floating([])),
+                                  (Poly.floating([]), P([]))])
+@pytest.mark.parametrize("Pn", [P([1, 2, 3]), P([4]), P([])])
+def test_step_refuses_a_float_zero_beside_rational_data(A, B, Pn):
+    with pytest.raises(KindMismatchError):
+        step(Pn, CoefficientPair(A, B))
 
 
 def test_pair_degree_bounds():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddepoly.documents import DocumentError, InputDocument, dump_report, jsonable, parse_scalar, zeros_csv
 from ddepoly.poly import NEG_INF
@@ -62,6 +64,28 @@ def test_dump_report_deterministic():
     assert json.loads(a)["value"] == "1/3"
     assert json.loads(a)["point"] == "-inf"
     assert "timestamp" in json.loads(dump_report(payload, timestamp=True))
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-10**400, max_value=10**400),
+    st.text(), st.text(st.characters(max_codepoint=0x20)), st.floats(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4), max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _VALUES, max_size=5))
+@example({})
+@example({"a\"b\\c\n\x00\x1f\u00e9\u2028\U0001f600": [
+    "\u00e9\u4e2d\U0001f600", "\x00\x01\x1f\x7f\t\r\b\f", 2**200, -2**200, True, False, None, [], {},
+    [[]], {"": {}}, -0.0, 0.0, 1e300, -1e-300, float("nan"), float("inf"), float("-inf"),
+]})
+def test_dump_report_is_json_dumps_indented_and_sorted(doc):
+    text = dump_report(doc, timestamp=False)
+    assert text == json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
 
 
 def test_zeros_csv_shape():
