@@ -45,8 +45,9 @@ def _family_from_args(args):
         if v is not None:
             _parsed(f"--{opt}", _scalar if opt == "t" else ParamRule.parse, v)
             params[opt] = v
+    precision = getattr(args, "precision", None)
     try:
-        return FamilySpec(args.family, params, getattr(args, "precision", 256))
+        return FamilySpec(args.family, params, 256 if precision is None else precision)
     except UnknownParameterError as exc:
         raise DocumentError(f"--{exc.name}", str(exc)) from None
 
@@ -69,8 +70,12 @@ def _scalar(raw):
 
 def _resolve_input(args, sequences=False):
     """The input as (spec, table, N, doc), from --input or the family flags;
-    a sequence document, where the command takes one, is (None, None, None, doc)."""
+    a sequence document, where the command takes one, is (None, None, None, doc).
+    A family flag or --precision beside --input, which no path reads, is refused."""
     if args.input:
+        flag = next((f for f in (*_FAMILY_FLAGS, "--precision") if getattr(args, f[2:], None) is not None), None)
+        if flag:
+            raise DocumentError(flag, "not read with --input, whose document holds the input")
         doc = InputDocument.load(args.input)
         if doc.sequence is not None and not sequences:
             raise DocumentError("$", f"{args.command} needs a family or coefficient table")
@@ -182,21 +187,22 @@ def cmd_admits(args):
 def cmd_freud_demo(args):
     t = Fraction(0) if args.t is None else _parsed("--t", _scalar, args.t)
     tol = _tolerance(args, None)
-    N = args.n or 6
+    N = 6 if args.n is None else args.n
+    prec = 256 if args.precision is None else args.precision
     if N < 6:
         raise DocumentError("$", "the demo needs N >= 6 to reach the degree-5 decision")
-    data = freud_recurrence_coeffs(t, N, args.precision)
+    data = freud_recurrence_coeffs(t, N, prec)
     seq = freud_sequence(data, N)
     alpha, beta, zp, zm = p5_invariants(data)
-    with mpmath.workprec(args.precision):
+    with mpmath.workprec(prec):
         expected = sorted([-mpmath.sqrt(zp), -mpmath.sqrt(zm), mpmath.mpf(0), mpmath.sqrt(zm), mpmath.sqrt(zp)])
-        width = mpmath.mpf(2) ** (-args.precision // 2)
+        width = mpmath.mpf(2) ** (-prec // 2)
     xy = sample_xy(seq[5], seq[6], width)  # x_k: the zeros of P_5, isolated once
-    with mpmath.workprec(args.precision):
+    with mpmath.workprec(prec):
         zero_err = max(abs(x - e) / (1 + abs(e)) for (x, _), e in zip(xy, expected))
     result = admits_dde(list(seq.polys), tolerance=tol)
     fail5 = result.entry(5)
-    with mpmath.workprec(args.precision):
+    with mpmath.workprec(prec):
         V = mpmath.matrix(5, 5)
         for i, (x, _) in enumerate(xy):
             for j in range(5):
@@ -209,7 +215,7 @@ def cmd_freud_demo(args):
     payload = {
         "command": "freud-demo",
         "t": t,
-        "precision": args.precision,
+        "precision": prec,
         "recurrence_coefficients": list(data.a),
         "string_residuals": [float(r) for r in data.residuals],
         "quintic": seq[5],
@@ -242,7 +248,7 @@ _OPTIONS = {
     "--sequence": dict(dest="input", help="alias for --input (sequence document)"),
     "--out": dict(help="write the report to this path instead of stdout"),
     "--format": dict(choices=("json", "csv"), default="json", help="csv: the table of isolated zeros"),
-    "--precision": dict(type=int, default=256, help="big-float working precision in bits"),
+    "--precision": dict(type=int, help="big-float working precision in bits, default 256"),
     "--tolerance": dict(type=float,
                         help="relative residual tolerance (float mode; default: the input document's, else 1e-12)"),
     "--no-timestamp": dict(action="store_true", help="omit the timestamp field (byte-stable output)"),

@@ -21,13 +21,13 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import mpmath
 
 from .poly import (
-    DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, _dx, _prem, _quo, _squarefree, format_poly,
+    DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, _dx, _over_lcm, _prem, _quo, _squarefree, format_poly,
     to_mpf,
 )
 from .roots import real_simple_zeros
@@ -107,12 +107,24 @@ class PolySequence:
 
 
 def step(P, c):
-    """One recurrence application: A * P' + B * P."""
+    """One recurrence application: A * P' + B * P.  On rational data it is
+    one convolution of the integer vectors of P, A and B over their lcm
+    denominators, with one Fraction per output coefficient."""
     if P.kind == FLOAT or c.kind == FLOAT:
         prec = max(P.prec or DEFAULT_FLOAT_PREC, c.A.prec or c.B.prec or DEFAULT_FLOAT_PREC)
         with mpmath.workprec(prec + 16):
             return c.A * P.derivative() + c.B * P
-    return c.A * P.derivative() + c.B * P
+    if c.A.kind == FLOAT or c.B.kind == FLOAT:  # a float zero beside rational data
+        raise KindMismatchError(f"cannot combine {FLOAT} and {RATIONAL} polynomials")
+    (p, dp), (a, da), (b, db) = (_over_lcm(q.coeffs) for q in (P, c.A, c.B))
+    den = lcm(da, db)
+    out = [0] * (len(p) + 1)
+    for u, v in ((_dx(p), [x * (den // da) for x in a]), (p, [x * (den // db) for x in b])):
+        for j, y in enumerate(v):
+            for i, x in enumerate(u):
+                out[i + j] += x * y
+    den *= dp
+    return Poly([Fraction(x, den) for x in out], RATIONAL)
 
 
 def generate(src, N):

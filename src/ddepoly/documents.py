@@ -23,6 +23,7 @@ import io
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import mpmath
 
@@ -157,6 +158,9 @@ class InputDocument:
         return cls.from_dict(doc)
 
 
+_FIELD_NAMES = {}  # a dataclass's field names, read once per class
+
+
 def jsonable(obj, dps=30):
     """Recursively convert report objects to JSON-serializable structures."""
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -175,7 +179,10 @@ def jsonable(obj, dps=30):
     if isinstance(obj, CoefficientPair):
         return {"A": jsonable(obj.A, dps), "B": jsonable(obj.B, dps)}
     if is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name), dps) for f in fields(obj)}
+        names = _FIELD_NAMES.get(type(obj))
+        if names is None:
+            names = _FIELD_NAMES[type(obj)] = tuple(f.name for f in fields(obj))
+        return {name: jsonable(getattr(obj, name), dps) for name in names}
     if isinstance(obj, dict):
         return {str(k): jsonable(v, dps) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -191,7 +198,33 @@ def dump_report(payload, timestamp=True):
         import datetime
 
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+    return _json(jsonable(doc), "\n") + "\n"
+
+
+def _json(obj, newline):
+    """`json.dumps(obj, indent=2, sort_keys=True)` for what `jsonable` returns
+    (str-keyed dicts, lists, strings, ints, floats, bools and None), each
+    line of a container's items starting with `newline` and two spaces.
+    With `indent` set json.dumps runs its pure-Python encoder; this writes
+    the same text directly."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        inner = newline + "  "
+        items = (f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if obj else "{}"
+    if isinstance(obj, list):
+        inner = newline + "  "
+        return f"[{inner}{(',' + inner).join(_json(v, inner) for v in obj)}{newline}]" if obj else "[]"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    return int.__repr__(obj)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def zeros_csv(rows):

@@ -397,28 +397,30 @@ def _refine(f, node, width, parity=None):
     depth = (-(-(hi - lo) * width.denominator // (width.numerator * den)) - 1).bit_length()
     f_hi = _value_int_poly(f, hi, den, parity) if depth and f_hi is None else f_hi
     g = after_bisect = 2
+    left = f_lo < 0  # f's sign left of the root: that of every f_lo, and not of any f_hi
     while depth:
-        g = min(g, depth)
-        cells, step, d = 1 << g, hi - lo, den << g
-
-        def at(i):  # d^n f at grid point i; the ends are known
-            if i in (0, cells):
-                return (f_hi if i else f_lo) << (g * n)
-            return _value_int_poly(f, (lo << g) + i * step, d, parity)
-
-        total = abs(f_lo) + abs(f_hi)
+        g = g if g < depth else depth
+        cells, step, d, base = 1 << g, hi - lo, den << g, lo << g  # grid point i is (base + i step) / d
+        a = -f_lo if left else f_lo
+        total = a + (f_hi if left else -f_hi)
         # the inner grid point nearest the secant's root; the midpoint when g = 1
-        i = min(max((2 * cells * abs(f_lo) + total) // (2 * total), 1), cells - 1)
-        v = at(i)
-        o = i + 1 if (v < 0) == (f_lo < 0) else i - 1  # the other end of the cell toward the root
-        w = at(o) if v else 0
-        if v == 0 or w == 0:
-            return _point(Fraction((lo << g) + (i if v == 0 else o) * step, d))
+        i = (2 * cells * a + total) // (2 * total)
+        i = 1 if i < 1 else i if i < cells else cells - 1
+        v = _value_int_poly(f, base + i * step, d, parity)
+        if v == 0:
+            return _point(Fraction(base + i * step, d))
+        k = i if (v < 0) == left else i - 1  # the cell (k, k + 1) toward the root
+        o = 2 * k + 1 - i  # its other end
+        if o == 0 or o == cells:  # an end, whose value d^n f is known
+            w = (f_hi if o else f_lo) << (g * n)
+        else:
+            w = _value_int_poly(f, base + o * step, d, parity)
+            if w == 0:
+                return _point(Fraction(base + o * step, d))
         if (v < 0) == (w < 0):
             g, after_bisect = 1, max(g // 2, 2)
             continue
-        k = min(i, o)
-        lo, hi, den = (lo << g) + k * step, (lo << g) + (k + 1) * step, d
+        lo, hi, den = base + k * step, base + (k + 1) * step, d
         f_lo, f_hi = (v, w) if k == i else (w, v)
         depth -= g
         g = 2 * g if g > 1 else after_bisect

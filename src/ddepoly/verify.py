@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .dde import generate, step
+from .dde import CoefficientRule, generate, step
 from .families import FamilySpec, coefficient_source
 from .kfactor import classify, predict
 from .poly import RATIONAL, Poly, Surd, _sign, format_scalar, is_finite
@@ -78,6 +79,7 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     else:
         source = spec
         family = getattr(spec, "name", "custom")
+    source = CoefficientRule(cache(source.pair))  # generate and predict take each pair once
     seq = generate(source, N)
     top = len(seq.polys) - 1
     failures = []

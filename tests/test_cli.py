@@ -622,3 +622,25 @@ def test_reports_byte_stable(capsys, argv, digest):
     code, out = run(capsys, *argv, "--no-timestamp")
     assert code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_freud_demo_refuses_fewer_than_six_members(capsys, n):
+    assert main(["freud-demo", "--n", n, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: $: the demo needs N >= 6 to reach the degree-5 decision\n"
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, opts in COMMAND_OPTIONS.items() if "--input" in opts
+                                           for f in (*FAMILY_FLAGS, "--precision") if f in opts])
+def test_flags_beside_input_exit_two_naming_the_flag(capsys, tmp_path, command, flag):
+    # every family flag, and --precision where the family route reads it, is read only without --input
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"family": {"kind": "bell"}, "N": 4}))
+    assert main([command, "--input", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert main([command, "--input", str(path), flag, OLD_OPTIONS[flag]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {flag}: not read with --input, whose document holds the input\n"

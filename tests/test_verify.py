@@ -10,7 +10,7 @@ import pytest
 from ddepoly.cli import main
 from ddepoly.dde import CoefficientPair, CoefficientRule, CoefficientTable
 from ddepoly.documents import dump_report
-from ddepoly.families import FamilySpec
+from ddepoly.families import FamilySpec, coefficient_source
 from ddepoly.kfactor import classify
 from ddepoly.poly import NEG_INF, POS_INF, KindMismatchError, Poly, Surd, format_scalar, is_finite
 from ddepoly.roots import Interval, certify_next, isolate_roots, sturm_count
@@ -328,6 +328,32 @@ def test_verify_reports_byte_stable(kind, params, N, digest):
     report = verify_sequence(FamilySpec(kind, dict(params)), N)
     text = dump_report({"command": "verify", "report": report}, timestamp=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_verify_takes_each_pair_once():
+    # generate reads pairs 0..N-1 and predict 1..N and 0 again; each call of
+    # verify_sequence pays for its own pairs, so a second call reads them all again
+    laguerre = coefficient_source(FamilySpec("laguerre", {"alpha": "1/2"}))
+    calls = []
+    counting = CoefficientRule(lambda n: calls.append(n) or laguerre.pair(n), name="laguerre")
+    assert verify_sequence(counting, 12).agreement
+    assert sorted(calls) == list(range(13))
+    report = verify_sequence(counting, 12)
+    assert report.family == "laguerre" and sorted(calls) == sorted([*range(13)] * 2)
+
+
+def test_verify_lets_an_exception_from_pair_through():
+    hermite = coefficient_source(FamilySpec("hermite"))
+    err = LookupError("no pair 3")
+
+    def pair(n):
+        if n == 3:
+            raise err
+        return hermite.pair(n)
+
+    with pytest.raises(LookupError) as exc:
+        verify_sequence(CoefficientRule(pair), 8)
+    assert exc.value is err
 
 
 def test_one_sturm_chain_per_member(monkeypatch):
