@@ -117,10 +117,11 @@ def step(P, c):
     if c.A.kind == FLOAT or c.B.kind == FLOAT:  # a float zero beside rational data
         raise KindMismatchError(f"cannot combine {FLOAT} and {RATIONAL} polynomials")
     (p, dp), (a, da), (b, db) = (_over_lcm(q.coeffs) for q in (P, c.A, c.B))
-    den = lcm(da, db)
+    den = lcm(da, db)  # A P' + B P = (a (den/da) p' + b (den/db) p) / (den dp)
     out = [0] * (len(p) + 1)
-    for u, v in ((_dx(p), [x * (den // da) for x in a]), (p, [x * (den // db) for x in b])):
+    for u, v, scale in ((_dx(p), a, den // da), (p, b, den // db)):
         for j, y in enumerate(v):
+            y *= scale
             for i, x in enumerate(u):
                 out[i + j] += x * y
     den *= dp

@@ -23,6 +23,7 @@ import io
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import mpmath
@@ -158,7 +159,9 @@ class InputDocument:
         return cls.from_dict(doc)
 
 
-_FIELD_NAMES = {}  # a dataclass's field names, read once per class
+@cache
+def _field_names(cls):
+    return tuple(f.name for f in fields(cls))
 
 
 def jsonable(obj, dps=30):
@@ -179,10 +182,7 @@ def jsonable(obj, dps=30):
     if isinstance(obj, CoefficientPair):
         return {"A": jsonable(obj.A, dps), "B": jsonable(obj.B, dps)}
     if is_dataclass(obj):
-        names = _FIELD_NAMES.get(type(obj))
-        if names is None:
-            names = _FIELD_NAMES[type(obj)] = tuple(f.name for f in fields(obj))
-        return {name: jsonable(getattr(obj, name), dps) for name in names}
+        return {name: jsonable(getattr(obj, name), dps) for name in _field_names(type(obj))}
     if isinstance(obj, dict):
         return {str(k): jsonable(v, dps) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -201,6 +201,9 @@ def dump_report(payload, timestamp=True):
     return _json(jsonable(doc), "\n") + "\n"
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps's words for them
+
+
 def _json(obj, newline):
     """`json.dumps(obj, indent=2, sort_keys=True)` for what `jsonable` returns
     (str-keyed dicts, lists, strings, ints, floats, bools and None), each
@@ -209,22 +212,19 @@ def _json(obj, newline):
     the same text directly."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list)):
         inner = newline + "  "
-        items = (f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if obj else "{}"
-    if isinstance(obj, list):
-        inner = newline + "  "
-        return f"[{inner}{(',' + inner).join(_json(v, inner) for v in obj)}{newline}]" if obj else "[]"
+        if isinstance(obj, dict):
+            ends, items = "{}", (f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj))
+        else:
+            ends, items = "[]", (_json(v, inner) for v in obj)
+        return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if obj else ends
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _NON_FINITE.get(text, text)
     return int.__repr__(obj)
-
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def zeros_csv(rows):
