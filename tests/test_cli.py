@@ -309,6 +309,8 @@ ORACLE_ZEROS = (
     + [(["--family", *a, "--n", "20", "--width", w], None) for a in ORACLE_FAMILY_ARGS[:4] for w in ("1/10", "1")]
     + [(["--family", "freud", "--t", t, "--n", "12", "--precision", b], None)
        for t in ("0", "1/3") for b in ("256", "512")]
+    + [(["--family", "freud", "--t", "1/3", "--n", "16", "--precision", b, "--width", w], None)
+       for b, w in (("256", "1"), ("512", "1e-30"))]
     + [(None, name) for name in ORACLE_DOCS]
 )
 

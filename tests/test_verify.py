@@ -319,13 +319,22 @@ GOLDEN_REPORTS = [
     ("hermite_like", {"kappa": "2"}, 12, "86d40b53bdd044e29acff03ac4735bf63c60d1d150e57acd4de597f8d6a0a547"),
     ("bell", {}, 22, "670fe75c34eae6ba40f52b4f331026b013029f296d430c5f39e719fd6fb45e02"),
     ("hermite", {}, 22, "141e27a0455c0ea3498649834ccd2304ecd87ba8341e60efa696b5162996ad28"),
+    # tables no case decides: A_n = (3 + 2n)(2x^2 - 2), B_n = n + (3 - 2n)x, whose case (a) fails
+    # at n=1 and (b), (c) at n=2; and hermite whose pair 3, A = -1 and B = 1, keeps P_4 at degree 3
+    ("open-example", CoefficientTable([CoefficientPair(P([1]), P([0, 1]))] + [
+        CoefficientPair(P([-2 * (3 + 2 * n), 0, 2 * (3 + 2 * n)]), P([n, 3 - 2 * n])) for n in range(1, 9)]), 8,
+     "99d64a9278f9cb037a6d2ace6ce5a1a5e5e4c8efcb5c2c00920ebc56670a8bdb"),
+    ("hermite-collapse", CoefficientTable([CoefficientPair(P([-1]), P([1 if n == 3 else 0, 0 if n == 3 else 2]))
+                                           for n in range(8)]), 7,
+     "9fd39aee652c31ed0ab63f4a966f15e6deaa1afaec516efc12b87c57d234ade9"),
 ]
 
 
 @pytest.mark.parametrize("kind, params, N, digest", GOLDEN_REPORTS,
                          ids=[f"{k}-{n}" for k, _, n, _ in GOLDEN_REPORTS])
 def test_verify_reports_byte_stable(kind, params, N, digest):
-    report = verify_sequence(FamilySpec(kind, dict(params)), N)
+    source = FamilySpec(kind, dict(params)) if isinstance(params, dict) else params
+    report = verify_sequence(source, N)
     text = dump_report({"command": "verify", "report": report}, timestamp=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
