@@ -26,11 +26,9 @@ from .kfactor import (
     BoundarySpec,
     CaseDecision,
     KClassification,
-    SingularPointError,
     boundary_zeros,
     classify,
     decide_case,
-    k_eval,
     normalize,
 )
 from .poly import NEG_INF, POS_INF, KindMismatchError, Poly, format_poly, squarefree_decomposition
@@ -74,7 +72,6 @@ __all__ = [
     "RootInterval",
     "RootSet",
     "SequenceRecord",
-    "SingularPointError",
     "VerificationReport",
     "admits_dde",
     "boundary_zeros",
@@ -90,7 +87,6 @@ __all__ = [
     "interlaces",
     "is_real_simple",
     "isolate_roots",
-    "k_eval",
     "model_coeffs",
     "normalize",
     "oracle_poly",

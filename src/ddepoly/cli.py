@@ -236,8 +236,7 @@ def cmd_zeros(args):
     spec, table, N, doc = _resolve_input(args, sequences=True)
     width = Fraction(1, 10**9) if args.width is None else _parsed("--width", Fraction, args.width)
     polys = _members(spec, table, N, doc).polys
-    w = width if polys[0].kind == "rational" else mpmath.mpf(float(width))
-    rows = [(n, idx, iv) for n, rec in enumerate(sequence_zeros(polys, w)) for idx, iv in enumerate(rec.zeros)]
+    rows = [(n, idx, iv) for n, rec in enumerate(sequence_zeros(polys, width)) for idx, iv in enumerate(rec.zeros)]
     _write(args, zeros_csv(rows))
     return EXIT_OK
 

@@ -164,29 +164,29 @@ def _field_names(cls):
     return tuple(f.name for f in fields(cls))
 
 
-def jsonable(obj, dps=30):
-    """Recursively convert report objects to JSON-serializable structures."""
+def jsonable(obj):
+    """Recursively convert report objects to JSON-serializable structures; a big float keeps 30 digits."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj
     if isinstance(obj, (Fraction, Surd, _Infinity, mpmath.mpf)):
-        return format_scalar(obj, dps)
+        return format_scalar(obj, 30)
     if isinstance(obj, Poly):
-        return [format_scalar(c, dps) for c in obj.coeffs]
+        return [format_scalar(c, 30) for c in obj.coeffs]
     if isinstance(obj, Interval):
         return {
-            "lo": format_scalar(obj.lo, dps), "hi": format_scalar(obj.hi, dps),
+            "lo": format_scalar(obj.lo, 30), "hi": format_scalar(obj.hi, 30),
             "lo_open": obj.lo_open, "hi_open": obj.hi_open,
         }
     if isinstance(obj, CoefficientPair):
-        return {"A": jsonable(obj.A, dps), "B": jsonable(obj.B, dps)}
+        return {"A": jsonable(obj.A), "B": jsonable(obj.B)}
     if is_dataclass(obj):
-        return {name: jsonable(getattr(obj, name), dps) for name in _field_names(type(obj))}
+        return {name: jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
     if isinstance(obj, dict):
-        return {str(k): jsonable(v, dps) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v, dps) for v in obj]
+        return [jsonable(v) for v in obj]
     return str(obj)
 
 

@@ -18,11 +18,11 @@ sign convention between singular points, and real powers of negative
 bases never arise.
 
 Points and exponents are exact (Fractions, or `poly.Surd`s at irrational
-roots of A) and are ordered with plain `<`; only `log_k_eval` uses floats.
-They are computed on the integer numerators and denominators of the
-coefficients, one Fraction per output field, and every sign is read off
-integers; a surd's radicand is the product of the squarefree parts of the
-discriminant's numerator and denominator.
+roots of A) and are ordered with plain `<`.  They are computed on the
+integer numerators and denominators of the coefficients, one Fraction per
+output field, and every sign is read off integers; a surd's radicand is
+the product of the squarefree parts of the discriminant's numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from math import gcd, isqrt, prod
 
 import mpmath
 
-from .poly import (NEG_INF, POS_INF, RATIONAL, Surd, _sign, _sign_surd, as_exact, format_poly, format_scalar,
-                   is_finite, to_mpf)
+from .poly import NEG_INF, POS_INF, RATIONAL, Surd, _sign, _sign_surd, as_exact, format_poly, format_scalar, is_finite
 from .dde import CoefficientPair
 
 ZERO = "zero"
@@ -42,10 +41,6 @@ FINITE = "finite"
 INF = "inf"
 
 EXTENSION_TAGS = {"B-zero", "linear-A-constant-B", "constant-A-constant-B", "irreducible-quadratic-A"}
-
-
-class SingularPointError(ValueError):
-    """Evaluation requested at a singular point of the closed form."""
 
 
 @dataclass(frozen=True)
@@ -389,36 +384,6 @@ def boundary_zeros(k):
         if hi:
             out.append(SidedZero(POS_INF, "left"))
     return BoundarySpec(k, tuple(zeros_of_k), tuple(zeros_of_a_over_k), tuple(k_singular))
-
-
-def k_eval(k, x, prec=53):
-    """|K|(x) as a big float; raises SingularPointError at singular points."""
-    return float(mpmath.exp(log_k_eval(k, x, prec)))
-
-
-def log_k_eval(k, x, prec=53):
-    """log |K|(x) evaluated term by term at `prec` bits."""
-    form = k.form
-    with mpmath.workprec(prec + 16):
-        xv = to_mpf(x, prec + 16)
-        total = mpmath.mpf(0)
-        for s, e in form.log_terms:
-            dx = xv - to_mpf(s, prec + 16)
-            if dx == 0:
-                raise SingularPointError(f"log|K| singular at x = {format_scalar(s)}")
-            total += to_mpf(e, prec + 16) * mpmath.log(abs(dx))
-        for p, q, g in form.quad_logs:
-            total += to_mpf(g, prec + 16) * mpmath.log(xv * xv + to_mpf(p) * xv + to_mpf(q))
-        total += to_mpf(form.lin, prec + 16) * xv + to_mpf(form.quad, prec + 16) * xv * xv
-        for s, d in form.poles:
-            dx = xv - to_mpf(s, prec + 16)
-            if dx == 0:
-                raise SingularPointError(f"log|K| singular at x = {format_scalar(s)}")
-            total += to_mpf(d, prec + 16) / dx
-        for cc, p, q in form.atans:
-            s0 = mpmath.sqrt(4 * to_mpf(q) - to_mpf(p) ** 2)
-            total += to_mpf(cc) * (2 / s0) * mpmath.atan((2 * xv + to_mpf(p)) / s0)
-        return total
 
 
 @dataclass(frozen=True)

@@ -346,18 +346,8 @@ class Poly:
             rem[k] = self._zero_scalar()
         return self._wrap(quo, prec), self._wrap(rem[:dn], prec)
 
-    def __floordiv__(self, other):
-        return self.divrem(other)[0]
-
     def __mod__(self, other):
         return self.divrem(other)[1]
-
-    def exact_div(self, divisor):
-        """Division known to be exact; raises if a nonzero remainder appears."""
-        q, r = self.divrem(divisor)
-        if self.kind == RATIONAL and not r.is_zero:
-            raise ValueError("exact_div with nonzero remainder")
-        return q
 
     def monic(self):
         if self.is_zero:
@@ -386,17 +376,12 @@ class Poly:
             return ()
         return _primitive(_over_lcm(self.coeffs)[0])
 
-    def to_float(self, prec=DEFAULT_FLOAT_PREC):
-        if self.kind == FLOAT:
-            return self
-        return Poly.floating(self.coeffs, prec)
-
     def __repr__(self):
         return f"Poly({format_poly(self)})"
 
 
-def format_poly(p, var="x", dps=12):
-    """Human-readable form, highest power first: '2x^3 - x + 5/4'."""
+def format_poly(p):
+    """Human-readable form, highest power first: '2x^3 - x + 5/4'; a big float to 12 digits."""
     if p.is_zero:
         return "0"
     parts = []
@@ -407,10 +392,10 @@ def format_poly(p, var="x", dps=12):
         neg = c < 0
         mag = -c if neg else c
         if i == 0:
-            body = format_scalar(mag, dps)
+            body = format_scalar(mag, 12)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
-            body = xs if mag == 1 else f"{format_scalar(mag, dps)}{xs}"
+            xs = "x" if i == 1 else f"x^{i}"
+            body = xs if mag == 1 else f"{format_scalar(mag, 12)}{xs}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

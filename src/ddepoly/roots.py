@@ -85,6 +85,7 @@ from .poly import (
     _Infinity,
     _parity,
     _prs,
+    _quo,
     _remainders,
     _sign,
     _sign_surd,
@@ -427,7 +428,7 @@ def _refine(f, node, width, parity=None):
     return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-def locate_real_roots(f, iso=None):
+def locate_real_roots(f, iso):
     """Sorted isolating nodes for the real roots of a squarefree rational
     polynomial, each (lo, hi, den, f_lo, f_hi) for (lo/den, hi/den]: an
     exact point, lo = hi, or a half-open node holding one root with f
@@ -436,7 +437,7 @@ def locate_real_roots(f, iso=None):
     den^n f at the ends where the walk computed them, else None; `_refine`
     starts from them, and a stack entry's end whose value is 0 is a root
     point its counts exclude.  `iso` is an isolator already built for f,
-    by default `_isolator(f)`, or the `_BracketIsolator` of its certificate:
+    `_isolator(f)` or the `_BracketIsolator` of its certificate:
     each gives V and f's value at a midpoint (`at`) and the top node's
     counts (`top`).  On one with `half` (f with parity) no node below 0 is
     walked, so only the nodes in [0, M] come back, or (-M, M] itself when
@@ -446,7 +447,6 @@ def locate_real_roots(f, iso=None):
     if f.degree == 1:
         r = -f.coeffs[0] / f.coeffs[1]
         return [(r.numerator, r.numerator, r.denominator, 0, 0)]
-    iso = iso or _isolator(f)
     n, M, bits = f.degree, iso.bound, max(abs(v).bit_length() for v in iso.vector)
     # den's bits past which a node, no wider than 2 / den, is narrower than any two roots are apart: Mahler's
     # bound sep > sqrt(3) n^(-(n+2)/2) |c|^(1-n) for the vector c, with |c| < sqrt(n+1) 2^bits
@@ -767,7 +767,7 @@ def interlaces(p, q):
         if not chk:
             raise ValueError(f"{name} is not real-simple: {chk.witness}")
     g = Poly.rational(chain[-1])
-    qt = q.exact_div(g)
+    qt = Poly.rational(_quo(q.primitive_int_coeffs(), chain[-1]))
     if shared:
         taq = _cauchy_index(_remainders(qt, qt.derivative() * g))  # sum of sign g at roots of qt
         if not (shared <= 2 and abs(taq) == qt.degree and (shared == 1 or taq * g.lead < 0)):

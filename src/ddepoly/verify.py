@@ -24,6 +24,8 @@ from .kfactor import classify, predict
 from .poly import RATIONAL, Poly, Surd, _sign, format_scalar, is_finite
 from .roots import _signs_at, interlaces, sequence_zeros
 
+WIDTH = Fraction(1, 10**9)  # the isolating intervals' width in every report
+
 
 @dataclass(frozen=True)
 class SequenceRecord:
@@ -53,7 +55,7 @@ class VerificationReport:
     truncated_at: int | None = None
 
 
-def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
+def verify_sequence(spec, N, strict_extension=False):
     """Generate, predict, and empirically verify a sequence up to degree N.
 
     `spec` is a FamilySpec or any coefficient source exposing pair(n).
@@ -65,11 +67,11 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
     command: each member is certified real-simple from the zeros of the
     member before by its own exact signs, which also places its zeros among
     the previous member's, and a member the certificate declines gets its
-    check and zeros from one Sturm chain.  A member that is not real-simple
-    reports no zeros.  Containment is counted off the zeros on both paths
-    (`_containment_witness`).  Interlacing is read off the places; an
-    unsettled or failing pair goes to `roots.interlaces`, so its witness is
-    a remainder-sequence count.
+    check and zeros from one Sturm chain.  Zeros are refined to `WIDTH`, and
+    a member that is not real-simple reports no zeros.  Containment is
+    counted off the zeros on both paths (`_containment_witness`).
+    Interlacing is read off the places; an unsettled or failing pair goes
+    to `roots.interlaces`, so its witness is a remainder-sequence count.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -94,28 +96,21 @@ def verify_sequence(spec, N, width=Fraction(1, 10**9), strict_extension=False):
                                   collapsed=seq.collapsed, truncated_at=seq.truncated_at)
 
     decision = predict(source, usable, strict_extension)[2]
-    members = sequence_zeros(seq.polys[:usable + 1], width)
+    members = sequence_zeros(seq.polys[:usable + 1], WIDTH)
+    claimed = decision.containment or ()  # a failed decision claims none
+    records = tuple(_empirical_record(seq, n, usable, claimed[n - 1] if n - 1 < len(claimed) else None, members)
+                    for n in range(1, usable + 1))
     if not decision.ok:
         failures.extend(f"case ({case}) hypothesis fails: {why}" for case, why in decision.diagnosis.items())
-        records = tuple(_empirical_record(seq, n, usable, None, members) for n in range(1, usable + 1))
-        return VerificationReport(family, N, decision, records, False, tuple(failures),
-                                  collapsed=seq.collapsed, truncated_at=seq.truncated_at)
-
-    records = []
-    for n in range(1, usable + 1):
-        bounds = None
-        if decision.containment is not None and n - 1 < len(decision.containment):
-            bounds = decision.containment[n - 1]
-        rec = _empirical_record(seq, n, usable, bounds, members)
-        records.append(rec)
-        if not rec.real_simple:
-            failures.append(f"P_{n} not real-simple: {rec.real_simple_witness}")
-        if rec.containment == "fail":
-            failures.append(f"P_{n} containment: {rec.containment_witness}")
-        if decision.interlacing and rec.interlace_with_next == "fail":
-            failures.append(f"P_{n} / P_{n + 1} interlacing: {rec.interlace_witness}")
-    agreement = not failures
-    return VerificationReport(family, N, decision, tuple(records), agreement, tuple(failures),
+    else:
+        for rec in records:
+            if not rec.real_simple:
+                failures.append(f"P_{rec.n} not real-simple: {rec.real_simple_witness}")
+            if rec.containment == "fail":
+                failures.append(f"P_{rec.n} containment: {rec.containment_witness}")
+            if decision.interlacing and rec.interlace_with_next == "fail":
+                failures.append(f"P_{rec.n} / P_{rec.n + 1} interlacing: {rec.interlace_witness}")
+    return VerificationReport(family, N, decision, records, decision.ok and not failures, tuple(failures),
                               collapsed=seq.collapsed, truncated_at=seq.truncated_at)
 
 

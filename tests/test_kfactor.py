@@ -9,11 +9,9 @@ from ddepoly.dde import CoefficientPair
 from ddepoly.kfactor import (
     BoundarySpec,
     SidedZero,
-    SingularPointError,
     boundary_zeros,
     classify,
     decide_case,
-    k_eval,
     limit_class,
     normalize,
 )
@@ -485,15 +483,6 @@ def test_log_derivative_matches_ratio():
     ]
     for c in cases:
         assert check_k_identity(c) < 1e-5
-
-
-def test_k_eval_examples():
-    k = classify(pair([-1, 0, 1], [0, 2]))  # K = x^2 - 1
-    assert abs(k_eval(k, Fraction(2)) - 3) < 1e-12
-    assert abs(k_eval(classify(pair([5, 0, 1], [])), Fraction(7)) - 1) < 1e-15
-    assert abs(k_eval(classify(pair([0, 1], [0, 1])), Fraction(0)) - 1) < 1e-15
-    with pytest.raises(SingularPointError):
-        k_eval(k, Fraction(1))
 
 
 def ef_spec(n, r_rule=lambda n: n + 1):

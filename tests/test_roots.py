@@ -236,7 +236,7 @@ def test_float_rational_agreement():
     p = poly_from_roots(roots)
     width = Fraction(1, 10**9)
     exact = isolate_roots(p, width)
-    approx = isolate_roots(p.to_float(128), mpmath.mpf(1e-9))
+    approx = isolate_roots(Poly.floating(p.coeffs, 128), mpmath.mpf(1e-9))
     assert exact.count == approx.count == 5
     for em, am in zip(exact.midpoints(128), approx.midpoints(128)):
         assert abs(float(em) - float(am)) <= 2e-9
@@ -634,7 +634,7 @@ def test_real_simple_zeros_checks_and_isolates_on_one_chain(monkeypatch):
     import ddepoly.roots as roots
 
     cases = [poly_from_roots([Fraction(-7, 3), 0, 2]) * P([-3, 0, 1]), P([1, 0, 1]) * P([0, 1]),
-             P([1, -2, 1]) * P([-3, 4]), P([-2, 0, 1]).to_float(128)]
+             P([1, -2, 1]) * P([-3, 4]), Poly.floating([-2, 0, 1], 128)]
     want = [(is_real_simple(p), isolate_roots(p, WIDTH)) for p in cases]
     chains = []
     orig, orig_prs = roots._remainders, roots._prs
@@ -703,7 +703,7 @@ def certified_case(rng):
         return None
     q = q.scale(rng.choice([1, -3, Fraction(2, 5)]))
     derivative = rng.random() < 0.6
-    p = q.derivative() if derivative else q.exact_div(P([-min(rational), 1]))
+    p = q.derivative() if derivative else q.divrem(P([-min(rational), 1]))[0]
     return p, q, not complexes, derivative
 
 

@@ -245,6 +245,8 @@ def test_complex_rooted_member_recorded_not_raised():
     assert not rep.agreement
     assert rep.decision.case == "none"
     assert "algebraically" in rep.decision.diagnosis["a"]
+    # with no case decided, the failures are the diagnosis alone, not the members' findings
+    assert rep.failures == tuple(f"case ({c}) hypothesis fails: {why}" for c, why in rep.decision.diagnosis.items())
     bad = [r for r in rep.records if not r.real_simple]
     assert bad and bad[0].n == 3
     prev = rep.records[1]

@@ -22,11 +22,13 @@ boundary_zeros on seeded pairs, and sequence_zeros over P_0..P_N as the
 zeros command runs it.  Each of its CELLS runs by the stored command
 SCALING in a fresh process, so that no cell inherits the heap of the
 cells before it, SCALING_RUNS times per side with the side that runs
-first alternating, and SLOW_RUNS times for a cell whose median on
-either side reaches SLOW_CELL_S seconds after those runs; the row keeps
+first alternating, or SLOW_RUNS times for a cell whose median on either
+side reaches SLOW_CELL_S seconds after SLOW_RUNS runs; the row keeps
 the median, the quartiles and every run, since one wall-clock run per
-cell spreads wider than the changes it should show, and three runs do
-not settle a cell of several seconds on a two-CPU host.
+cell spreads wider than the changes it should show, and three runs did
+not settle cells of 0.1-1.5 s on a two-CPU host.  A cell is `resolved`
+only when the two sides' interquartile ranges do not overlap; any other
+cell shows no move, whatever its medians read.
 The file also holds the machine facts and the commands.  Only the
 standard library is used; the interpreter that runs this script runs
 perfbench too.
@@ -108,7 +110,7 @@ CELLS = (
     + [f"zeros {k} N={N}" for k in ("hermite", "jacobi", "euler_frobenius") for N in (60, 100)]
     + ["zeros freud t=0 N=32 512 bits"]
 )
-SCALING_RUNS, SLOW_RUNS, SLOW_CELL_S = 3, 5, 5.0
+SCALING_RUNS, SLOW_RUNS, SLOW_CELL_S = 7, 5, 5.0
 
 
 def perfbench(checkout, workload, seed, seconds, trace):
@@ -170,6 +172,11 @@ def summary(runs):
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def resolved(parent, change):
+    """Whether the interquartile ranges of two summaries do not overlap."""
+    return parent["q3"] < change["q1"] or change["q3"] < parent["q1"]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -211,15 +218,16 @@ def main():
                 f"at 512 bits), median, quartiles and all {SCALING_RUNS} runs ({SLOW_RUNS} for a cell whose median "
                 f"reaches {SLOW_CELL_S} s on either side), each cell in its own process; agreement "
                 f"is verify_sequence's agreement, all_admit for admits_dde, K's vanishing-point count within "
-                f"2 on every pair, or every root of every member real",
+                f"2 on every pair, or every root of every member real; 'resolved' is true for a cell whose "
+                f"parent and change interquartile ranges do not overlap",
         "command": "PYTHONPATH=src python3 -c " + shlex.quote(SCALING) + " CELL",
         "order": "for each cell, odd runs run the parent first, even runs the change first",
     }
     rows = {"parent": {}, "change": {}}
     for cell in CELLS:
         i = 0
-        while i < SCALING_RUNS or (i < SLOW_RUNS and max(statistics.median(r[0] for r in rows[side][cell])
-                                                         for side in rows) >= SLOW_CELL_S):
+        while i < SLOW_RUNS or (i < SCALING_RUNS and max(statistics.median(r[0] for r in rows[side][cell])
+                                                         for side in rows) < SLOW_CELL_S):
             i += 1
             for side, checkout in sides if i % 2 else sides[::-1]:
                 rows[side].setdefault(cell, []).append(scaling(checkout, cell))
@@ -228,6 +236,8 @@ def main():
             cell: {**summary([r[0] for r in runs]), "runs": [r[0] for r in runs], "agreement": all(r[1] for r in runs)}
             for cell, runs in cells.items()
         }
+    doc["scaling"]["resolved"] = {cell: resolved(doc["scaling"]["parent"][cell], doc["scaling"]["change"][cell])
+                                  for cell in CELLS}
 
     if args.pairs:
         pairs, runs = [], {"parent": [], "change": []}
