@@ -20,7 +20,7 @@ from .dde import (
     sample_xy,
     step,
 )
-from .families import FamilySpec, ParamRule, classical_coeffs, coefficient_source, model_coeffs, oracle_poly, stirling2
+from .families import FamilySpec, ParamRule, coefficient_source, oracle_poly, stirling2
 from .freud import FreudData, PrecisionError, freud_recurrence_coeffs, freud_sequence
 from .kfactor import (
     BoundarySpec,
@@ -76,7 +76,6 @@ __all__ = [
     "admits_dde",
     "boundary_zeros",
     "check_k_identity",
-    "classical_coeffs",
     "classify",
     "coefficient_source",
     "decide_case",
@@ -87,7 +86,6 @@ __all__ = [
     "interlaces",
     "is_real_simple",
     "isolate_roots",
-    "model_coeffs",
     "normalize",
     "oracle_poly",
     "sample_xy",

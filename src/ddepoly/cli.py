@@ -22,7 +22,7 @@ import mpmath
 from . import __version__
 from .dde import PolySequence, admits_dde, generate, sample_xy
 from .documents import DocumentError, InputDocument, dump_report, zeros_csv
-from .families import FAMILY_KINDS, FamilySpec, ParamRule, UnknownParameterError, coefficient_source
+from .families import FAMILIES, FAMILY_KINDS, FamilySpec, ParameterError, coefficient_source
 from .freud import PrecisionError, freud_recurrence_coeffs, freud_sequence, p5_invariants
 from .kfactor import predict
 from .poly import KindMismatchError
@@ -35,37 +35,17 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
-_FAMILY_OPTS = ("alpha", "beta", "b", "c", "kappa", "r", "a", "t")
+_PARAMETERS = tuple(dict.fromkeys(name for params in FAMILIES.values() for name in params))
 
 
-def _family_from_args(args):
-    params = {}
-    for opt in _FAMILY_OPTS:
-        v = getattr(args, opt)
-        if v is not None:
-            _parsed(f"--{opt}", _scalar if opt == "t" else ParamRule.parse, v)
-            params[opt] = v
+def _family(kind, args):
+    """The family `kind` with the parameters given as flags; a refused one is named by its flag."""
+    params = {name: v for name in _PARAMETERS if (v := getattr(args, name, None)) is not None}
     precision = getattr(args, "precision", None)
     try:
-        return FamilySpec(args.family, params, 256 if precision is None else precision)
-    except UnknownParameterError as exc:
+        return FamilySpec(kind, params, 256 if precision is None else precision)
+    except ParameterError as exc:
         raise DocumentError(f"--{exc.name}", str(exc)) from None
-
-
-def _parsed(location, parse, raw):
-    """parse(raw), with a malformed value refused as an input error."""
-    try:
-        return parse(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(location, f"bad value {raw!r}: {exc}") from None
-
-
-def _scalar(raw):
-    """An exact rational, else a big float ('1e-30' is exact, 'inf' is not)."""
-    try:
-        return Fraction(raw)
-    except ValueError:
-        return mpmath.mpf(raw)
 
 
 def _resolve_input(args, sequences=False):
@@ -82,9 +62,9 @@ def _resolve_input(args, sequences=False):
         return doc.family, doc.coefficients, doc.N, doc
     if not args.family:
         raise DocumentError("$", "either --input or --family is required")
-    if not args.n:
+    if args.n is None:
         raise DocumentError("$", "--n is required with --family")
-    return _family_from_args(args), None, args.n, None
+    return _family(args.family, args), None, args.n, None
 
 
 def _source(spec, table):
@@ -98,8 +78,7 @@ def _members(spec, table, N, doc):
     if spec is None and table is None:
         return PolySequence(tuple(doc.sequence))
     if spec is not None and spec.kind == "freud":
-        t = _parsed("$.family.t" if doc is not None else "--t", _scalar, spec.params.get("t", 0))
-        return freud_sequence(freud_recurrence_coeffs(t, N, spec.precision), N)
+        return freud_sequence(freud_recurrence_coeffs(**spec.values, N=N, precision=spec.precision), N)
     return generate(_source(spec, table), N)
 
 
@@ -185,13 +164,13 @@ def cmd_admits(args):
 
 
 def cmd_freud_demo(args):
-    t = Fraction(0) if args.t is None else _parsed("--t", _scalar, args.t)
+    spec = _family("freud", args)
+    prec = spec.precision
     tol = _tolerance(args, None)
     N = 6 if args.n is None else args.n
-    prec = 256 if args.precision is None else args.precision
     if N < 6:
         raise DocumentError("$", "the demo needs N >= 6 to reach the degree-5 decision")
-    data = freud_recurrence_coeffs(t, N, prec)
+    data = freud_recurrence_coeffs(**spec.values, N=N, precision=prec)
     seq = freud_sequence(data, N)
     alpha, beta, zp, zm = p5_invariants(data)
     with mpmath.workprec(prec):
@@ -214,7 +193,7 @@ def cmd_freud_demo(args):
     reproduced = fail5.verdict == "fails" and abs(coef[4]) > tol * max(abs(coef[j]) for j in range(5))
     payload = {
         "command": "freud-demo",
-        "t": t,
+        **spec.values,
         "precision": prec,
         "recurrence_coefficients": list(data.a),
         "string_residuals": [float(r) for r in data.residuals],
@@ -234,14 +213,17 @@ def cmd_freud_demo(args):
 
 def cmd_zeros(args):
     spec, table, N, doc = _resolve_input(args, sequences=True)
-    width = Fraction(1, 10**9) if args.width is None else _parsed("--width", Fraction, args.width)
+    try:
+        width = Fraction(1, 10**9) if args.width is None else Fraction(args.width)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError("--width", f"bad value {args.width!r}: {exc}") from None
     polys = _members(spec, table, N, doc).polys
     rows = [(n, idx, iv) for n, rec in enumerate(sequence_zeros(polys, width)) for idx, iv in enumerate(rec.zeros)]
     _write(args, zeros_csv(rows))
     return EXIT_OK
 
 
-_FAMILY_FLAGS = ("--family", "--n", *(f"--{opt}" for opt in _FAMILY_OPTS))
+_FAMILY_FLAGS = ("--family", "--n", *(f"--{name}" for name in _PARAMETERS))
 _OPTIONS = {
     "--input": dict(help="JSON input document (family, sequence, or coefficient table)"),
     "--sequence": dict(dest="input", help="alias for --input (sequence document)"),
@@ -257,9 +239,9 @@ _OPTIONS = {
     "--width": dict(help="isolation width (rational, default 1/10^9)"),
     "--family": dict(choices=FAMILY_KINDS),
     "--n": dict(type=int, help="largest degree N (freud-demo: >= 6, default 6)"),
-    **{f"--{opt}": dict(help=f"family parameter {opt} (rational or rule like 'n+1')")
-       for opt in _FAMILY_OPTS if opt != "t"},
-    "--t": dict(help="freud weight parameter t (rational or decimal), default 0"),
+    **{f"--{name}": dict(help="; ".join(f"{kind}: {p.form}, default {p.default}"
+                                        for kind, params in FAMILIES.items() if (p := params.get(name))))
+       for name in _PARAMETERS},
 }
 # each command with its help line and the options it reads besides --out and --debug
 _COMMANDS = {
@@ -272,7 +254,7 @@ _COMMANDS = {
     "admits": (cmd_admits, "recover coefficient pairs for an arbitrary sequence",
                ("--input", "--sequence", "--tolerance", "--no-timestamp", *_FAMILY_FLAGS)),
     "freud-demo": (cmd_freud_demo, "quartic-weight example: no polynomial pair exists at degree 5",
-                   ("--precision", "--tolerance", "--no-timestamp", "--t", "--n")),
+                   ("--precision", "--tolerance", "--no-timestamp", "--n", *map("--{}".format, FAMILIES["freud"]))),
     "zeros": (cmd_zeros, "CSV table of isolated zeros (n,index,lo,hi,mid), on verify's root path",
               ("--input", "--precision", "--width", *_FAMILY_FLAGS)),
 }
@@ -296,7 +278,7 @@ def build_parser():
 
 def _attach_negative_values(argv):
     """argparse takes '-1/2' or '-1e-30' for an option name; join every
-    token that Fraction() parses to the option before it ('--t=-1/2')."""
+    token that Fraction() parses to the option before it ('--alpha=-1/2')."""
     out = []
     for tok in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] and tok.startswith("-"):

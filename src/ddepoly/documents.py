@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 import mpmath
 
 from .dde import CoefficientPair, CoefficientTable
-from .families import FamilySpec, UnknownParameterError
+from .families import FamilySpec, ParameterError
 from .poly import Poly, Surd, _Infinity, format_scalar
 from .roots import Interval
 
@@ -106,7 +106,7 @@ class InputDocument:
                 raise DocumentError("$.family", "family must be an object with a 'kind'")
             try:
                 spec = FamilySpec.from_dict({**fam, "precision": precision})
-            except UnknownParameterError as exc:
+            except ParameterError as exc:
                 raise DocumentError(f"$.family.{exc.name}", str(exc)) from None
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise DocumentError("$.family", str(exc)) from None

@@ -1,11 +1,14 @@
 """Built-in coefficient families and the independent constructions used to
 cross-check them.
 
-Each family supplies per-degree coefficient pairs for the recurrence, and
-where a classical closed form exists (`oracle_poly`) it is computed by a
-route that never touches the recurrence: Stirling numbers for the Bell
-polynomials, terminating hypergeometric series, and the standard
-three-term recurrences of the classical orthogonal families.
+Each family is one entry of `FAMILIES`: the parameters it takes, their
+defaults and domains, and whether each may vary with n.  `FamilySpec`
+reads and checks them once, and `_pair` writes every family's per-degree
+coefficient pair for the recurrence.  Where a classical closed form exists
+(`oracle_poly`) it is computed by a route that never touches the
+recurrence: Stirling numbers for the Bell polynomials, terminating
+hypergeometric series, and the standard three-term recurrences of the
+classical orthogonal families.
 """
 
 from __future__ import annotations
@@ -14,17 +17,12 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
+
+import mpmath
 
 from .dde import CoefficientPair, CoefficientRule
 from .poly import Poly, as_fraction
-
-FAMILY_PARAMS = {  # each family with the parameters it takes
-    "jacobi": ("alpha", "beta"), "laguerre": ("alpha",), "hermite": (), "bell": (),
-    "euler_frobenius": ("kappa", "r"), "hermite_like": ("kappa",), "vertgeim": ("a", "b", "alpha"),
-    "hyp2f1": ("b", "c"), "freud": ("t",),
-}
-FAMILY_KINDS = tuple(FAMILY_PARAMS)
-CLASSICAL_KINDS = ("jacobi", "laguerre", "hermite")
 
 _RULE_RE = re.compile(
     r"^\s*(?:(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<op>[+-])\s*)?(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?n\s*$"
@@ -44,24 +42,16 @@ class ParamRule:
     table: tuple | None = None
 
     @classmethod
-    def constant(cls, v):
-        return cls(offset=as_fraction(v))
-
-    @classmethod
-    def affine(cls, offset, slope):
-        return cls(offset=as_fraction(offset), slope=as_fraction(slope))
-
-    @classmethod
     def parse(cls, spec):
         if isinstance(spec, ParamRule):
             return spec
         if isinstance(spec, (list, tuple)):
             return cls(table=tuple(as_fraction(v) for v in spec))
         if isinstance(spec, (int, Fraction)):
-            return cls.constant(spec)
+            return cls(offset=as_fraction(spec))
         text = str(spec).strip()
         if "n" not in text:
-            return cls.constant(text)
+            return cls(offset=as_fraction(text))
         m = _RULE_RE.match(text)
         if m is None:
             # also allow "n+c" / "n-c"
@@ -69,12 +59,12 @@ class ParamRule:
             if m2 is None:
                 raise ValueError(f"cannot parse parameter rule {spec!r}; use 'a', 'a+b*n', 'n+a' or a table")
             a = as_fraction(m2.group("a"))
-            return cls.affine(a if m2.group("op") == "+" else -a, 1)
+            return cls(offset=a if m2.group("op") == "+" else -a, slope=Fraction(1))
         a = as_fraction(m.group("a")) if m.group("a") else Fraction(0)
         b = as_fraction(m.group("b")) if m.group("b") else Fraction(1)
         if m.group("op") == "-":
             b = -b
-        return cls.affine(a, b)
+        return cls(offset=a, slope=b)
 
     def at(self, n):
         if self.table is not None:
@@ -93,18 +83,79 @@ class ParamRule:
         return f"{self.offset}+{self.slope}*n" if self.slope != 1 else f"{self.offset}+n"
 
 
+def _scalar(raw):
+    """An exact rational, else a finite big float ('1e-30' is exact, 'inf' is refused)."""
+    try:
+        return Fraction(raw)
+    except ValueError:
+        v = mpmath.mpf(raw)
+    if not mpmath.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
+
+
+RULE, CONSTANT, DECIMAL = "rational or rule in n", "rational", "rational or decimal"
+_READERS = {RULE: ParamRule.parse, CONSTANT: as_fraction, DECIMAL: _scalar}
+
+
+class Param(NamedTuple):
+    """A family parameter: its form (only a `RULE` varies with n), default, and domain (op, bound)."""
+
+    form: str
+    default: object
+    domain: tuple | None = None
+
+
+FAMILIES = {  # each family with the parameters it takes
+    "jacobi": {"alpha": Param(CONSTANT, 0, (">", -1)), "beta": Param(CONSTANT, 0, (">", -1))},
+    "laguerre": {"alpha": Param(CONSTANT, 0, (">", -1))},
+    "hermite": {}, "bell": {},
+    "euler_frobenius": {"kappa": Param(RULE, 1, ("!=", 0)), "r": Param(RULE, 1, (">", 0))},
+    "hermite_like": {"kappa": Param(RULE, 1, ("!=", 0))},
+    "vertgeim": {"a": Param(RULE, 1, (">", 0)), "b": Param(RULE, 1, (">", 0)), "alpha": Param(CONSTANT, 1, (">", 0))},
+    "hyp2f1": {"b": Param(CONSTANT, 1), "c": Param(CONSTANT, 1)},
+    "freud": {"t": Param(DECIMAL, 0)},
+}
+FAMILY_KINDS = tuple(FAMILIES)
+
+
+class ParameterError(ValueError):
+    """A family parameter refused; `name` lets a front end point at it
+    (`--name` on the command line, `$.family.name` in a document)."""
+
+    def __init__(self, name, message):
+        self.name = name
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family plus parameters, enough to build a coefficient source."""
+    """A named family plus parameters, enough to build a coefficient source.
+    `values` holds every parameter the family takes, given or defaulted, read
+    and checked once (a rule's domain at each n it is read at)."""
 
     kind: str
     params: dict = field(default_factory=dict)
     precision: int = 256
+    values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family {self.kind!r}; choose from {', '.join(FAMILY_KINDS)}")
-        _validate_params(self.kind, self.params)
+        table = FAMILIES[self.kind]
+        for name in self.params:
+            if name not in table:
+                raise ParameterError(name, f"{self.kind} takes no parameter {name}")
+        values = {}
+        for name, param in table.items():
+            raw = self.params.get(name, param.default)
+            try:
+                values[name] = _READERS[param.form](raw)
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                raise ParameterError(name, f"bad value {raw!r}: {exc}") from None
+            if param.form != RULE:
+                _check(self.kind, name, values[name])
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_dict(cls, d):
@@ -122,102 +173,57 @@ class FamilySpec:
         return out
 
 
-class UnknownParameterError(ValueError):
-    """A parameter the family does not take; `name` lets a front end point at it."""
-
-    def __init__(self, kind, name):
-        self.name = name
-        super().__init__(f"{kind} takes no parameter {name}")
-
-
-def _validate_params(kind, params):
-    for name, v in params.items():
-        if name not in FAMILY_PARAMS[kind]:
-            raise UnknownParameterError(kind, name)
-        if name != "t":  # freud's t may be a big float
-            try:
-                ParamRule.parse(v)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"parameter {name}: {exc}") from None
-    if kind == "jacobi":
-        a, b = as_fraction(params.get("alpha", 0)), as_fraction(params.get("beta", 0))
-        if a <= -1 or b <= -1:
-            raise ValueError("jacobi requires alpha > -1 and beta > -1")
-    elif kind == "laguerre":
-        if as_fraction(params.get("alpha", 0)) <= -1:
-            raise ValueError("laguerre requires alpha > -1")
-    elif kind == "hyp2f1":
-        as_fraction(params.get("b", 1))
-        as_fraction(params.get("c", 1))
-    elif kind == "vertgeim":
-        if as_fraction(params.get("alpha", 1)) <= 0:
-            raise ValueError("vertgeim requires alpha > 0")
+def _check(kind, name, v, n=None):
+    """Refuse a value outside its parameter's domain; `n` names the degree a rule was read at."""
+    domain = FAMILIES[kind][name].domain
+    if domain is not None and not (v > domain[1] if domain[0] == ">" else v != domain[1]):
+        at = "" if n is None else f" at n={n}"
+        raise ParameterError(name, f"{kind} requires {name} {domain[0]} {domain[1]}, got {v}{at}")
 
 
-def classical_coeffs(kind, n, **params):
-    """Coefficient pair of a classical orthogonal family at degree n."""
+def _pair(kind, n, v):
+    """(A_n, B_n) of a family, from its parameters' values `v` at degree n."""
+    P = Poly.rational
     if kind == "hermite":
-        return CoefficientPair(Poly.rational([-1]), Poly.rational([0, 2]))
+        return P([-1]), P([0, 2])
     if kind == "laguerre":
-        alpha = as_fraction(params.get("alpha", 0))
         den = Fraction(n + 1)
-        return CoefficientPair(
-            Poly.rational([0, Fraction(1) / den]),
-            Poly.rational([(alpha + n + 1) / den, Fraction(-1) / den]),
-        )
+        return P([0, 1 / den]), P([(v["alpha"] + n + 1) / den, -1 / den])
     if kind == "jacobi":
-        alpha = as_fraction(params.get("alpha", 0))
-        beta = as_fraction(params.get("beta", 0))
+        alpha, beta = v["alpha"], v["beta"]
         s = 2 * n + 2 + alpha + beta
         d1 = 2 * (n + 1) * (n + 1 + alpha + beta)
         if d1 == 0:
             raise ValueError(f"jacobi coefficients undefined at n={n}: (n+1)(n+1+alpha+beta) = 0")
         d2 = 2 * (n + 1)
-        A = Poly.rational([-s / d1, 0, s / d1])
-        B = Poly.rational([(alpha - beta) / d2, s / d2])
-        return CoefficientPair(A, B)
-    raise ValueError(f"unknown classical family {kind!r}")
-
-
-def model_coeffs(kind, n, **params):
-    """Coefficient pair of one of the non-orthogonal model families at degree n."""
+        return P([-s / d1, 0, s / d1]), P([(alpha - beta) / d2, s / d2])
     if kind == "bell":
-        x = Poly.rational([0, 1])
-        return CoefficientPair(x, x)
+        x = P([0, 1])
+        return x, x
     if kind == "euler_frobenius":
-        kap = ParamRule.parse(params.get("kappa", 1)).at(n)
-        r = ParamRule.parse(params.get("r", 1)).at(n)
-        if r <= 0:
-            raise ValueError(f"euler_frobenius requires r_n > 0, got r_{n} = {r}")
-        if kap == 0:
-            raise ValueError(f"euler_frobenius requires kappa_n != 0 at n={n}")
-        return CoefficientPair(Poly.rational([kap, 0, -kap]), Poly.rational([0, -2 * kap * r]))
+        kap = v["kappa"]
+        return P([kap, 0, -kap]), P([0, -2 * kap * v["r"]])
     if kind == "hermite_like":
-        kap = ParamRule.parse(params.get("kappa", 1)).at(n)
-        if kap == 0:
-            raise ValueError(f"hermite_like requires kappa_n != 0 at n={n}")
-        return CoefficientPair(Poly.rational([kap]), Poly.rational([0, -2 * kap]))
+        return P([v["kappa"]]), P([0, -2 * v["kappa"]])
     if kind == "vertgeim":
-        a = ParamRule.parse(params.get("a", 1)).at(n)
-        b = ParamRule.parse(params.get("b", 1)).at(n)
-        alpha = as_fraction(params.get("alpha", 1))
-        if a <= 0 or b <= 0 or alpha <= 0:
-            raise ValueError(f"vertgeim requires a_n, b_n, alpha > 0 (n={n})")
-        return CoefficientPair(Poly.rational([-b, 0, a]), Poly.rational([0, alpha * a]))
-    if kind == "hyp2f1":
-        b = as_fraction(params.get("b", 1))
-        c = as_fraction(params.get("c", 1))
-        return CoefficientPair(Poly.rational([0, 1, -1]), Poly.rational([n + c, -b]))
-    raise ValueError(f"unknown model family {kind!r}")
+        return P([-v["b"], 0, v["a"]]), P([0, v["alpha"] * v["a"]])
+    return P([0, 1, -1]), P([n + v["c"], -v["b"]])  # hyp2f1
 
 
 def coefficient_source(spec):
     """Coefficient source (pair(n)) for a family spec; freud has none."""
     if spec.kind == "freud":
         raise ValueError("the freud family has no polynomial coefficient pairs; use the freud module")
-    if spec.kind in CLASSICAL_KINDS:
-        return CoefficientRule(lambda n: classical_coeffs(spec.kind, n, **spec.params), name=spec.kind)
-    return CoefficientRule(lambda n: model_coeffs(spec.kind, n, **spec.params), name=spec.kind)
+    rules = [name for name, v in spec.values.items() if isinstance(v, ParamRule)]
+
+    def pair(n):
+        v = dict(spec.values)
+        for name in rules:
+            v[name] = spec.values[name].at(n)
+            _check(spec.kind, name, v[name], n)
+        return CoefficientPair(*_pair(spec.kind, n, v))
+
+    return CoefficientRule(pair, name=spec.kind)
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,11 +251,11 @@ def pochhammer(c, n):
 
 def oracle_poly(kind, n, **params):
     """Degree-n member of a family computed without the recurrence."""
+    v = FamilySpec(kind, params).values
     if kind == "bell":
         return Poly.rational([stirling2(n, k) for k in range(n + 1)])
     if kind == "hyp2f1":
-        b = as_fraction(params.get("b", 1))
-        c = as_fraction(params.get("c", 1))
+        b, c = v["b"], v["c"]
         cn = pochhammer(c, n)
         coeffs = []
         for k in range(n + 1):
@@ -268,7 +274,7 @@ def oracle_poly(kind, n, **params):
             h0, h1 = h1, x2 * h1 - (2 * m) * h0
         return h1
     if kind == "laguerre":
-        alpha = as_fraction(params.get("alpha", 0))
+        alpha = v["alpha"]
         l0, l1 = Poly.rational([1]), Poly.rational([1 + alpha, -1])
         if n == 0:
             return l0
@@ -277,8 +283,7 @@ def oracle_poly(kind, n, **params):
             l0, l1 = l1, rhs.scale(Fraction(1, m + 1))
         return l1
     if kind == "jacobi":
-        alpha = as_fraction(params.get("alpha", 0))
-        beta = as_fraction(params.get("beta", 0))
+        alpha, beta = v["alpha"], v["beta"]
         p0 = Poly.rational([1])
         p1 = Poly.rational([(alpha - beta) / 2, (alpha + beta + 2) / 2])
         if n == 0:

@@ -448,6 +448,8 @@ def predict(source, N, strict_extension=False):
     """The endpoint case of a coefficient source: classify its pairs
     1..N (a table may stop earlier), place the root of P_1 = B_0 at B_0's
     precision and decide.  Returns (boundary specs, first root, decision)."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     pairs = []
     for n in range(1, N + 1):
         try:

@@ -88,9 +88,9 @@ def verify_sequence(spec, N, strict_extension=False):
     if seq.truncated_at is not None:
         failures.append(seq.diagnostic)
     usable = top
-    for m in seq.collapsed:
-        usable = min(usable, m - 1)
-        failures.append(f"degree collapse at P_{m}; verification truncated to n <= {usable}")
+    if seq.collapsed:  # deg P_(k+1) <= deg P_k + 1, so every later member has collapsed too
+        usable = seq.collapsed[0] - 1
+        failures.append(f"degree collapse at P_{seq.collapsed[0]}; verification truncated to n <= {usable}")
     if usable < 1:
         return VerificationReport(family, N, None, (), False, tuple(failures),
                                   collapsed=seq.collapsed, truncated_at=seq.truncated_at)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ddepoly.cli import main
+from ddepoly.families import FAMILIES, RULE, FamilySpec, coefficient_source
 from ddepoly.roots import InternalError
 
 
@@ -245,6 +246,59 @@ def test_missing_family_and_input_exits_two(capsys):
     assert main(["verify", "--n", "5"]) == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    ("verify", "N must be >= 2"), ("generate", "N must be >= 1"), ("classify", "N must be >= 1"),
+    ("zeros", "N must be >= 1"), ("admits", "N must be >= 1"),
+])
+def test_n_out_of_range_reaches_the_commands_own_check(capsys, command, message):
+    # only a missing --n is refused as missing; a given one goes to the command's N check
+    assert main([command, "--family", "bell"]) == 2
+    assert capsys.readouterr().err == "input error: $: --n is required with --family\n"
+    for n in ("0", "-1"):
+        assert main([command, "--family", "bell", "--n", n]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["generate", "--family", "freud", "--n", "6"], ["freud-demo"]])
+@pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+def test_freud_t_must_be_finite(capsys, argv, t):
+    # a non-finite t made members of NaN coefficients, and generate exited 0
+    assert main([*argv, f"--t={t}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: --t: bad value '{t}': not a finite number\n"
+
+
+FAMILY_PARAMETERS = [(kind, name) for kind, params in FAMILIES.items() for name in params]
+
+
+@pytest.mark.parametrize("kind, name", FAMILY_PARAMETERS, ids=[f"{k}-{n}" for k, n in FAMILY_PARAMETERS])
+def test_each_family_parameter_is_refused_by_name_and_defaults_once(capsys, tmp_path, kind, name):
+    # a malformed value is refused at its flag and at its document path
+    assert main(["generate", "--family", kind, "--n", "6", f"--{name}", "1/0"]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: --{name}: bad value '1/0'")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"family": {"kind": kind, name: "1/0"}, "N": 6}))
+    assert main(["generate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: $.family.{name}: bad value '1/0'")
+    # a rule in n is read where the parameter may vary with n, and refused by name where it may not
+    param = FAMILIES[kind][name]
+    code = main(["generate", "--family", kind, "--n", "6", f"--{name}", "n+1", "--no-timestamp"])
+    captured = capsys.readouterr()
+    if param.form == RULE:
+        assert code == 0 and captured.err == ""
+    else:
+        assert code == 2 and captured.err.startswith(f"input error: --{name}: bad value 'n+1'")
+    # the default, left out or given, is the same value
+    implicit, explicit = FamilySpec(kind), FamilySpec(kind, {name: str(param.default)})
+    if kind == "freud":
+        assert implicit.values == explicit.values
+    else:
+        implicit, explicit = coefficient_source(implicit), coefficient_source(explicit)
+        for n in range(6):
+            a, b = implicit.pair(n), explicit.pair(n)
+            assert (a.A, a.B) == (b.A, b.B)
+
+
 def test_input_document_verify_coefficients(capsys, tmp_path):
     doc = {
         "coefficients": [
@@ -321,10 +375,8 @@ def test_zeros_csv_equals_isolate_roots_member_by_member(capsys, tmp_path, argv,
     # own Sturm chain, listed even where the member has repeated or complex roots
     import mpmath
 
-    from ddepoly.cli import _scalar
     from ddepoly.dde import generate
     from ddepoly.documents import InputDocument, zeros_csv
-    from ddepoly.families import FamilySpec, coefficient_source
     from ddepoly.freud import freud_recurrence_coeffs, freud_sequence
     from ddepoly.roots import isolate_roots
 
@@ -340,7 +392,8 @@ def test_zeros_csv_equals_isolate_roots_member_by_member(capsys, tmp_path, argv,
         width = Fraction(opts.get("--width", width))
         if family == "freud":
             prec = int(opts["--precision"])
-            polys = freud_sequence(freud_recurrence_coeffs(_scalar(opts["--t"]), N, prec), N).polys
+            t = FamilySpec(family, {"t": opts["--t"]}).values["t"]
+            polys = freud_sequence(freud_recurrence_coeffs(t, N, prec), N).polys
         else:
             params = {k[2:]: v for k, v in opts.items() if k not in ("--family", "--n", "--width")}
             polys = generate(coefficient_source(FamilySpec(family, params)), N).polys
@@ -443,9 +496,10 @@ def test_malformed_values_exit_two_naming_the_parameter(capsys, argv, where):
 
 
 @pytest.mark.parametrize("doc, where", [
-    ({"family": {"kind": "euler_frobenius", "kappa": "1/0"}, "N": 4}, "$.family"),
+    ({"family": {"kind": "euler_frobenius", "kappa": "1/0"}, "N": 4}, "$.family.kappa"),
     ({"family": {"kind": "hermite_like", "kappa": [1, 2]}, "N": 4}, "$.family.kappa"),
     ({"coefficients": [{"A": ["-1"], "B": ["0", "2"]}] * 3, "N": 5}, "$.N"),
+    ({"family": {"kind": "freud", "t": [1]}, "N": 1}, "$.family.t"),  # was an internal error, exit 4
 ])
 def test_malformed_documents_exit_two(capsys, tmp_path, doc, where):
     path = tmp_path / "doc.json"

@@ -3,32 +3,28 @@ from fractions import Fraction
 import pytest
 
 from ddepoly.dde import generate
-from ddepoly.families import (
-    FamilySpec,
-    ParamRule,
-    classical_coeffs,
-    coefficient_source,
-    model_coeffs,
-    oracle_poly,
-    stirling2,
-)
+from ddepoly.families import FamilySpec, ParamRule, coefficient_source, oracle_poly, stirling2
 from ddepoly.poly import Poly
 
 P = Poly.rational
 
 
+def pair(kind, n, **params):
+    return coefficient_source(FamilySpec(kind, params)).pair(n)
+
+
 def test_hermite_display():
-    c = classical_coeffs("hermite", 7)
+    c = pair("hermite", 7)
     assert c.A == P([-1]) and c.B == P([0, 2])
 
 
 def test_laguerre_display_n0():
-    c = classical_coeffs("laguerre", 0, alpha=0)
+    c = pair("laguerre", 0, alpha=0)
     assert c.A == P([0, 1]) and c.B == P([1, -1])
 
 
 def test_jacobi_display_n0():
-    c = classical_coeffs("jacobi", 0, alpha=0, beta=0)
+    c = pair("jacobi", 0, alpha=0, beta=0)
     assert c.A == P([-1, 0, 1]) and c.B == P([0, 1])
 
 
@@ -38,25 +34,25 @@ def test_jacobi_denominator_guard():
 
 
 def test_model_displays():
-    c = model_coeffs("bell", 9)
+    c = pair("bell", 9)
     assert c.A == P([0, 1]) and c.B == P([0, 1])
-    c = model_coeffs("euler_frobenius", 4, kappa="1", r="1")
+    c = pair("euler_frobenius", 4, kappa="1", r="1")
     assert c.A == P([1, 0, -1]) and c.B == P([0, -2])
-    c = model_coeffs("hyp2f1", 3, b=20, c=1)
+    c = pair("hyp2f1", 3, b=20, c=1)
     assert c.A == P([0, 1, -1]) and c.B == P([4, -20])
-    c = model_coeffs("hermite_like", 2, kappa=3)
+    c = pair("hermite_like", 2, kappa=3)
     assert c.A == P([3]) and c.B == P([0, -6])
-    c = model_coeffs("vertgeim", 1, a="2", b="3", alpha="1/2")
+    c = pair("vertgeim", 1, a="2", b="3", alpha="1/2")
     assert c.A == P([-3, 0, 2]) and c.B == P([0, 1])
 
 
 def test_model_constraints():
     with pytest.raises(ValueError):
-        model_coeffs("euler_frobenius", 0, kappa="1", r="-1")
+        pair("euler_frobenius", 0, kappa="1", r="-1")
     with pytest.raises(ValueError):
-        model_coeffs("euler_frobenius", 0, kappa="0", r="1")
+        pair("euler_frobenius", 0, kappa="0", r="1")
     with pytest.raises(ValueError):
-        model_coeffs("vertgeim", 0, a="0", b="1", alpha="1")
+        pair("vertgeim", 0, a="0", b="1", alpha="1")
 
 
 def test_stirling_values():

@@ -265,6 +265,15 @@ def test_degree_collapse_reported():
     assert any("collapse" in f for f in rep.failures)
 
 
+def test_one_collapse_failure_for_all_collapsed_members():
+    # hermite whose pair 3, A = -1 and B = 1, keeps P_4 at degree 3: P_4..P_7 all
+    # collapse, since deg P_(k+1) <= deg P_k + 1, and the first collapse alone is worded
+    table = GOLDEN_REPORTS[-1][1]
+    rep = verify_sequence(table, 7)
+    assert rep.collapsed == (4, 5, 6, 7)
+    assert [f for f in rep.failures if "collapse" in f] == ["degree collapse at P_4; verification truncated to n <= 3"]
+
+
 def test_check_k_identity_examples():
     assert check_k_identity(CoefficientPair(P([-1]), P([0, 2]))) < 1e-5
     assert check_k_identity(CoefficientPair(P([0, 1]), Poly.zero())) == 0.0
@@ -328,7 +337,7 @@ GOLDEN_REPORTS = [
      "99d64a9278f9cb037a6d2ace6ce5a1a5e5e4c8efcb5c2c00920ebc56670a8bdb"),
     ("hermite-collapse", CoefficientTable([CoefficientPair(P([-1]), P([1 if n == 3 else 0, 0 if n == 3 else 2]))
                                            for n in range(8)]), 7,
-     "9fd39aee652c31ed0ab63f4a966f15e6deaa1afaec516efc12b87c57d234ade9"),
+     "1cd0935c2afc253a224ede7d3f6c248ab7f33698143170e432a5b31177910810"),
 ]
 
 
