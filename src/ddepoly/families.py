@@ -193,10 +193,11 @@ def _pair(kind, n, v):
         alpha, beta = v["alpha"], v["beta"]
         s = 2 * n + 2 + alpha + beta
         d1 = 2 * (n + 1) * (n + 1 + alpha + beta)
-        if d1 == 0:
-            raise ValueError(f"jacobi coefficients undefined at n={n}: (n+1)(n+1+alpha+beta) = 0")
         d2 = 2 * (n + 1)
-        return P([-s / d1, 0, s / d1]), P([(alpha - beta) / d2, s / d2])
+        # d1 = 0 only at n = 0 with alpha + beta = -1 (Chebyshev T among them), where P_0' = 0
+        # leaves A_0 unread
+        A = P([-s / d1, 0, s / d1]) if d1 else P([0])
+        return A, P([(alpha - beta) / d2, s / d2])
     if kind == "bell":
         x = P([0, 1])
         return x, x

@@ -13,7 +13,10 @@ per step), so everything here runs in mpmath at a caller-chosen precision
 silent corruption.  The seed a_1 dominates the achievable accuracy.  It
 is the square root of the weight's second-to-zeroth moment ratio; with
 u = x^2 both moments are parabolic-cylinder integrals (DLMF 12.5.1), so
-one library ratio D_{-3/2} / D_{-1/2} gives a_1 for every real t.
+a_1^2 is a ratio D_{-3/2} / D_{-1/2}.  For t^2 < 64 each D is summed as
+its even and odd Kummer functions 1F1 (DLMF 12.2, 12.4, 12.7), a series
+in t^2; from t^2 = 64 on, `mpmath.pcfd` evaluates it (see
+`recurrence_seed` for why).
 """
 
 from __future__ import annotations
@@ -38,16 +41,44 @@ def recurrence_seed(t, prec=256):
     (DLMF 12.5.1): m_0 = 2^(-1/4) Gamma(1/2) U(0, z) e^(z^2/4) and
     m_2 = 2^(-3/4) Gamma(3/2) U(1, z) e^(z^2/4) with z = -sqrt(2) t, so
 
-        a_1^2 = D_{-3/2}(z) / (2 sqrt(2) D_{-1/2}(z)),
+        a_1^2 = D_{-3/2}(z) / (2 sqrt(2) D_{-1/2}(z)) = F(-3/2) / (4 F(-1/2)),
 
-    one route for every real t; at t = 0, a_1^2 = Gamma(3/4) / Gamma(1/4).
-    The ratio is evaluated 32 bits above `prec` and rounded to `prec`.
+    where D_nu(-sqrt(2) t) = 2^(nu/2) sqrt(pi) e^(-t^2/2) F(nu) splits into
+    its even and odd Kummer functions (DLMF 12.2.6-7, 12.4.1, 12.7.12-13):
+
+        F(nu) = 1F1(-nu/2; 1/2; t^2) / Gamma((1 - nu)/2)
+                + 2t 1F1((1 - nu)/2; 3/2; t^2) / Gamma(-nu/2).
+
+    At t = 0, a_1^2 = Gamma(3/4) / Gamma(1/4).  This sum serves t^2 < 64.
+    From t^2 = 64 on, mpmath's 1F1 first tries an asymptotic series that
+    fails until t^2 nears the precision, so the sum is no faster than
+    `mpmath.pcfd`; once t^2 is large, pcfd's own asymptotic series
+    converges at once, while the sum does not (for t < 0 its two terms
+    cancel by about 1.44 t^2 bits).  So pcfd takes over at t^2 = 64.
+    Either route works 32 bits above `prec` and rounds to `prec`.
     """
     with mpmath.workprec(prec + 32):
-        z = -mpmath.sqrt(2) * to_mpf(t, prec + 32)
-        a1 = mpmath.sqrt(mpmath.pcfd(-1.5, z) / (2 * mpmath.sqrt(2) * mpmath.pcfd(-0.5, z)))
+        tv = to_mpf(t, prec + 32)
+        if tv * tv < 64:
+            a1 = mpmath.sqrt(_kummer_sum(-1.5, tv) / (4 * _kummer_sum(-0.5, tv)))
+        else:
+            z = -mpmath.sqrt(2) * tv
+            a1 = mpmath.sqrt(mpmath.pcfd(-1.5, z) / (2 * mpmath.sqrt(2) * mpmath.pcfd(-0.5, z)))
     with mpmath.workprec(prec):
         return +a1
+
+
+def _kummer_sum(nu, t):
+    """F(nu) of `recurrence_seed`, by one `mpmath.hypercomb`, which raises its
+    working precision to cover the terms' cancellation; t^2 is formed at
+    that precision, so both terms see the same argument."""
+
+    def terms():
+        even = ([], [], [], [(1 - nu) / 2], [-nu / 2], [0.5], t * t)
+        odd = ([2 * t], [1], [], [-nu / 2], [(1 - nu) / 2], [1.5], t * t)
+        return (even, odd) if t else (even,)
+
+    return mpmath.hypercomb(terms, [])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,16 @@ def test_verify_bell_report(capsys, tmp_path):
     assert doc["report"]["decision"]["betas"][0] == "0"
 
 
+def test_verify_jacobi_with_alpha_plus_beta_minus_one(capsys):
+    # Chebyshev T: the general A_0 divides by 1 + alpha + beta = 0, but P_0' = 0 leaves A_0 unread
+    code, out = run(capsys, "verify", "--family", "jacobi", "--alpha", "-1/2", "--beta", "-1/2", "--n", "6",
+                    "--no-timestamp")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["decision"]["case"] == "a"
+    assert report["agreement"] is True
+
+
 def test_admits_hermite_table(capsys, tmp_path):
     # physicists' normalization table through degree 6, from the three-term route
     hs = [[1], [0, 2]]

@@ -30,13 +30,42 @@ def _seed_oracle(t, prec):
 @pytest.mark.parametrize(
     "t, prec",
     [(t, prec) for prec in (256, 512) for t in (0, -3, -1, Fraction(-1, 2), Fraction(-1, 10**30))]
-    + [(t, 256) for t in (Fraction(3, 10), 1, 3)],
+    + [(t, 256) for t in (Fraction(3, 10), 1, 3)]
+    # both sides of the switch from the Kummer sums to pcfd at t^2 = 64
+    + [(t, prec) for prec in (256, 512) for t in (-4, -7, -15, -17, -21, -23, -30)],
     ids=str,
 )
 def test_seed_against_independent_routes(t, prec):
     a1 = recurrence_seed(t, prec)
     ref = _seed_oracle(t, prec)
     assert abs(a1 - ref) / ref < mpmath.mpf(2) ** -(prec - 8)
+
+
+def _pcfd_seed(t, prec):
+    """a_1 = sqrt(D_{-3/2}(z) / (2 sqrt(2) D_{-1/2}(z))), z = -sqrt(2) t, by `mpmath.pcfd`
+    at every t, 32 bits above prec and rounded to prec."""
+    with mpmath.workprec(prec + 32):
+        z = -mpmath.sqrt(2) * to_mpf(t, prec + 32)
+        a1 = mpmath.sqrt(mpmath.pcfd(-1.5, z) / (2 * mpmath.sqrt(2) * mpmath.pcfd(-0.5, z)))
+    with mpmath.workprec(prec):
+        return +a1
+
+
+@pytest.mark.parametrize("prec", [256, 512])
+def test_seed_equals_the_pcfd_ratio_bit_for_bit(prec):
+    # t = -79/10 and -23/3 are not dyadic and their terms cancel by about 90 and 85 bits, so
+    # a t^2 rounded once, outside the sum's raised precision, shows there
+    ts = list(range(-25, 11)) + [Fraction(-1, 3), Fraction(3, 10), Fraction(-79, 10), Fraction(-23, 3), Fraction(63, 8)]
+    assert [t for t in ts if recurrence_seed(t, prec) != _pcfd_seed(t, prec)] == []
+
+
+def test_seed_asymptotics():
+    # the weight concentrates at x^2 = t for t -> +inf; for t -> -inf it is nearly the
+    # Gaussian exp(-2|t| x^2), whose variance is 1/(4|t|)
+    t = 10**6
+    with mpmath.workprec(256):
+        assert abs(recurrence_seed(t) ** 2 / t - 1) < 1e-11
+        assert abs(4 * t * recurrence_seed(-t) ** 2 - 1) < 1e-11
 
 
 def test_seed_value_at_zero():
