@@ -139,7 +139,7 @@ def freud_sequence(data, N):
         polys = [Poly.floating([1], prec), Poly.floating([0, 1 / data.a[1]], prec)]
         for n in range(1, N):
             xpn = Poly.floating([0] + list(polys[n].coeffs), prec)
-            nxt = (xpn - data.a[n] * polys[n - 1]).scale(1 / data.a[n + 1])
+            nxt = (xpn - polys[n - 1].scale(data.a[n])).scale(1 / data.a[n + 1])
             polys.append(nxt)
         seq = PolySequence(tuple(polys))
         if N >= 5:

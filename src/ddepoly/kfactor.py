@@ -19,15 +19,17 @@ bases never arise.
 
 Points and exponents are exact (Fractions, or `poly.Surd`s at irrational
 roots of A) and are ordered with plain `<`.  They are computed on the
-integer numerators and denominators of the coefficients, one Fraction per
-output field, and every sign is read off integers; a surd's radicand is
-the product of the squarefree parts of the discriminant's numerator and
-denominator.
+integer numerators and denominators of the pair as given, with lead(A)
+divided out of those integers, one Fraction per output field, and every
+sign is read off integers; a surd's radicand is the product of the
+squarefree parts of the discriminant's numerator and denominator.  No
+A-monic pair is built on the way: `normalize` builds one only when a
+classification's `pair` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -119,12 +121,19 @@ _ZERO_SIDES = {(ZERO, ZERO): "both", (ZERO, INF): "left", (INF, ZERO): "right"}
 
 @dataclass(frozen=True)
 class KClassification:
-    """Closed-form shape of the damping factor for one coefficient pair."""
+    """Closed-form shape of the damping factor for one coefficient pair.
+
+    `source` is the pair as given; `pair` scales it so A is monic each time
+    it is read.  Equality and repr are those of the normalized pair."""
 
     tag: str
-    pair: CoefficientPair  # normalized: A monic
+    source: CoefficientPair = field(compare=False)
     form: LogDerivativeForm
     a_roots: tuple  # ((root, multiplicity), ...) real roots of A
+
+    @property
+    def pair(self):
+        return normalize(self.source)
 
     @property
     def extension(self):
@@ -135,9 +144,20 @@ class KClassification:
 
     def a_over_k_form(self):
         """log|A/K| has log-derivative A'/A - B/A = (A' - B)/A: a second
-        partial-fraction form, kept as the oracle `boundary_zeros` is tested against."""
-        A = self.pair.A
-        return _log_form(A, A.derivative() - self.pair.B, self.a_roots)
+        partial-fraction form, kept as the oracle `boundary_zeros` is tested
+        against."""
+        a, b = _monic(self.source)
+        da = (a[1], (2, 1)) if len(a) == 2 else ((len(a), 1), (0, 1))  # A' of monic A: p + 2x, 1 or 0
+        r = [(xn * yd - yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(da, b)]
+        return _partial_fractions(a, r, self.a_roots)
+
+    def __eq__(self, other):
+        if not isinstance(other, KClassification):
+            return NotImplemented
+        return (self.tag, self.form, self.a_roots) == (other.tag, other.form, other.a_roots) and self.pair == other.pair
+
+    def __repr__(self):
+        return f"KClassification(tag={self.tag!r}, pair={self.pair!r}, form={self.form!r}, a_roots={self.a_roots!r})"
 
 
 def normalize(c):
@@ -150,10 +170,19 @@ def normalize(c):
         return c
     if c.A.kind != RATIONAL:
         return CoefficientPair(c.A.monic(), c.B.scale(1 / lc))
-    n, d = lc.denominator, lc.numerator
-    A = [Fraction(x.numerator * n, x.denominator * d) for x in c.A.coeffs[:-1]] + [Fraction(1)]
-    B = [Fraction(x.numerator * n, x.denominator * d) for x in c.B.coeffs]
-    return CoefficientPair(c.A._wrap(A), c.B._wrap(B))
+    a, b = _monic(c)
+    return CoefficientPair(c.A._wrap([Fraction(*x) for x in a] + [Fraction(1)]), c.B._wrap([Fraction(*x) for x in b]))
+
+
+def _monic(c):
+    """(a, b): the coefficients of A below its lead and the two of B, each
+    divided by lead(A), as (num, den) integer pairs with den > 0, not reduced."""
+    ln, ld = c.A.coeffs[-1].numerator, c.A.coeffs[-1].denominator
+    if ln < 0:  # the sign goes to the numerators
+        ln, ld = -ln, -ld
+    a = [(x.numerator * ld, x.denominator * ln) for x in c.A.coeffs[:-1]]
+    b = [(x.numerator * ld, x.denominator * ln) for x in c.B.coeffs]
+    return a, b + [(0, 1)] * (2 - len(b))
 
 
 def classify(c):
@@ -161,76 +190,76 @@ def classify(c):
 
     Requires rational coefficients.  A quadratic A with an irrational
     (positive, non-square) discriminant has two `Surd` roots, and every
-    point and exponent is exact.
+    point and exponent is exact.  Shape tags from deg A, the real roots of
+    A, deg B and whether B's root is a (rational) root of A.
     """
-    c = normalize(c)
     A, B = c.A, c.B
+    if A.is_zero:
+        raise ValueError("A must be nonzero")
     if A.kind != RATIONAL or (not B.is_zero and B.kind != RATIONAL):
         raise ValueError("classification requires rational coefficients; bind parameters to rationals first")
-    roots = _real_roots_of_a(A)
-    return KClassification(_tag(A, B, roots), c, _log_form(A, B, roots), roots)
-
-
-def _tag(A, B, roots):
-    """Shape tag from deg A, the real roots of A, deg B and whether B's
-    root is a (rational) root of A."""
+    a, b = _monic(c)
+    roots = _real_roots(a)
     if B.is_zero:
-        return "B-zero"
-    if A.degree == 2 and not roots:
-        return "irreducible-quadratic-A"
-    shape = ("constant-A", "linear-A", "equal-roots" if len(roots) == 1 else "distinct-roots")[A.degree]
-    if B.degree == 0:
-        return f"{shape}-constant-B"
-    if A.degree == 0:
-        return shape
-    b0, b1 = B.coeffs
-    matches = any(isinstance(r, Fraction) and not _value_at(b0, b1, r)[0] for r, _ in roots)
-    if A.degree == 1:
-        return "linear-A-equal" if matches else "linear-A-distinct"
-    return "B-root-matches-A-root" if matches else f"{shape}-linear-B"
+        tag = "B-zero"
+    elif A.degree == 2 and not roots:
+        tag = "irreducible-quadratic-A"
+    else:
+        shape = ("constant-A", "linear-A", "equal-roots" if len(roots) == 1 else "distinct-roots")[A.degree]
+        if B.degree == 0:
+            tag = f"{shape}-constant-B"
+        elif A.degree == 0:
+            tag = shape
+        else:
+            matches = any(isinstance(r, Fraction) and not _value_at(b, r)[0] for r, _ in roots)
+            if A.degree == 1:
+                tag = "linear-A-equal" if matches else "linear-A-distinct"
+            else:
+                tag = "B-root-matches-A-root" if matches else f"{shape}-linear-B"
+    return KClassification(tag, c, _partial_fractions(a, b, roots), roots)
 
 
-def _value_at(r0, r1, x):
-    """(num, den) with r0 + r1 x = num/den and den > 0, for Fractions r0, r1
-    and x, not reduced."""
-    r0d, r1d, xd = r0.denominator, r1.denominator, x.denominator
-    return r0.numerator * r1d * xd + r1.numerator * x.numerator * r0d, r0d * r1d * xd
+def _value_at(r, x):
+    """(num, den) with r0 + r1 x = num/den and den > 0, for (num, den)
+    pairs r = (r0, r1) and a Fraction x, not reduced."""
+    (r0n, r0d), (r1n, r1d) = r
+    xd = x.denominator
+    return r0n * r1d * xd + r1n * x.numerator * r0d, r0d * r1d * xd
 
 
-def _half(x):
-    return Fraction(x.numerator, 2 * x.denominator)
-
-
-def _log_form(A, R, roots):
+def _partial_fractions(a, r, roots):
     """Closed form of log|exp(int R/A)| by partial fractions, for monic A
-    (degree <= 2) with real roots `roots`, ascending, and deg R <= 1.
+    (degree <= 2) given by the (num, den) pairs `a` of its coefficients below
+    the lead, with real roots `roots`, ascending, and R = r0 + r1 x given by
+    the pairs r = (r0, r1).
 
     K is the case R = B and A/K the case R = A' - B.  The growth exponent
     at +-inf is the exact residue sum: r1 for quadratic A, R(lam) for
     linear A.  Each field is one Fraction built from the integers of A, R
     and the roots.
     """
-    r0, r1 = R.coeff(0), R.coeff(1)
-    if A.degree == 0:  # r0 + r1 x
-        return LogDerivativeForm(lin=r0, quad=_half(r1))
-    if A.degree == 1:  # r1 + R(lam)/(x - lam)
+    (r0n, r0d), (r1n, r1d) = r
+    if not a:  # r0 + r1 x
+        return LogDerivativeForm(lin=Fraction(r0n, r0d), quad=Fraction(r1n, 2 * r1d))
+    r1 = Fraction(r1n, r1d)
+    if len(a) == 1:  # r1 + R(lam)/(x - lam)
         lam = roots[0][0]
-        e = Fraction(*_value_at(r0, r1, lam))
+        e = Fraction(*_value_at(r, lam))
         return LogDerivativeForm(log_terms=((lam, e),) if e else (), lin=r1, growth=e)
     if not roots:  # (r1/2) A'/A + (r0 - r1 p/2)/A
-        q, p = A.coeffs[0], A.coeffs[1]
-        r0d, r1d, pd = r0.denominator, r1.denominator, p.denominator
-        cc = Fraction(2 * r0.numerator * r1d * pd - r1.numerator * p.numerator * r0d, 2 * r0d * r1d * pd)
+        (qn, qd), (pn, pd) = a
+        p, q = Fraction(pn, pd), Fraction(qn, qd)
+        cc = Fraction(2 * r0n * r1d * pd - r1n * pn * r0d, 2 * r0d * r1d * pd)
         return LogDerivativeForm(
-            quad_logs=((p, q, _half(r1)),) if r1 else (),
+            quad_logs=((p, q, Fraction(r1n, 2 * r1d)),) if r1n else (),
             atans=((cc, p, q),) if cc else (),
             growth=r1,
         )
     if len(roots) == 1:  # r1/(x - lam) + R(lam)/(x - lam)^2
         lam = roots[0][0]
-        num, den = _value_at(r0, r1, lam)
+        num, den = _value_at(r, lam)
         return LogDerivativeForm(
-            log_terms=((lam, r1),) if r1 else (),
+            log_terms=((lam, r1),) if r1n else (),
             poles=((lam, Fraction(-num, den)),) if num else (),
             growth=r1,
         )
@@ -238,33 +267,34 @@ def _log_form(A, R, roots):
     # a +- b sqrt(d), R/A' = (R(a) +- r1 b sqrt(d)) / (+-2b sqrt(d)) = r1/2 +- (R(a)/(2bd)) sqrt(d)
     (xi, _), (lam, _) = roots
     if isinstance(lam, Surd):
-        num, den = _value_at(r0, r1, lam.a)
-        half = _half(r1)
+        num, den = _value_at(r, lam.a)
+        half = Fraction(r1n, 2 * r1d)
         if num:
             t = Fraction(num * lam.b.denominator, 2 * den * lam.b.numerator * lam.d)
             logs = ((lam, Surd(half, t, lam.d)), (xi, Surd(half, -t, lam.d)))
         else:
             logs = ((lam, half), (xi, half))
     else:  # R(s) / (s - s') over the common denominator of R and the roots
-        (r_lam, _), (r_xi, _) = _value_at(r0, r1, lam), _value_at(r0, r1, xi)
+        (r_lam, _), (r_xi, _) = _value_at(r, lam), _value_at(r, xi)
         ld, xd = lam.denominator, xi.denominator
-        gap = (lam.numerator * xd - xi.numerator * ld) * r0.denominator * r1.denominator
+        gap = (lam.numerator * xd - xi.numerator * ld) * r0d * r1d
         logs = ((lam, Fraction(r_lam * xd, gap)), (xi, Fraction(-r_xi * ld, gap)))
     return LogDerivativeForm(log_terms=tuple((s, e) for s, e in logs if e), growth=r1)
 
 
-def _real_roots_of_a(A):
-    """Real roots of monic A (degree <= 2), ascending, with multiplicities.
+def _real_roots(a):
+    """Real roots of monic A (degree <= 2), ascending, with multiplicities,
+    from the (num, den) pairs `a` of its coefficients below the lead.
 
     The discriminant p^2 - 4q is num/den in lowest terms, and each of num
     and den is squared out on its own: sqrt(num/den) = kn sqrt(rn rd) / (kd rd)
     for num = kn^2 rn and den = kd^2 rd."""
-    if A.degree == 0:
+    if not a:
         return ()
-    if A.degree == 1:
-        return ((-A.coeffs[0], 1),)
-    q, p = A.coeffs[0], A.coeffs[1]
-    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    if len(a) == 1:
+        (qn, qd), = a
+        return ((Fraction(-qn, qd), 1),)
+    (qn, qd), (pn, pd) = a
     num, den = pn * pn * qd - 4 * qn * pd * pd, pd * pd * qd
     g = gcd(num, den)
     num, den = num // g, den // g
@@ -328,6 +358,9 @@ class SidedZero:
         return f"{format_scalar(self.point)}{tag}"
 
 
+_AT_NEG_INF, _AT_POS_INF = SidedZero(NEG_INF, "right"), SidedZero(POS_INF, "left")
+
+
 @dataclass(frozen=True)
 class BoundarySpec:
     """Vanishing sets of K and A/K on the extended real line for one pair,
@@ -368,21 +401,23 @@ def boundary_zeros(k):
             se, sa = _sign_surd(un * vd, vn * ud, e.d), _sign_surd((m * ud - un) * vd, -vn * ud, e.d)
         else:
             se, sa = _sign(e.numerator), _sign(m * e.denominator - e.numerator)
-        below, above = _sided(se, sd)
-        if INF in (below, above):
+        k_sides = _sided(se, sd)
+        if INF in k_sides:
             k_singular.append(s)
-        for out, sides in ((zeros_of_k, (below, above)), (zeros_of_a_over_k, _sided(sa, -sd))):
-            if sides in _ZERO_SIDES:
-                out.append(SidedZero(s, _ZERO_SIDES[sides]))
+        if k_sides in _ZERO_SIDES:
+            zeros_of_k.append(SidedZero(s, _ZERO_SIDES[k_sides]))
+        a_sides = _sided(sa, -sd)
+        if a_sides in _ZERO_SIDES:
+            zeros_of_a_over_k.append(SidedZero(s, _ZERO_SIDES[a_sides]))
     sq, sl, g = _sign(form.quad.numerator), _sign(form.lin.numerator), form.growth
     ends = ((zeros_of_k, sq, sl, _sign(g.numerator)),
-            (zeros_of_a_over_k, -sq, -sl, _sign(k.pair.A.degree * g.denominator - g.numerator)))
+            (zeros_of_a_over_k, -sq, -sl, _sign(k.source.A.degree * g.denominator - g.numerator)))
     for out, sq, sl, sg in ends:  # the first nonzero sign of quad, lin and growth decides
         lo, hi = (sq < 0, sq < 0) if sq else (sl > 0, sl < 0) if sl else (sg < 0, sg < 0)
         if lo:
-            out.insert(0, SidedZero(NEG_INF, "right"))
+            out.insert(0, _AT_NEG_INF)
         if hi:
-            out.append(SidedZero(POS_INF, "left"))
+            out.append(_AT_POS_INF)
     return BoundarySpec(k, tuple(zeros_of_k), tuple(zeros_of_a_over_k), tuple(k_singular))
 
 

@@ -147,7 +147,9 @@ def as_exact(x):
     sign, man, exp, _ = x._mpf_
     if not man and exp:
         raise ValueError(f"cannot convert non-finite value {x!r}")
-    return (-man if sign else man) * Fraction(2) ** exp
+    if sign:
+        man = -man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def as_fraction(x):

@@ -668,23 +668,52 @@ def test_out_holds_what_stdout_would(capsys, tmp_path, command):
     assert capsys.readouterr().out == "" and path.read_text() == out
 
 
-# sha256 of one --no-timestamp report of each command besides verify, whose
-# reports tests/test_verify.py pins; a change that moves a byte of one must
-# say which field changed and why
+# a coefficient table whose A has surd roots under a negative and a non-integer
+# lead, then no real root, then a double root under a negative lead
+SURD_TABLE = {"coefficients": [
+    {"A": ["-1", "0", "1"], "B": ["1", "-2"]}, {"A": ["6", "0", "-3"], "B": ["-1", "4"]},
+    {"A": ["-3/2", "-3/2", "3/2"], "B": ["1/2", "1"]}, {"A": ["4", "0", "2"], "B": ["0", "-9"]},
+    {"A": ["-2", "4", "-2"], "B": ["5", "-1"]},
+], "N": 5}
+
+# sha256 of --no-timestamp reports of each command besides verify, whose
+# reports tests/test_verify.py pins, and of classify on the families whose
+# pairs are not monic; a change that moves a byte of one must say which
+# field changed and why
 GOLDEN_CLI_REPORTS = [
-    (["generate", "--family", "bell", "--n", "12"], "711772713a88e5d9f2f9770cb77416a52478f122c3b86b615a7d6c31e126db00"),
-    (["classify", "--family", "hyp2f1", "--b", "20", "--c", "1", "--n", "10"],
-     "062b3765ee7fc63c8c9c185de8132bbf7a6360ad5b2bfbae7e0708ba4583f516"),
-    (["admits", "--family", "laguerre", "--alpha", "1/2", "--n", "20"],
-     "ba4ca7cf8b1dffa5846d8cc28ddd2dc9133866938919a2d03a0f6dfbe902f470"),
-    (["freud-demo", "--t", "-1", "--precision", "512"], "e99527b93e4a656e052fc52469a1f910ab9e18cc1f2431462ba38c5d66be89f6"),
+    pytest.param(["generate", "--family", "bell", "--n", "12"],
+                 "711772713a88e5d9f2f9770cb77416a52478f122c3b86b615a7d6c31e126db00", id="generate"),
+    pytest.param(["classify", "--family", "hyp2f1", "--b", "20", "--c", "1", "--n", "10"],
+                 "062b3765ee7fc63c8c9c185de8132bbf7a6360ad5b2bfbae7e0708ba4583f516", id="classify"),
+    pytest.param(["classify", "--family", "jacobi", "--alpha", "1/2", "--beta", "1/2", "--n", "20"],
+                 "056751da933c80d2581e70b3b6628396bc38534ffa7f1871f5be0af5d0728095", id="classify-jacobi"),
+    pytest.param(["classify", "--family", "laguerre", "--alpha", "1/2", "--n", "20"],
+                 "ebb90f03503b5891d3aebb6c22c91fc3f808f6d046af99604d870467095c24c2", id="classify-laguerre"),
+    pytest.param(["classify", "--family", "bell", "--n", "20"],
+                 "2da1784cb75db332b4f30321d816f4579f211973c8d9845e129f11c52778ce5d", id="classify-bell"),
+    pytest.param(["classify", "--family", "euler_frobenius", "--kappa", "1", "--r", "n+1", "--n", "20"],
+                 "89d7abecc277423ec489a7a3633eed2186f5e0460833d9ffe26a582d874ee798", id="classify-euler_frobenius"),
+    pytest.param(["classify", "--family", "vertgeim", "--n", "10"],
+                 "0c99f71923268d7d596e8604208fccc694ddddb468173290dd6788c22494c060", id="classify-vertgeim"),
+    pytest.param(["classify", "--family", "hermite_like", "--n", "10"],
+                 "261227504109a133c670e788d2ef3d993fe08804fc3a36c85ae96ad1951d53c1", id="classify-hermite_like"),
+    pytest.param(["classify", "--input", SURD_TABLE],
+                 "350ddf45be6a5dae790bb41e0db52d4e457d568239f6f16269a2648f8d2c5cb5", id="classify-table"),
+    pytest.param(["admits", "--family", "laguerre", "--alpha", "1/2", "--n", "20"],
+                 "ba4ca7cf8b1dffa5846d8cc28ddd2dc9133866938919a2d03a0f6dfbe902f470", id="admits"),
+    pytest.param(["freud-demo", "--t", "-1", "--precision", "512"],
+                 "e99527b93e4a656e052fc52469a1f910ab9e18cc1f2431462ba38c5d66be89f6", id="freud-demo"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_CLI_REPORTS, ids=[a[0] for a, _ in GOLDEN_CLI_REPORTS])
-def test_reports_byte_stable(capsys, argv, digest):
+@pytest.mark.parametrize("argv, digest", GOLDEN_CLI_REPORTS)
+def test_reports_byte_stable(capsys, tmp_path, argv, digest):
     import hashlib
 
+    if isinstance(argv[-1], dict):  # an input document: pass the path of its JSON
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(path)]
     code, out = run(capsys, *argv, "--no-timestamp")
     assert code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ import pytest
 
 from ddepoly.dde import admits_dde
 from ddepoly.freud import freud_recurrence_coeffs, freud_sequence, p5_invariants, recurrence_seed
-from ddepoly.poly import to_mpf
+from ddepoly.poly import Poly, to_mpf
 from ddepoly.roots import isolate_roots
 
 
@@ -140,6 +140,19 @@ def test_sequence_parity():
         for i, c in enumerate(p.coeffs):
             if (i - n) % 2 != 0:
                 assert c == 0
+
+
+def test_sequence_formats_no_member(monkeypatch):
+    # the recurrence step scales P_{n-1} by a_n itself: an mpf times a Poly
+    # first fails in mpmath, which formats the whole member into its error
+    data = freud_recurrence_coeffs(0, 14)
+    want = freud_sequence(data, 14)
+
+    def refuse(self):
+        raise AssertionError("freud_sequence formatted a member")
+
+    monkeypatch.setattr(Poly, "__repr__", refuse)
+    assert freud_sequence(data, 14).polys == want.polys
 
 
 def test_p5_closed_form_coefficients():

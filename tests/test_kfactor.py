@@ -117,17 +117,19 @@ def classify_ext(tag):
 
 
 def test_classify_scale_invariance():
+    # K sees only B/A: scaling the pair by any nonzero rational, negative ones
+    # included, keeps the tag, the form and A's roots, and `pair` is the
+    # pair normalized
     rng = random.Random(11)
-    for _ in range(40):
-        a = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-        if not any(a):
-            a[2] = Fraction(1)
-        b = [Fraction(rng.randint(-5, 5)) for _ in range(2)]
-        s = Fraction(rng.choice([2, -3, 7, -1]), rng.choice([1, 2, 5]))
-        k1 = classify(pair(a, b))
-        k2 = classify(CoefficientPair(P(a).scale(s), P(b).scale(s)))
-        assert k1.tag == k2.tag
-        assert k1.form == k2.form
+    kinds = ("linear", "complex", "rational", "surd", "B-zero", "constant", "pole")
+    for i in range(700):
+        c = kind_pair(rng, kinds[i % len(kinds)])
+        s = Fraction(rng.choice([2, -3, 7, -1, 1, -10**20]), rng.choice([1, 2, 5, 3**30]))
+        scaled = CoefficientPair(c.A.scale(s), c.B.scale(s))
+        k1, k2 = classify(c), classify(scaled)
+        assert (k1.tag, k1.form, k1.a_roots) == (k2.tag, k2.form, k2.a_roots), (c, s)
+        assert k1.pair == normalize(c) == normalize(scaled) == k2.pair
+        assert k1 == k2 and repr(k1) == repr(k2)
 
 
 def test_boundary_square_factor():
@@ -226,8 +228,8 @@ def test_growth_at_infinity_matches_exact_exponent():
 
 
 def kind_pair(rng, kind):
-    """A seeded pair whose A is linear, or quadratic with no real roots, two
-    rational roots (possibly equal) or two surd roots r +- sqrt(d); "pole"
+    """A seeded pair whose A is constant, linear, or quadratic with no real
+    roots, two rational roots (possibly equal) or two surd roots r +- sqrt(d); "pole"
     is a double root r with B(r) != 0, and "B-zero" one of the four with B = 0."""
     def q():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
@@ -235,7 +237,9 @@ def kind_pair(rng, kind):
     r = q()
     if kind == "B-zero":
         return CoefficientPair(kind_pair(rng, rng.choice(("linear", "complex", "rational", "surd"))).A, P([]))
-    if kind == "linear":
+    if kind == "constant":
+        A = [lead]
+    elif kind == "linear":
         A = [-r * lead, lead]
     elif kind == "rational":
         A = list((P([-r, 1]) * P([-rng.choice([r, q()]), 1]) * P([lead])).coeffs)
@@ -351,7 +355,7 @@ def test_boundary_zeros_reads_a_over_k_off_k(monkeypatch):
     import ddepoly.kfactor as kf
 
     calls = Counter()
-    for name in ("_log_form", "limit_class"):
+    for name in ("_partial_fractions", "limit_class"):
         monkeypatch.setattr(kf, name, lambda *a, f=getattr(kf, name), name=name: calls.update([name]) or f(*a))
     rng = random.Random(30)
     ks = [classify(kind_pair(rng, kind)) for kind in ("linear", "complex", "rational", "surd", "B-zero", "pole") * 20]
@@ -359,6 +363,23 @@ def test_boundary_zeros_reads_a_over_k_off_k(monkeypatch):
     for k in ks:
         boundary_zeros(k)
     assert not calls
+
+
+def test_classify_reads_the_pair_as_given(monkeypatch):
+    # K is read off the integers of the pair as given: neither classify nor
+    # boundary_zeros normalizes it or builds a polynomial
+    import ddepoly.kfactor as kf
+
+    rng = random.Random(33)
+    pairs = [kind_pair(rng, kind) for kind in ("linear", "complex", "rational", "surd", "B-zero", "constant", "pole") * 20]
+    calls = Counter()
+    monkeypatch.setattr(kf, "normalize", lambda c, f=kf.normalize: calls.update(["normalize"]) or f(c))
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a, f=Poly.__init__, **kw: calls.update(["Poly"]) or f(self, *a, **kw))
+    for c in pairs:
+        boundary_zeros(classify(c))
+    assert not calls
+    classify(pairs[0]).pair  # the counters count: reading `pair` normalizes
+    assert calls["normalize"] == 1
 
 
 def golden_boundary_pairs():

@@ -19,6 +19,7 @@ from ddepoly.poly import (
     _quo,
     _remainders,
     _squarefree,
+    as_exact,
     format_poly,
     format_scalar,
     squarefree_decomposition,
@@ -71,6 +72,24 @@ def test_degree_and_zero():
     assert Poly.zero().degree == -1
     assert P([0, 0, 3]).degree == 2
     assert P([5]).degree == 0
+
+
+def test_as_exact_is_the_dyadic_value():
+    # man * 2^exp with the sign applied, as the formula it replaced computes
+    # it, at both signs of the exponent, both signs of the value and zero
+    rng = random.Random(33)
+    for prec in (64, 128, 256, 512, 1024):
+        with mpmath.workprec(prec):
+            xs = [mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(-3) / 8, mpmath.mpf(5) * 2**prec]
+            xs += [mpmath.mpf(rng.randint(-(10**40), 10**40)) / 7 * mpmath.mpf(2) ** rng.randint(-2 * prec, 2 * prec)
+                   for _ in range(50)]
+        for x in xs:
+            sign, man, exp, _ = x._mpf_
+            assert as_exact(x) == (-man if sign else man) * Fraction(2) ** exp, x
+        assert any(x._mpf_[2] > 0 for x in xs) and any(x._mpf_[2] < 0 for x in xs)
+    for bad in (mpmath.inf, mpmath.ninf, mpmath.nan):
+        with pytest.raises(ValueError):
+            as_exact(bad)
 
 
 def test_float_precision_floor():
