@@ -144,8 +144,7 @@ class KClassification:
 
     def a_over_k_form(self):
         """log|A/K| has log-derivative A'/A - B/A = (A' - B)/A: a second
-        partial-fraction form, kept as the oracle `boundary_zeros` is tested
-        against."""
+        partial-fraction form, kept as the oracle `boundary_zeros` is tested against."""
         a, b = _monic(self.source)
         da = (a[1], (2, 1)) if len(a) == 2 else ((len(a), 1), (0, 1))  # A' of monic A: p + 2x, 1 or 0
         r = [(xn * yd - yn * xd, xd * yd) for (xn, xd), (yn, yd) in zip(da, b)]
