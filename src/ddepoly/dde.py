@@ -8,12 +8,17 @@ coefficients: a quadratic A must satisfy P_{n+1} - A P_n' == 0 modulo P_n,
 which is a linear system in A's three coefficients; B then falls out by
 exact division.  This avoids any arithmetic with the roots of P_n while
 being equivalent to interpolating A through (x_k, P_{n+1}(x_k)/P_n'(x_k))
-at the simple zeros x_k of P_n.  On rational input the system is built
-from integer pseudo-remainders of primitive integer vectors.  Fraction-free
-elimination runs on its (at most three) pivot rows, and every other row's
-residual is read off Sylvester's identity.  P_n, or its even part when it
-has parity, is proved squarefree by a gcd modulo a prime below 2^30.  No
-`Fraction` enters until A and B are scaled back, one per coefficient.
+at the simple zeros x_k of P_n.  The system is built from integer
+pseudo-remainders: of the primitive integer vectors on rational input, of
+the integer vectors of the dyadic values the mpf coefficients hold on
+float input.  On rational input fraction-free elimination runs on its (at
+most three) pivot rows, and every other row's residual is read off
+Sylvester's identity.  P_n, or its even part when it has parity, is
+proved squarefree by a gcd modulo a prime below 2^30.  No `Fraction`
+enters until A and B are scaled back, one per coefficient.  On float
+input the least-squares solution comes from the integer normal equations
+by Cramer's rule; the relative residual, A and B are exact rationals,
+each rounded once.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 import mpmath
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .poly import (
-    DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, _dx, _over_lcm, _prem, _quo, _squarefree, format_poly,
-    to_mpf,
+    DEFAULT_FLOAT_PREC, FLOAT, RATIONAL, KindMismatchError, Poly, _dx, _dyadic, _over_lcm, _pquo, _prem, _quo,
+    _squarefree, format_poly, to_mpf,
 )
 from .roots import real_simple_zeros
 
@@ -184,14 +190,16 @@ def admits_dde(seq, tolerance=1e-12):
     """Decide, for each n, whether seq continues by some A_n P_n' + B_n P_n.
 
     seq is a list of Poly with seq[0] == 1.  Entries n with deg seq[n] != n
-    are skipped as degenerate, as are n >= 2 where seq[n] has repeated
-    roots (the decision procedure needs simple zeros); for rational input
-    a constant gcd(P_n, P_n') modulo a prime below 2^30, taken on the even
-    part of a P_n with parity, proves P_n squarefree, and only a member it
-    cannot certify builds the exact integer chain.
-    Rational input is decided exactly, on integers (`_admit_exact`); float
-    input is decided by least squares against `tolerance` (relative) and
-    the result is tagged numeric.
+    are skipped as degenerate, as are n >= 2 where a rational seq[n] has
+    repeated roots (the decision procedure needs simple zeros); a constant
+    gcd(P_n, P_n') modulo a prime below 2^30, taken on the even part of a
+    P_n with parity, proves P_n squarefree, and only a member it cannot
+    certify builds the exact integer chain.  Float entries are not skipped.
+    Rational input is decided exactly, on integers (`_admit_exact`).  Float
+    input is decided by exact least squares on the dyadic values the mpf
+    coefficients hold (`_admit_float`): the relative residual is rounded
+    once to a float and held against `tolerance`, A and B are rounded once
+    to the members' precision, and the result is tagged numeric.
     """
     polys = [p if isinstance(p, Poly) else Poly.rational(p) for p in seq]
     if len(polys) < 2:
@@ -199,7 +207,7 @@ def admits_dde(seq, tolerance=1e-12):
     if polys[0].degree != 0 or polys[0].coeffs[0] != 1:
         raise ValueError("seq[0] must be the constant polynomial 1")
     prec = max((p.prec or DEFAULT_FLOAT_PREC for p in polys if p.kind == FLOAT), default=None)
-    ints = [p.primitive_int_coeffs() if p.kind == RATIONAL else None for p in polys]
+    ints = [p.primitive_int_coeffs() if p.kind == RATIONAL else _dyadic(p) for p in polys]
     with mpmath.workprec(prec + 32) if prec else nullcontext():
         entries = tuple(_admit_at(polys, ints, n, tolerance) for n in range(len(polys) - 1))
     return AdmissibilityResult(entries, numeric=prec is not None)
@@ -222,32 +230,36 @@ def _admit_at(polys, ints, n, tolerance):
         A = Pn1.scale(1 / c)
         zero = Poly.zero(Pn.kind, Pn.prec)
         return AdmissibilityEntry(n, "admits", CoefficientPair(A, zero), unique=False, residual=0.0)
-    if ints[n] is not None and ints[n + 1] is not None:
+    if Pn.kind != Pn1.kind:
+        raise KindMismatchError(f"cannot combine {Pn.kind} and {Pn1.kind} polynomials")
+    if Pn.kind == RATIONAL:
         return _admit_exact(Pn, Pn1, ints[n], ints[n + 1], n)
-    dPn = Pn.derivative()
-    cols = []
-    for j in range(3):
-        xj = Poly.floating([0] * j + [1], Pn.prec or DEFAULT_FLOAT_PREC)
-        cols.append((xj * dPn) % Pn)
-    return _admit_at_float(Pn, Pn1, dPn, cols, Pn1 % Pn, n, tolerance)
+    return _admit_float(Pn, Pn1, ints[n], ints[n + 1], n, tolerance)
+
+
+def _columns(p, q, n):
+    """The integer system for P_n = u p and P_(n+1) = v q, with p of degree
+    n: columns s_j (x^j p' mod p), j = 0, 1, 2, and the right side
+    s (q mod p), integer pseudo-remainders with s_j and s powers of lead(p).
+    A = sum z_j x^j solves A P_n' = P_(n+1) mod P_n where the integer
+    system has solution (v s_j / (u s)) z_j.  Returns p', the columns, the
+    right side (n entries each), the scales s_j and s."""
+    dp = _dx(p)
+    c1 = [a - n * b for a, b in zip([0] + dp, p)][:n]  # x p' - n p = x p' mod p
+    rhs = _prem(q, p)
+    return dp, (dp, c1, _prem([0] + c1, p)), rhs + [0] * (n - len(rhs)), (1, 1, p[-1]), p[-1] ** max(len(q) - n, 0)
 
 
 def _admit_exact(Pn, Pn1, p, q, n):
-    """The rational decision on integer vectors.  With P_n = u p and
-    P_(n+1) = v q for the primitive p and q given, column j of the system is
-    s_j (x^j p' mod p) and its right side s (q mod p), integer
-    pseudo-remainders with s_j and s powers of lead(p).  Its solution z
-    gives A's coefficients (v s_j / (u s)) z_j, and the residual of an
-    equation is v / s times the integer one.  A and B are scaled back on
-    integers, one `Fraction` per coefficient."""
+    """The rational decision on the primitive integer vectors p and q of
+    P_n and P_(n+1) (`_columns`).  The residual of an equation is v / s
+    times the integer one.  A and B are scaled back on integers, one
+    `Fraction` per coefficient."""
     if not _squarefree(p):
         return AdmissibilityEntry(n, "skipped-degenerate", witness=f"P_{n} has repeated roots")
     u, v = Pn.lead / p[-1], Pn1.lead / q[-1] if q else Fraction(1)
-    dp = _dx(p)
-    c1 = [a - n * b for a, b in zip([0] + dp, p)][:n]  # x p' - n p = x p' mod p
-    scales, s = (1, 1, p[-1]), p[-1] ** max(len(q) - n, 0)
-    rhs = _prem(q, p)
-    pivots, d, dz, bad = _eliminate(zip(dp, c1, _prem([0] + c1, p), rhs + [0] * (n - len(rhs))), 3)
+    dp, cols, rhs, scales, s = _columns(p, q, n)
+    pivots, d, dz, bad = _eliminate(zip(*cols, rhs), 3)
     if bad:
         return AdmissibilityEntry(n, "fails", witness=f"inconsistent equation 0 = {v * bad / (s * d)}")
     # z_j s_j / s = N_j / D in lowest terms, so A = v / (D u) N and
@@ -309,34 +321,82 @@ def _eliminate(rows, unknowns):
     return pivots, d, dz, next((e for e in residuals if e), 0)
 
 
-def _admit_at_float(Pn, Pn1, dPn, cols, rhs_poly, n, tolerance):
-    prec = Pn.prec or DEFAULT_FLOAT_PREC
-    unknowns = 2 if n == 2 else 3  # at n=2 a solution with zero x^2 term always exists
-    M = mpmath.matrix(n, unknowns)
-    for i in range(n):
-        for j in range(unknowns):
-            M[i, j] = cols[j].coeff(i)
-    b = mpmath.matrix([rhs_poly.coeff(i) for i in range(n)])
-    # normal equations: M has full column rank when P_n is squarefree, and
-    # the squared conditioning is harmless at extended precision
-    try:
-        G = M.T * M
-        sol = mpmath.lu_solve(G, M.T * b)
-        resnorm = mpmath.norm(M * sol - b)
-    except (ValueError, ZeroDivisionError) as exc:
-        return AdmissibilityEntry(n, "fails", witness=f"least squares failed: {exc}")
-    scale = max(mpmath.norm(b), mpmath.mpf(1))
-    rel = float(resnorm / scale)
+def _admit_float(Pn, Pn1, image_n, image_n1, n, tolerance):
+    """The float decision: exact least squares on the dyadic values P_n and
+    P_(n+1) hold, P_n = 2^eu p and P_(n+1) = 2^ev q (`_dyadic`), no
+    squarefree skip.  The normal equations C^T C w = C^T r of `_columns`'
+    integer system (its first two columns at n = 2, where a solution with
+    no x^2 term always exists) are solved on integers (`_normal_solve`).
+    The relative residual |M z - b| / max(|b|, 1) of the system in P_n and
+    P_(n+1) themselves, where M z - b = 2^ev / s (C w - r), and A and B are
+    exact rationals, each rounded once: the residual to a float, A and B to
+    the members' precision."""
+    (p, eu), (q, ev) = image_n, image_n1
+    prec = max(Pn.prec or DEFAULT_FLOAT_PREC, Pn1.prec or DEFAULT_FLOAT_PREC)
+    dp, cols, r, scales, s = _columns(p, q, n)
+    d, dz, h = _normal_solve(cols[:2] if n == 2 else cols, r)
+    if not d:
+        return AdmissibilityEntry(n, "fails", witness="least squares failed: the normal equations are singular")
+    # r - C w is orthogonal to C, so |C w - r|^2 = |r|^2 - h.w = f / d; with
+    # |M z - b| = 2^ev / |s| |C w - r| and |b| = 2^ev / |s| |r|,
+    # rel^2 = f / d * min(1 / |r|^2, 2^(2 ev) / s^2)
+    r2, up, down = sum(y * y for y in r), max(2 * ev, 0), max(-2 * ev, 0)
+    f = d * r2 - sum(map(mul, h, dz))
+    if r2 << up < s * s << down:  # |b| < 1
+        rel = _sqrt_ratio(f << up, d * s * s << down)
+    else:
+        rel = _sqrt_ratio(f, d * r2)
     if rel > tolerance:
         return AdmissibilityEntry(
             n, "fails", residual=rel,
             witness=f"least-squares relative residual {rel:.3e} exceeds tolerance {tolerance:.1e}",
         )
-    A = Poly.floating([sol[j] for j in range(unknowns)], prec)
-    B, _ = (Pn1 - A * dPn).divrem(Pn)
+    # A = 2^(ev - eu) / (s d) sum N_j x^j with N_j = s_j (d z_j), and
+    # B = (P_(n+1) - A P_n') / P_n = 2^(ev - eu) / (s d) (s d q - sum N_j x^j p') / p
+    # over Q.  That quotient has m terms and reads only the entries from
+    # t = n + 1 - m of both vectors; lead(p)^m times it is `_pquo`'s.
+    N, D = [z * c for z, c in zip(dz, scales)], s * d
+    L = max(len(q), n + 2)
+    t = max(2 * n + 1 - L, 0)
+    top = [D * (q[k] if k < len(q) else 0) - sum(c * dp[k - j] for j, c in enumerate(N) if 0 <= k - j < n)
+           for k in range(t, L)]
+    quo, m = _pquo(top, p[t:])
+    A = Poly([_rounded(c, ev - eu, D, prec) for c in N], FLOAT, prec)
+    B = Poly([_rounded(c, ev - eu, D * p[-1] ** m, prec) for c in quo], FLOAT, prec)
     if B.degree > 1:
         return AdmissibilityEntry(n, "fails", residual=rel, witness=f"forced deg B = {B.degree} > 1")
     return AdmissibilityEntry(n, "admits", CoefficientPair(A, B), unique=(n >= 3), residual=rel)
+
+
+def _normal_solve(cols, r):
+    """Cramer's rule on the normal equations C^T C w = C^T r of two or
+    three integer columns: (det, det w, C^T r), all integers.  det > 0
+    unless the columns are dependent, as C^T C is a Gram matrix."""
+    h = [sum(map(mul, c, r)) for c in cols]
+    gram = [[sum(map(mul, x, y)) if j >= i else 0 for j, y in enumerate(cols)] for i, x in enumerate(cols)]
+    if len(cols) == 2:
+        (a, b), (_, e) = gram
+        return a * e - b * b, [e * h[0] - b * h[1], a * h[1] - b * h[0]], h
+    (a, b, c), (_, e, f), (_, _, i) = gram
+    u, v, w = e * i - f * f, c * f - b * i, b * f - c * e  # the adjugate, symmetric
+    adj = ((u, v, w), (v, a * i - c * c, b * c - a * f), (w, b * c - a * f, a * e - b * b))
+    return a * u + b * v + c * w, [sum(map(mul, row, h)) for row in adj], h
+
+
+def _sqrt_ratio(a, b):
+    """sqrt(a / b) rounded once to a float, for integers a >= 0 and b > 0:
+    m = floor(2^k sqrt(a / b)) with at least 64 bits, and one sticky bit
+    when it is inexact, so no float square or quotient underflows."""
+    if not a:
+        return 0.0
+    k = max(0, (b.bit_length() - a.bit_length() + 130) // 2)
+    m = isqrt((a << 2 * k) // b)
+    return (2 * m + (m * m * b != a << 2 * k)) / (1 << (k + 1))
+
+
+def _rounded(num, shift, den, prec):
+    """num 2^shift / den as an mpf rounded once to prec bits."""
+    return mpmath.mp.make_mpf(mpf_div(from_man_exp(num, shift), from_int(den), prec, round_nearest))
 
 
 def sample_xy(Pn, Pn1, width):

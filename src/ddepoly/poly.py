@@ -86,7 +86,9 @@ class Surd:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+        self.a = a if isinstance(a, Fraction) else Fraction(a)
+        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        self.d = d
 
     def _cmp(self, x):
         """Sign of self - x."""
@@ -416,6 +418,16 @@ def _over_lcm(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _dyadic(P):
+    """(c, e) with P = 2^e c for an integer vector c: the value a float P
+    holds, each mpf coefficient being a dyadic rational."""
+    parts = [x._mpf_ for x in P.coeffs]
+    if any(not man and exp for _, man, exp, _ in parts):
+        raise ValueError(f"cannot convert a non-finite coefficient of {format_poly(P)}")
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in parts], e
+
+
 def _primitive(v):
     """An integer vector divided by its content: content 1, same signs."""
     c = int_gcd(*v)
@@ -449,6 +461,20 @@ def _prem(a, b):
         for i in range(n):
             r[k - n + i] -= q * b[i]
     return r
+
+
+def _pquo(a, b):
+    """Pseudo-quotient (Q, m) of integer vectors: lc(b)^m a = Q b + R with
+    deg R < deg b and m = max(len a - len b + 1, 0), so a / b over Q has
+    quotient Q / lc(b)^m."""
+    lc, r, n, q = b[-1], list(a), len(b) - 1, []
+    for k in range(len(a) - 1, n - 1, -1):  # r <- lc r - r_k x^(k-n) b, Q <- lc Q + r_k x^(k-n)
+        c = r.pop()
+        q = [lc * v for v in q] + [c]
+        r = [lc * v for v in r]
+        for i in range(n):
+            r[k - n + i] -= c * b[i]
+    return q[::-1], len(q)
 
 
 _PRIME = 2**30 - 35  # the largest prime below 2^30

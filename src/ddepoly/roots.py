@@ -69,7 +69,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import mpmath
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, from_rational
 
 from .poly import (
     FLOAT,
@@ -505,15 +505,19 @@ def _exact_image(p):
 
 
 def _ends_of_kind(p, iv):
-    """iv with ends of p's kind: mpf for a float p, exact where dyadic and
-    rounded outward at prec + 64 bits where not (a degree-1 root)."""
+    """iv with ends of p's kind: mpf for a float p, exact where dyadic (every
+    tree-node end, built from its numerator and exponent with no division)
+    and rounded outward at prec + 64 bits where not (a degree-1 root)."""
     if p.kind == RATIONAL:
         return iv
-    lo, hi = (
-        mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, max(p.prec + 64, x.numerator.bit_length()), rnd))
-        for x, rnd in ((iv.lo, "f"), (iv.hi, "c"))
-    )
-    return Interval(lo, hi, iv.lo_open, iv.hi_open)
+    return Interval(_mpf_end(iv.lo, p.prec, "f"), _mpf_end(iv.hi, p.prec, "c"), iv.lo_open, iv.hi_open)
+
+
+def _mpf_end(x, prec, rnd):
+    num, den = x.numerator, x.denominator
+    if den & (den - 1):
+        return mpmath.mp.make_mpf(from_rational(num, den, max(prec + 64, num.bit_length()), rnd))
+    return mpmath.mp.make_mpf(from_man_exp(num, 1 - den.bit_length()))
 
 
 def isolate_roots(p, width):

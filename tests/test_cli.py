@@ -702,7 +702,7 @@ GOLDEN_CLI_REPORTS = [
     pytest.param(["admits", "--family", "laguerre", "--alpha", "1/2", "--n", "20"],
                  "ba4ca7cf8b1dffa5846d8cc28ddd2dc9133866938919a2d03a0f6dfbe902f470", id="admits"),
     pytest.param(["freud-demo", "--t", "-1", "--precision", "512"],
-                 "e99527b93e4a656e052fc52469a1f910ab9e18cc1f2431462ba38c5d66be89f6", id="freud-demo"),
+                 "86ffbb4f82ba49487d27d986b68eafc81a21de6edf0707e4f5b37c6ecf23ec3f", id="freud-demo"),
 ]
 
 

@@ -12,6 +12,7 @@ from ddepoly.dde import (
     CoefficientTable,
     NonSimpleZerosError,
     _eliminate,
+    _sqrt_ratio,
     admits_dde,
     generate,
     sample_xy,
@@ -467,3 +468,185 @@ def test_sample_xy_keeps_working_precision():
         for x, y in pairs:
             ref = Pn1(x) / dPn(x)
             assert abs(y - ref) <= abs(ref) * mpmath.mpf(2) ** -200
+
+
+def held(x):
+    """The dyadic rational an mpf holds, read off its sign, mantissa and exponent."""
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def trim(v):
+    while v and not v[-1]:
+        v = v[:-1]
+    return v
+
+
+def nearest(x, prec):
+    """The prec-bit float nearest the rational x, ties to even, as a Fraction."""
+    if not x:
+        return x
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    e -= abs(x) < Fraction(2) ** e  # now 2^e <= |x| < 2^(e + 1)
+    ulp = Fraction(2) ** (e - prec + 1)
+    return round(x / ulp) * ulp
+
+
+def frac_divmod(a, b):
+    """Quotient and remainder (len b - 1 entries) of Fraction vectors, low to high."""
+    a, n = list(a) + [Fraction(0)] * max(len(b) - 1 - len(a), 0), len(b) - 1
+    quo = [Fraction(0)] * max(len(a) - n, 0)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = quo[k - n] = a[k] / b[-1]
+        for i, y in enumerate(b):
+            a[k - n + i] -= c * y
+    return quo, a[:n]
+
+
+def least_squares_oracle(Pn, Pn1, n):
+    """(residual, A, B) of a float entry n >= 2 in exact rationals: Fraction
+    normal equations for the columns x^j P_n' mod P_n (j < 2 at n = 2, else
+    j < 3) against P_(n+1) mod P_n, solved by plain Gaussian elimination;
+    the residual is |M z - b| / max(|b|, 1) rounded once to a float, A and B
+    are rationals, and None stands for a singular system."""
+    p, q = [held(c) for c in Pn.coeffs], [held(c) for c in Pn1.coeffs]
+    dp = [i * c for i, c in enumerate(p)][1:]
+    cols = [frac_divmod([Fraction(0)] * j + dp, p)[1] for j in range(2 if n == 2 else 3)]
+    b = frac_divmod(q, p)[1]
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))  # noqa: E731
+    rows = [[dot(c, d) for d in cols] + [dot(c, b)] for c in cols]
+    for j in range(len(cols)):
+        piv = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            return None
+        rows[j], rows[piv] = rows[piv], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i in range(len(rows)):
+            if i != j:
+                rows[i] = [x - rows[i][j] * y for x, y in zip(rows[i], rows[j])]
+    z = [row[-1] for row in rows]
+    res = [dot([c[i] for c in cols], z) - y for i, y in enumerate(b)]
+    rel2 = dot(res, res) / max(dot(b, b), 1)
+    with mpmath.workprec(400):
+        rel = float(mpmath.sqrt(mpmath.mpf(rel2.numerator) / rel2.denominator))
+    AdP = [Fraction(0)] * (len(dp) + len(z))
+    for i, x in enumerate(z):
+        for j, y in enumerate(dp):
+            AdP[i + j] += x * y
+    rest = [(q[i] if i < len(q) else 0) - (AdP[i] if i < len(AdP) else 0) for i in range(max(len(q), len(AdP)))]
+    return rel, z, frac_divmod(rest, p)[0]
+
+
+def random_float_table(rng, N, prec):
+    """P_0 = 1 and random float members of degree 1..N; with probability 1/2
+    each member after P_2 is made by a random pair instead, so its entry is
+    consistent up to the rounding of the members."""
+    rand = lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 64))  # noqa: E731
+    polys = [Poly.floating([1], prec)]
+    for m in range(1, N + 1):
+        P = polys[-1]
+        if m > 2 and rng.random() < 0.5:
+            nxt = step(P, CoefficientPair(Poly.floating([rand() for _ in range(3)], prec),
+                                          Poly.floating([rand(), rand() or 1], prec)))
+        else:
+            nxt = Poly.floating([rand() for _ in range(m)] + [rand() or 1], prec)
+        polys.append(nxt if nxt.degree == m else Poly.floating([*nxt.coeffs[:m], 1], prec))
+    return polys
+
+
+def test_float_admits_is_exact_least_squares_on_the_held_values():
+    # entries n >= 2 of seeded float tables against `least_squares_oracle`:
+    # the residual as rounded once, the verdict it gives, and A and B each
+    # the prec-bit float nearest the exact solution
+    rng = random.Random(3402)
+    checked = near = failed = 0
+    for trial in range(40):
+        prec = rng.choice((64, 128, 200))
+        polys = random_float_table(rng, rng.randint(3, 6), prec)
+        for tol in (1.0, 1e-12):
+            res = admits_dde(polys, tolerance=tol)
+            assert res.numeric
+            for e in res.entries[2:]:
+                rel, A, B = least_squares_oracle(polys[e.n], polys[e.n + 1], e.n)
+                assert e.residual == rel, (trial, e.n)
+                assert e.verdict == ("fails" if rel > tol else "admits")
+                if e.verdict == "admits":
+                    assert e.unique == (e.n >= 3)
+                    for got, exact in ((e.pair.A, A), (e.pair.B, B)):
+                        assert got.prec == prec and [held(c) for c in got.coeffs] == trim([nearest(c, prec) for c in exact])
+                    checked += 1
+                failed += e.verdict == "fails"
+                near += e.n >= 3 and 0 < rel < 1e-12
+    assert checked > 150 and near > 20 and failed > 5
+
+
+DYADIC_FAMILIES = [("hermite", {}), ("bell", {}), ("jacobi", {"alpha": "1/2", "beta": "1/2"}),
+                   ("euler_frobenius", {"kappa": "1", "r": "n+1"})]
+
+
+@pytest.mark.parametrize("kind, params", DYADIC_FAMILIES, ids=[k for k, _ in DYADIC_FAMILIES])
+def test_dyadic_tables_given_as_floats_admit_with_residual_zero(kind, params):
+    # the members' denominators are powers of two, so the 128-bit floats hold
+    # them exactly and the system is consistent: every residual is exactly 0,
+    # and from n = 3 on the pair is the rational one rounded once (at n = 2
+    # the float rule fits two unknowns, so the pair may differ there)
+    seq = generate(coefficient_source(FamilySpec(kind, params)), 10)
+    floats = [Poly.floating(p.coeffs, 128) for p in seq.polys]
+    assert all([held(c) for c in f.coeffs] == list(p.coeffs) for f, p in zip(floats, seq.polys))
+    exact, res = admits_dde(list(seq.polys)), admits_dde(floats)
+    assert res.numeric and res.all_admit and len(res.entries) == 10
+    for e in res.entries:
+        assert e.residual == 0.0
+        if e.n >= 3:
+            want = exact.entry(e.n).pair
+            assert e.unique and (e.pair.A, e.pair.B) == (Poly.floating(want.A.coeffs, 128), Poly.floating(want.B.coeffs, 128))
+
+
+def test_float_member_with_a_repeated_root_fails_the_least_squares():
+    # P_3 = x^3: x p' - 3p = 0, so the normal equations are singular; a float
+    # entry has no squarefree skip, so it fails instead of raising
+    polys = [Poly.floating(c) for c in ([1], [0, 1], [-1, 0, 1], [0, 0, 0, 1], [1, 0, -2, 0, 1])]
+    res = admits_dde(polys)
+    e = res.entry(3)
+    assert e.verdict == "fails" and e.pair is None and e.witness.startswith("least squares failed")
+    assert res.entry(2).verdict == "admits"
+
+
+@pytest.mark.parametrize("float_at", [2, 3])
+def test_members_of_two_kinds_raise_at_n_2(float_at):
+    polys = [P([1]), P([0, 1]), P([-1, 0, 1]), P([0, -3, 0, 1])]
+    polys[float_at] = Poly.floating(polys[float_at].coeffs)
+    with pytest.raises(KindMismatchError):
+        admits_dde(polys)
+
+
+def test_float_member_two_degrees_up_forces_deg_b_two():
+    # P_3 = x^4 over P_2 = x^2 - 1: A = 1/2 fits x^4 mod P_2 = 1 exactly, and
+    # the quotient (x^4 - x) / (x^2 - 1) leaves B of degree 2
+    polys = [Poly.floating(c) for c in ([1], [0, 1], [-1, 0, 1], [0, 0, 0, 0, 1])]
+    e = admits_dde(polys).entry(2)
+    assert (e.verdict, e.residual, e.witness) == ("fails", 0.0, "forced deg B = 2 > 1")
+
+
+def test_sqrt_ratio_rounds_once():
+    # just above the midpoint of 1 and 1 + 2^-52: a truncated root rounds to
+    # even (1.0), the root rounded once does not
+    x = 2**200 + 2**147 + 1  # 2^200 (1 + 2^-53 + 2^-200)
+    assert _sqrt_ratio(x * x, 2**400) == 1 + 2.0**-52
+    assert _sqrt_ratio((x - 2) ** 2, 2**400) == 1.0
+    # a ratio near 1e-328 is below every float, its root is not
+    assert _sqrt_ratio(1, 10**328) == 1e-164 and _sqrt_ratio(0, 7) == 0.0
+    assert _sqrt_ratio(4 * 10**600, 10**600) == 2.0
+    rng = random.Random(34)
+    for _ in range(200):
+        a, b = rng.getrandbits(rng.randrange(1, 1200)), rng.getrandbits(rng.randrange(1, 1200)) | 1
+        with mpmath.workprec(600):
+            assert _sqrt_ratio(a, b) == float(mpmath.sqrt(mpmath.mpf(a) / b))
+
+
+def test_float_member_with_a_non_finite_coefficient_is_refused():
+    # an infinite coefficient holds no dyadic value, so no residual can be formed
+    polys = [Poly.floating(c) for c in ([1], [0, 1], [-1, 0, 1], [0, -3, 0, 1])]
+    polys.append(Poly([mpmath.mpf(1), mpmath.mpf(0), mpmath.inf, mpmath.mpf(0), mpmath.mpf(1)], "float", 256))
+    with pytest.raises(ValueError, match="non-finite"):
+        admits_dde(polys)

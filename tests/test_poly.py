@@ -312,6 +312,14 @@ def test_surd_is_never_a_rational_and_not_an_mpf():
         mpmath.mpf(1) + s
 
 
+def test_surd_keeps_fractions_and_converts_ints():
+    a, b = Fraction(1, 3), Fraction(-2, 7)
+    s = Surd(a, b, 5)
+    assert s.a is a and s.b is b
+    t = Surd(3, -1, 2)
+    assert type(t.a) is Fraction and type(t.b) is Fraction and (t.a, t.b) == (3, -1)
+
+
 def test_surd_to_mpf_keeps_digits_through_cancellation():
     # 10^40 - sqrt(10^80 + 1) = -1 / (10^40 + sqrt(10^80 + 1)), about -5e-41
     s = Surd(10**40, -1, 10**80 + 1)

@@ -317,6 +317,36 @@ def test_float_linear_root_is_widened_outward():
     assert as_exact(iv.hi) - as_exact(iv.lo) < Fraction(1, 2**190)
 
 
+def test_dyadic_ends_are_the_mpf_of_the_outward_rounded_route():
+    # a tree-node end num / 2^k is built without a division; its mpf is the
+    # one the rounded route gives at a precision that holds it exactly
+    from mpmath.libmp import from_rational
+
+    rng = random.Random(34)
+    p = Poly.floating([0, 0, 1], prec=128)
+    ends = [Fraction(0)]
+    for e in (0, 1, -1, 53, -53, 600, -600):
+        ends += [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 700)) * Fraction(2) ** e for _ in range(8)]
+    assert any(x < 0 for x in ends) and any(x > 0 for x in ends)
+    for lo in ends:
+        hi = lo + Fraction(1, 1 << 600)
+        got = roots._ends_of_kind(p, Interval(lo, hi))
+        for end, x, rnd in ((got.lo, lo, "f"), (got.hi, hi, "c")):
+            assert isinstance(end, mpmath.mpf) and as_exact(end) == x
+            want = from_rational(x.numerator, x.denominator, max(p.prec + 64, x.numerator.bit_length()), rnd)
+            assert end._mpf_ == want
+
+
+def test_degree_one_float_member_rounds_its_root_outward():
+    # 3x - 1: the root 1/3 is no dyadic, so its ends are rounded down and
+    # up at prec + 64 bits, one ulp 2^-(prec + 65) apart (1/4 < 1/3 < 1/2)
+    p = Poly.floating([-1, 3], prec=128)
+    third = Fraction(1, 3)
+    iv = roots._ends_of_kind(p, Interval(third, third, False, False))
+    assert as_exact(iv.lo) < third < as_exact(iv.hi) and not iv.lo_open and not iv.hi_open
+    assert as_exact(iv.hi) - as_exact(iv.lo) == Fraction(1, 2 ** (p.prec + 65))
+
+
 def test_float_interlacing_is_exact_on_the_held_dyadics():
     # q = x(x-1)(x-2), p = (x-1/2)(x-r): a 1e-12 gap from the root 2 of q
     # decides the verdict; nothing is treated as shared by a tolerance
