@@ -621,8 +621,8 @@ def test_members_of_two_kinds_raise_at_n_2(float_at):
 
 
 def test_float_member_two_degrees_up_forces_deg_b_two():
-    # P_3 = x^4 over P_2 = x^2 - 1: A = 1/2 fits x^4 mod P_2 = 1 exactly, and
-    # the quotient (x^4 - x) / (x^2 - 1) leaves B of degree 2
+    # P_3 = x^4 over P_2 = x^2 - 1: A = x/2 fits x^4 mod P_2 = 1 exactly, and
+    # B = (x^4 - x^2) / (x^2 - 1) = x^2 is of degree 2
     polys = [Poly.floating(c) for c in ([1], [0, 1], [-1, 0, 1], [0, 0, 0, 0, 1])]
     e = admits_dde(polys).entry(2)
     assert (e.verdict, e.residual, e.witness) == ("fails", 0.0, "forced deg B = 2 > 1")
